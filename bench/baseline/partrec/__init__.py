@@ -1,0 +1,50 @@
+"""Exact q-series tables for partition counting functions, with machine
+verification of the recurrences and convolution identities among them."""
+
+from .functions import PartitionFunctionId, function_value, gf_series, lebesgue_partial
+from .oracle import ConstraintSpec, constraint_for, oracle_count, oracle_table
+from .recurrences import TheoremId, fast_po_odd_table, residual, verify, verify_all
+from .report import VerificationReport
+from .series import (
+    THETA_FAMILIES,
+    ProductSpec,
+    ThetaFamily,
+    TruncatedSeries,
+    pochhammer_expand,
+    pochhammer_finite,
+    progression_extract,
+    series_add,
+    series_inverse,
+    series_mul,
+    theta_series,
+)
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "PartitionFunctionId",
+    "TheoremId",
+    "TruncatedSeries",
+    "ProductSpec",
+    "ThetaFamily",
+    "THETA_FAMILIES",
+    "VerificationReport",
+    "ConstraintSpec",
+    "constraint_for",
+    "function_value",
+    "gf_series",
+    "lebesgue_partial",
+    "oracle_count",
+    "oracle_table",
+    "fast_po_odd_table",
+    "residual",
+    "verify",
+    "verify_all",
+    "pochhammer_expand",
+    "pochhammer_finite",
+    "progression_extract",
+    "series_add",
+    "series_inverse",
+    "series_mul",
+    "theta_series",
+]
