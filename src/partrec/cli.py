@@ -110,6 +110,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.order is not None and not 1 <= args.order <= dsl.MAX_ORDER:
+        return _fail_usage(f"--order must be within 1..{dsl.MAX_ORDER}")
     try:
         with open(args.file, encoding="utf-8") as handle:
             text = handle.read()

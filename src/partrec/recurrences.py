@@ -5,32 +5,32 @@ Each theorem or corollary is wired as a residual: (left side) minus
 "residual == 0".  Failures therefore carry a magnitude, which makes broken
 tables easy to diagnose.
 
+Every suite but LEBESGUE is a record in `_SUITES`: terms, each a coefficient
+times coefficient m*n + r of (a partition function times a sparse theta
+kernel), or times an indicator at m*n + r.  One engine, `_residuals`,
+evaluates every record over exact integer kernel exponents; the half-index
+cases read their function at (index - exponent) / div, zero off the integers.
+
 All residuals read partition-function values through a `values` callable
 (defaulting to the memoized `function_value`), so a test can swap in a
 corrupted source and watch the suites catch it.
-
-Summation windows are found by walking |k| upward until the exponent
-passes the bound; exponents are exact integers (or Fractions for the
-half-pentagonal family), so there is no floating-point edge to get wrong.
 """
 
 from __future__ import annotations
 
 import time
 from enum import Enum
-from fractions import Fraction
+from functools import partial
 from math import isqrt
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .functions import PartitionFunctionId as F
 from .functions import function_value, gf_series, lebesgue_partial
 from .report import Failure, VerificationReport
-from .series import ceil_half, neg_one_pow
+from .series import THETA_FAMILIES, ThetaFamily, ceil_half, neg_one_pow
 
 __all__ = [
     "TheoremId",
-    "IndicatorKind",
-    "indicator_value",
     "triangular_indicator",
     "square_rhs",
     "gen_pentagonal_signed",
@@ -43,7 +43,7 @@ __all__ = [
     "Values",
 ]
 
-Values = Callable[[F, Union[int, Fraction]], int]
+Values = Callable[[F, int], int]
 
 
 class TheoremId(Enum):
@@ -72,47 +72,6 @@ class TheoremId(Enum):
     CLASSICAL_MERCA_PEED_TRI = "CLASSICAL_MERCA_PEED_TRI"
     CLASSICAL_MERCA_PEED_2SQ = "CLASSICAL_MERCA_PEED_2SQ"
     LEBESGUE = "LEBESGUE"
-
-
-# ---------------------------------------------------------------------------
-# Exponent windows
-
-
-def _pent(k: int) -> int:
-    return k * (3 * k + 1) // 2
-
-
-def _tri(k: int) -> int:
-    return k * (k + 1) // 2
-
-
-def _two_sided(expfn: Callable[[int], int], bound: int) -> Iterator[tuple[int, int]]:
-    """(k, expfn(k)) for all k in Z with expfn(k) <= bound, |k| ascending."""
-    j = 0
-    while True:
-        alive = False
-        for k in ((0,) if j == 0 else (j, -j)):
-            e = expfn(k)
-            if e <= bound:
-                alive = True
-                yield k, e
-        if not alive and j > 0:
-            return
-        j += 1
-
-
-def _one_sided(expfn: Callable[[int], int], bound) -> Iterator[tuple[int, int]]:
-    k = 0
-    while True:
-        e = expfn(k)
-        if e > bound:
-            return
-        yield k, e
-        k += 1
-
-
-# ---------------------------------------------------------------------------
-# Right-hand-side indicators (exact integer arithmetic only)
 
 
 def triangular_indicator(n: int) -> int:
@@ -145,7 +104,7 @@ def gen_pentagonal_signed(n: int) -> int:
     if (s + 1) % 6 == 0:
         candidates.append(-(s + 1) // 6)
     for m in candidates:
-        if _pent(m) == n:
+        if m * (3 * m + 1) // 2 == n:
             return neg_one_pow(ceil_half(m))
     return 0
 
@@ -160,372 +119,198 @@ def origin_indicator(n: int) -> int:
     return 1 if n == 0 else 0
 
 
-def _zero(n: int) -> int:
-    return 0
+class _Term(NamedTuple):
+    """coeff * [q^(m*n + r)] of f(q^div) * kernel(q), or coeff * f(m*n + r)
+    when f is an indicator; the term counts only at n = parity (mod 2)."""
+
+    coeff: int
+    f: Union[F, Callable[[int], int]]
+    kernel: Optional[ThetaFamily] = None  # None: the unit series 1
+    scale: int = 1  # kernel exponents are multiplied by this
+    m: int = 1
+    r: int = 0
+    div: int = 1
+    parity: Optional[int] = None
 
 
-class IndicatorKind(Enum):
-    ZERO = "zero"
-    ORIGIN = "origin"
-    TRIANGULAR = "triangular"
-    SQUARE = "square"
-    GEN_PENTAGONAL_SIGNED = "gen-pentagonal-signed"
-    OBLONG = "k(k+1)"
+_T = THETA_FAMILIES
+# (-1)^j q^(j^2) over j in Z (phi(-q)), and over j >= 0 only
+_SIGNED_SQ = ThetaFamily("SIGNED_SQ", lambda j: j * j, neg_one_pow, two_sided=True)
+_SIGNED_SQ_POS = ThetaFamily("SIGNED_SQ_POS", lambda j: j * j, neg_one_pow, two_sided=False)
 
-
-_INDICATORS: dict[IndicatorKind, Callable[[int], int]] = {
-    IndicatorKind.ZERO: _zero,
-    IndicatorKind.ORIGIN: origin_indicator,
-    IndicatorKind.TRIANGULAR: triangular_indicator,
-    IndicatorKind.SQUARE: square_rhs,
-    IndicatorKind.GEN_PENTAGONAL_SIGNED: gen_pentagonal_signed,
-    IndicatorKind.OBLONG: oblong_indicator,
+_SUITES: dict[TheoremId, tuple[_Term, ...]] = {
+    # sum_k (-1)^k po_bar(n - k(3k+1)/2) = (-1)^ceil(m/2) at n = m(3m+1)/2, else 0
+    TheoremId.T1: (_Term(1, F.PO_ODD, _T["PENT"]), _Term(-1, gen_pentagonal_signed)),
+    # sum_{k>=0} (-1)^ceil(k/2) po_bar(n - T_k) = [n triangular]
+    TheoremId.T2: (_Term(1, F.PO_ODD, _T["TRI_CEIL"]), _Term(-1, triangular_indicator)),
+    # po_bar(n) + 2 sum_{k>=1} (-1)^k po_bar(n - 2k^2) = 2 at squares n > 0, 1 at n = 0
+    TheoremId.T3: (_Term(1, F.PO_ODD, _T["TWOSQ"]), _Term(-1, square_rhs)),
+    # po_bar(n) = sum_{k>=0} pood(n - T_k)
+    TheoremId.T4: (_Term(1, F.PO_ODD), _Term(-1, F.POOD, _T["TRI"])),
+    # po_bar(n) = sum_k (-1)^ceil(k/2) p(n - k(3k+1)/2)
+    TheoremId.T5: (_Term(1, F.PO_ODD), _Term(-1, F.P, _T["PENT_CEIL"])),
+    # po_bar(n) = sum_k (-1)^k op(n - 2k^2)
+    TheoremId.T6: (_Term(1, F.PO_ODD), _Term(-1, F.OP, _T["TWOSQ"])),
+    # po_bar(2n+1) = 2 sum_{k>=0} op(n - 2k(k+1))
+    TheoremId.T7_DISSECT_ODD: (_Term(1, F.PO_ODD, m=2, r=1), _Term(-2, F.OP, _T["TWO_TRI4"])),
+    # po_bar(2n) = op(n) + 2 sum_{k>=1} op(n - 2k^2), i.e. op times theta(SQ) at q^2
+    TheoremId.T8_DISSECT_EVEN: (_Term(1, F.PO_ODD, m=2), _Term(-1, F.OP, _T["SQ"], scale=2)),
+    # po_bar(n) = sum_{k>=0} p2(n - T_k)
+    TheoremId.T9_P2: (_Term(1, F.PO_ODD), _Term(-1, F.P2MOD4, _T["TRI"])),
+    # qbar(n) = sum_{k>=0} p(n - T_k)
+    TheoremId.T_QBAR: (_Term(1, F.QBAR), _Term(-1, F.P, _T["TRI"])),
+    # sum_k (-1)^k po_bar(n - k(3k+1)/2) = sum_k (-1)^k pdo(n - k(3k+1))
+    TheoremId.T_PDO_IDENT: (_Term(1, F.PO_ODD, _T["PENT"]), _Term(-1, F.PDO, _T["PENT2"])),
+    # sum_{k>=0} (-1)^ceil(k/2) po_bar(n - T_k) = sum_k (-1)^k pd(n - k(3k+1)); one-sided,
+    # as T_k = T_(-k-1): a two-sided sum counts each exponent twice and fails at n = 0
+    TheoremId.T_PD_IDENT: (_Term(1, F.PO_ODD, _T["TRI_CEIL"]), _Term(-1, F.PD, _T["PENT2"])),
+    # sum_k (-1)^k pdo(n - k(3k+1)) = the signed pentagonal indicator
+    TheoremId.COR_PDO: (_Term(1, F.PDO, _T["PENT2"]), _Term(-1, gen_pentagonal_signed)),
+    # sum_k (-1)^k pd(n - k(3k+1)) = [n triangular]
+    TheoremId.COR_PD: (_Term(1, F.PD, _T["PENT2"]), _Term(-1, triangular_indicator)),
+    # sum_{k>=0} pood(n - T_k) is even for n >= 1 (mod 2, vacuous at n = 0)
+    TheoremId.COR_POOD_PARITY: (_Term(1, F.POOD, _T["TRI"]),),
+    # sum_k (-1)^ceil(k/2) p(n - k(3k+1)/2) is even for n >= 1
+    TheoremId.COR_P_PARITY: (_Term(1, F.P, _T["PENT_CEIL"]),),
+    # sum_{k>=0} p2(n - T_k) is even for n >= 1
+    TheoremId.COR_P2_PARITY: (_Term(1, F.P2MOD4, _T["TRI"]),),
+    # Euler: sum_k (-1)^k p(n - k(3k+1)/2) = [n == 0]
+    TheoremId.CLASSICAL_EULER: (_Term(1, F.P, _T["PENT"]), _Term(-1, origin_indicator)),
+    # Ewell: sum_{k>=0} (-1)^ceil(k/2) p(n - T_k) = pd(n/2) at even n, 0 at odd n
+    TheoremId.CLASSICAL_EWELL: (_Term(1, F.P, _T["TRI_CEIL"]), _Term(-1, F.PD, div=2)),
+    # sum_{j>=0} (-1)^j p(n - j^2) + sum_{j>=1} (-1)^j p(n - 2j^2) = pdo(n) at even n,
+    # 0 at odd n; the j = 0 term appears once, so the doubled sum drops its own
+    TheoremId.CLASSICAL_CKS_SQ: (_Term(1, F.P, _SIGNED_SQ_POS), _Term(1, F.P, _SIGNED_SQ_POS, scale=2),
+                                 _Term(-1, F.P), _Term(-1, F.PDO, parity=0)),
+    # p(n) + 2 sum_{j>=1} (-1)^j p(n - j^2) = (-1)^n pdo(n)
+    TheoremId.CLASSICAL_CKS_SIGNED: (_Term(1, F.P, _SIGNED_SQ), _Term(-1, F.PDO, parity=0),
+                                     _Term(1, F.PDO, parity=1)),
+    # Merca: sum_{k>=0} (-1)^ceil(k/2) p(n - G_k/2) = sum_{k>=0} p(n/2 - k(k+1)/8), with G_k
+    # = 0, 1, 2, 5, 7, ... and p zero off Z>=0.  On the doubled index both sides are integral:
+    # [q^(2n)] p(q^2) q^(G_k) = p(n - G_k/2), so the left side is [q^(2n)] of p(q^2) times
+    # theta(GPENT_HALF) with exponents x2; [q^(2n)] p(q^4) q^(T_k) = p(n/2 - k(k+1)/8), so
+    # the right side is [q^(2n)] of p(q^4) * theta(TRI).
+    TheoremId.CLASSICAL_MERCA_GK: (_Term(1, F.P, _T["GPENT_HALF"], scale=2, m=2, div=2),
+                                   _Term(-1, F.P, _T["TRI"], m=2, div=4)),
+    # sum_{j>=0} (-1)^ceil(j/2) peed(n - T_j) = [n = k(k+1)]
+    TheoremId.CLASSICAL_MERCA_PEED_TRI: (_Term(1, F.PEED, _T["TRI_CEIL"]), _Term(-1, oblong_indicator)),
+    # sum_{j in Z} (-1)^j peed(n - 2j^2) = [n triangular]
+    TheoremId.CLASSICAL_MERCA_PEED_2SQ: (_Term(1, F.PEED, _T["TWOSQ"]), _Term(-1, triangular_indicator)),
 }
+_MOD2 = frozenset({TheoremId.COR_POOD_PARITY, TheoremId.COR_P_PARITY, TheoremId.COR_P2_PARITY})
 
 
-def indicator_value(kind: IndicatorKind, n: int) -> int:
-    return _INDICATORS[kind](n)
+def _kernel(term: _Term, bound: int) -> list[tuple[int, int]]:
+    """(exponent, coefficient) of the term's kernel up to bound, ascending."""
+    if term.kernel is None:
+        return [(0, 1)]
+    coeffs: dict[int, int] = {}
+    for k in term.kernel.indices_up_to(bound):
+        e = int(term.kernel.exponent(k) * term.scale)
+        if e <= bound:
+            coeffs[e] = coeffs.get(e, 0) + term.kernel.sign(k)
+    return sorted((e, c) for e, c in coeffs.items() if c)
 
 
-# ---------------------------------------------------------------------------
-# Residuals.  v is the value source; every sum is LHS - RHS.
-
-
-def residual_t1(n: int, v: Values = function_value) -> int:
-    """sum_k (-1)^k po_bar(n - k(3k+1)/2) minus the signed pentagonal indicator."""
-    s = sum(neg_one_pow(k) * v(F.PO_ODD, n - e) for k, e in _two_sided(_pent, n))
-    return s - gen_pentagonal_signed(n)
-
-
-def residual_t2(n: int, v: Values = function_value) -> int:
-    """sum_{k>=0} (-1)^ceil(k/2) po_bar(n - T_k) minus [n triangular]."""
-    s = sum(neg_one_pow(ceil_half(k)) * v(F.PO_ODD, n - e) for k, e in _one_sided(_tri, n))
-    return s - triangular_indicator(n)
-
-
-def residual_t3(n: int, v: Values = function_value) -> int:
-    """po_bar(n) + 2 sum_{k>=1} (-1)^k po_bar(n - 2k^2) minus {2 at squares, 1 at 0}."""
-    s = v(F.PO_ODD, n)
-    k = 1
-    while 2 * k * k <= n:
-        s += 2 * neg_one_pow(k) * v(F.PO_ODD, n - 2 * k * k)
-        k += 1
-    return s - square_rhs(n)
-
-
-def residual_t4(n: int, v: Values = function_value) -> int:
-    """po_bar(n) minus sum_{k>=0} pood(n - T_k)."""
-    return v(F.PO_ODD, n) - sum(v(F.POOD, n - e) for _, e in _one_sided(_tri, n))
-
-
-def residual_t5(n: int, v: Values = function_value) -> int:
-    """po_bar(n) minus sum_k (-1)^ceil(k/2) p(n - k(3k+1)/2)."""
-    s = sum(neg_one_pow(ceil_half(k)) * v(F.P, n - e) for k, e in _two_sided(_pent, n))
-    return v(F.PO_ODD, n) - s
-
-
-def residual_t6(n: int, v: Values = function_value) -> int:
-    """po_bar(n) minus sum_k (-1)^k op(n - 2k^2)."""
-    s = sum(neg_one_pow(k) * v(F.OP, n - e) for k, e in _two_sided(lambda k: 2 * k * k, n))
-    return v(F.PO_ODD, n) - s
-
-
-def residual_dissect_odd(n: int, v: Values = function_value) -> int:
-    """po_bar(2n+1) minus 2 sum_{k>=0} op(n - 2k(k+1))."""
-    s = sum(v(F.OP, n - e) for _, e in _one_sided(lambda k: 2 * k * (k + 1), n))
-    return v(F.PO_ODD, 2 * n + 1) - 2 * s
-
-
-def residual_dissect_even(n: int, v: Values = function_value) -> int:
-    """po_bar(2n) minus op(n) minus 2 sum_{k>=1} op(n - 2k^2)."""
-    s = 0
-    k = 1
-    while 2 * k * k <= n:
-        s += v(F.OP, n - 2 * k * k)
-        k += 1
-    return v(F.PO_ODD, 2 * n) - v(F.OP, n) - 2 * s
-
-
-def residual_t9(n: int, v: Values = function_value) -> int:
-    """po_bar(n) minus sum_{k>=0} p2(n - T_k)."""
-    return v(F.PO_ODD, n) - sum(v(F.P2MOD4, n - e) for _, e in _one_sided(_tri, n))
-
-
-def residual_qbar(n: int, v: Values = function_value) -> int:
-    """qbar(n) minus sum_{k>=0} p(n - T_k)."""
-    return v(F.QBAR, n) - sum(v(F.P, n - e) for _, e in _one_sided(_tri, n))
-
-
-def residual_pdo_identity(n: int, v: Values = function_value) -> int:
-    """Pentagonal alternating sum of po_bar minus the k(3k+1) sum of pdo."""
-    lhs = sum(neg_one_pow(k) * v(F.PO_ODD, n - e) for k, e in _two_sided(_pent, n))
-    rhs = sum(neg_one_pow(k) * v(F.PDO, n - e) for k, e in _two_sided(lambda k: k * (3 * k + 1), n))
-    return lhs - rhs
-
-
-def residual_pd_identity(n: int, v: Values = function_value) -> int:
-    """Triangular alternating sum of po_bar minus the k(3k+1) sum of pd.
-
-    The triangular sum runs over k >= 0 only: T_0 = T_(-1) = 0, so a
-    two-sided reading would count every exponent twice and already fails
-    at n = 0.  A regression test pins the one-sided reading.
-    """
-    lhs = sum(neg_one_pow(ceil_half(k)) * v(F.PO_ODD, n - e) for k, e in _one_sided(_tri, n))
-    rhs = sum(neg_one_pow(k) * v(F.PD, n - e) for k, e in _two_sided(lambda k: k * (3 * k + 1), n))
-    return lhs - rhs
-
-
-def residual_cor_pdo(n: int, v: Values = function_value) -> int:
-    """sum_k (-1)^k pdo(n - k(3k+1)) minus the signed pentagonal indicator."""
-    s = sum(neg_one_pow(k) * v(F.PDO, n - e) for k, e in _two_sided(lambda k: k * (3 * k + 1), n))
-    return s - gen_pentagonal_signed(n)
-
-
-def residual_cor_pd(n: int, v: Values = function_value) -> int:
-    """sum_k (-1)^k pd(n - k(3k+1)) minus [n triangular]."""
-    s = sum(neg_one_pow(k) * v(F.PD, n - e) for k, e in _two_sided(lambda k: k * (3 * k + 1), n))
-    return s - triangular_indicator(n)
-
-
-def parity_residual_pood(n: int, v: Values = function_value) -> int:
-    """sum_{k>=0} pood(n - T_k) mod 2; asserted 0 for n >= 1 (vacuous at 0)."""
-    if n == 0:
-        return 0
-    return sum(v(F.POOD, n - e) for _, e in _one_sided(_tri, n)) % 2
-
-
-def parity_residual_p(n: int, v: Values = function_value) -> int:
-    """sum_k (-1)^ceil(k/2) p(n - k(3k+1)/2) mod 2; asserted 0 for n >= 1."""
-    if n == 0:
-        return 0
-    s = sum(neg_one_pow(ceil_half(k)) * v(F.P, n - e) for k, e in _two_sided(_pent, n))
-    return s % 2
-
-
-def parity_residual_p2(n: int, v: Values = function_value) -> int:
-    """sum_{k>=0} p2(n - T_k) mod 2; asserted 0 for n >= 1."""
-    if n == 0:
-        return 0
-    return sum(v(F.P2MOD4, n - e) for _, e in _one_sided(_tri, n)) % 2
-
-
-def residual_euler(n: int, v: Values = function_value) -> int:
-    """Euler: sum_k (-1)^k p(n - k(3k+1)/2) minus [n == 0]."""
-    s = sum(neg_one_pow(k) * v(F.P, n - e) for k, e in _two_sided(_pent, n))
-    return s - origin_indicator(n)
-
-
-def residual_ewell(n: int, v: Values = function_value) -> int:
-    """Ewell: sum_{k>=0} (-1)^ceil(k/2) p(n - T_k) minus pd(n/2) at even n."""
-    s = sum(neg_one_pow(ceil_half(k)) * v(F.P, n - e) for k, e in _one_sided(_tri, n))
-    rhs = v(F.PD, n // 2) if n % 2 == 0 else 0
-    return s - rhs
-
-
-def residual_cks_square(n: int, v: Values = function_value) -> int:
-    """Alternating sums of p over j^2 and 2j^2 minus pdo(n) at even n.
-
-    The j = 0 term appears once (from the j^2 sum only).
-    """
-    s = sum(neg_one_pow(j) * v(F.P, n - e) for j, e in _one_sided(lambda j: j * j, n))
-    j = 1
-    while 2 * j * j <= n:
-        s += neg_one_pow(j) * v(F.P, n - 2 * j * j)
-        j += 1
-    rhs = v(F.PDO, n) if n % 2 == 0 else 0
-    return s - rhs
-
-
-def residual_cks_signed(n: int, v: Values = function_value) -> int:
-    """p(n) + 2 sum_{j>=1} (-1)^j p(n - j^2) minus (-1)^n pdo(n)."""
-    s = v(F.P, n)
-    j = 1
-    while j * j <= n:
-        s += 2 * neg_one_pow(j) * v(F.P, n - j * j)
-        j += 1
-    return s - neg_one_pow(n) * v(F.PDO, n)
-
-
-def _merca_g(k: int) -> int:
-    c = ceil_half(k)
-    return c * (3 * c + neg_one_pow(k)) // 2
-
-
-def residual_merca_gk(n: int, v: Values = function_value) -> int:
-    """Bisected pentagonal relation for p(n); half-integral shifts drop out.
-
-    LHS: sum_{k>=0} (-1)^ceil(k/2) p(n - G_k/2) with G_k the generalized
-    pentagonal numbers; RHS: sum_{k>=0} p(n/2 - k(k+1)/8).  Arguments are
-    exact rationals and p vanishes off Z>=0.
-    """
-    lhs = 0
-    k = 0
-    while True:
-        shift = Fraction(_merca_g(k), 2)
-        if shift > n:
-            break
-        lhs += neg_one_pow(ceil_half(k)) * v(F.P, n - shift)
-        k += 1
-    rhs = 0
-    half_n = Fraction(n, 2)
-    k = 0
-    while True:
-        shift = Fraction(k * (k + 1), 8)
-        if shift > half_n:
-            break
-        rhs += v(F.P, half_n - shift)
-        k += 1
-    return lhs - rhs
-
-
-def residual_merca_peed_tri(n: int, v: Values = function_value) -> int:
-    """sum_{j>=0} (-1)^ceil(j/2) peed(n - T_j) minus [n = k(k+1)]."""
-    s = sum(neg_one_pow(ceil_half(j)) * v(F.PEED, n - e) for j, e in _one_sided(_tri, n))
-    return s - oblong_indicator(n)
-
-
-def residual_merca_peed_2sq(n: int, v: Values = function_value) -> int:
-    """sum_{j in Z} (-1)^j peed(n - 2j^2) minus [n triangular]."""
-    s = sum(neg_one_pow(j) * v(F.PEED, n - e) for j, e in _two_sided(lambda j: 2 * j * j, n))
-    return s - triangular_indicator(n)
-
-
-_RESIDUALS: dict[TheoremId, Callable[[int, Values], int]] = {
-    TheoremId.T1: residual_t1,
-    TheoremId.T2: residual_t2,
-    TheoremId.T3: residual_t3,
-    TheoremId.T4: residual_t4,
-    TheoremId.T5: residual_t5,
-    TheoremId.T6: residual_t6,
-    TheoremId.T7_DISSECT_ODD: residual_dissect_odd,
-    TheoremId.T8_DISSECT_EVEN: residual_dissect_even,
-    TheoremId.T9_P2: residual_t9,
-    TheoremId.T_QBAR: residual_qbar,
-    TheoremId.T_PDO_IDENT: residual_pdo_identity,
-    TheoremId.T_PD_IDENT: residual_pd_identity,
-    TheoremId.COR_PDO: residual_cor_pdo,
-    TheoremId.COR_PD: residual_cor_pd,
-    TheoremId.COR_POOD_PARITY: parity_residual_pood,
-    TheoremId.COR_P_PARITY: parity_residual_p,
-    TheoremId.COR_P2_PARITY: parity_residual_p2,
-    TheoremId.CLASSICAL_EULER: residual_euler,
-    TheoremId.CLASSICAL_EWELL: residual_ewell,
-    TheoremId.CLASSICAL_CKS_SQ: residual_cks_square,
-    TheoremId.CLASSICAL_CKS_SIGNED: residual_cks_signed,
-    TheoremId.CLASSICAL_MERCA_GK: residual_merca_gk,
-    TheoremId.CLASSICAL_MERCA_PEED_TRI: residual_merca_peed_tri,
-    TheoremId.CLASSICAL_MERCA_PEED_2SQ: residual_merca_peed_2sq,
-}
+def _residuals(tid: TheoremId, n_max: int, values: Values, start: int = 0) -> Iterator[int]:
+    """Residuals of the suite at start..n_max, computed as they are consumed."""
+    if tid is TheoremId.LEBESGUE:
+        # coefficients of the partial sums minus the product; j_max is the
+        # least j with j(j+1)/2 > n_max, past which every term vanishes
+        j_max = (isqrt(8 * n_max + 1) + 1) // 2
+        pairs = zip(lebesgue_partial(j_max, n_max), gf_series(F.PO_ODD, n_max))
+        yield from [a - b for a, b in pairs][start:]
+        return
+    try:
+        terms = _SUITES[tid]
+    except KeyError:
+        raise ValueError(f"unknown theorem id {tid!r}") from None
+    kernels = [_kernel(t, t.m * n_max + t.r) for t in terms]
+    if values is function_value:
+        # touch each term's largest argument so the memo grows before the scan
+        for t in terms:
+            if isinstance(t.f, F):
+                values(t.f, (t.m * n_max + t.r) // t.div)
+    for n in range(start, n_max + 1):
+        total = 0
+        for t, kernel in zip(terms, kernels):
+            if t.parity is not None and n % 2 != t.parity:
+                continue
+            a, f, div = t.m * n + t.r, t.f, t.div
+            if not isinstance(f, F):
+                total += t.coeff * f(a)
+                continue
+            s = 0
+            for e, c in kernel:
+                if e > a:
+                    break
+                if (a - e) % div == 0:
+                    s += c * values(f, (a - e) // div)
+            total += t.coeff * s
+        if tid in _MOD2:
+            total = total % 2 if n else 0
+        yield total
 
 
 def residual(tid: TheoremId, n: int, values: Values = function_value) -> int:
     """Residual of the named identity at n (0 means the identity holds)."""
-    if tid is TheoremId.LEBESGUE:
-        # pointwise form: coefficient n of (partial sums minus the product)
-        j_max = 0
-        while j_max * (j_max + 1) // 2 <= n:
-            j_max += 1
-        return lebesgue_partial(j_max, n)[n] - gf_series(F.PO_ODD, n)[n]
-    try:
-        fn = _RESIDUALS[tid]
-    except KeyError:
-        raise ValueError(f"unknown theorem id {tid!r}") from None
-    return fn(n, values)
+    return next(_residuals(tid, n, values, start=n))
+
+
+residual_t1 = partial(residual, TheoremId.T1)
+residual_t2 = partial(residual, TheoremId.T2)
+residual_t3 = partial(residual, TheoremId.T3)
+residual_t4 = partial(residual, TheoremId.T4)
+residual_t5 = partial(residual, TheoremId.T5)
+residual_t6 = partial(residual, TheoremId.T6)
+residual_dissect_odd = partial(residual, TheoremId.T7_DISSECT_ODD)
+residual_dissect_even = partial(residual, TheoremId.T8_DISSECT_EVEN)
+residual_t9 = partial(residual, TheoremId.T9_P2)
+residual_qbar = partial(residual, TheoremId.T_QBAR)
+residual_pdo_identity = partial(residual, TheoremId.T_PDO_IDENT)
+residual_pd_identity = partial(residual, TheoremId.T_PD_IDENT)
+residual_cor_pdo = partial(residual, TheoremId.COR_PDO)
+residual_cor_pd = partial(residual, TheoremId.COR_PD)
+parity_residual_pood = partial(residual, TheoremId.COR_POOD_PARITY)
+parity_residual_p = partial(residual, TheoremId.COR_P_PARITY)
+parity_residual_p2 = partial(residual, TheoremId.COR_P2_PARITY)
+residual_euler = partial(residual, TheoremId.CLASSICAL_EULER)
+residual_ewell = partial(residual, TheoremId.CLASSICAL_EWELL)
+residual_cks_square = partial(residual, TheoremId.CLASSICAL_CKS_SQ)
+residual_cks_signed = partial(residual, TheoremId.CLASSICAL_CKS_SIGNED)
+residual_merca_gk = partial(residual, TheoremId.CLASSICAL_MERCA_GK)
+residual_merca_peed_tri = partial(residual, TheoremId.CLASSICAL_MERCA_PEED_TRI)
+residual_merca_peed_2sq = partial(residual, TheoremId.CLASSICAL_MERCA_PEED_2SQ)
 
 
 def fast_po_odd_table(n_max: int) -> list[int]:
     """po_bar(0..n_max) via the sparse square-number recurrence.
 
-    Solving the square-indicator relation for po_bar(n) needs only the
-    ~sqrt(n/2) earlier entries at n - 2k^2, so the whole table costs
-    O(n_max^(3/2)) big-integer additions.
+    Solving T3 for po_bar(n) needs only the ~sqrt(n/2) earlier entries at
+    n - 2k^2, so the whole table costs O(n_max^(3/2)) big-integer additions.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    kernel = _kernel(_Term(1, F.PO_ODD, _T["TWOSQ"]), n_max)[1:]  # theta(TWOSQ) less its 1
     table: list[int] = []
     for n in range(n_max + 1):
-        acc = square_rhs(n)
-        k = 1
-        while 2 * k * k <= n:
-            acc -= 2 * neg_one_pow(k) * table[n - 2 * k * k]
-            k += 1
-        table.append(acc)
+        table.append(square_rhs(n) - sum(c * table[n - e] for e, c in kernel if e <= n))
     return table
 
 
-def _warm_cache(tid: TheoremId, n_max: int, values: Values) -> None:
-    """Pre-touch the largest argument of every function the suite reads, so
-    the memo grows once instead of repeatedly inside the scan loop."""
-    if values is not function_value:
-        return
-    top = 2 * n_max + 1 if tid in (TheoremId.T7_DISSECT_ODD, TheoremId.T8_DISSECT_EVEN) else n_max
-    needed = {
-        TheoremId.T1: (F.PO_ODD,),
-        TheoremId.T2: (F.PO_ODD,),
-        TheoremId.T3: (F.PO_ODD,),
-        TheoremId.T4: (F.PO_ODD, F.POOD),
-        TheoremId.T5: (F.PO_ODD, F.P),
-        TheoremId.T6: (F.PO_ODD, F.OP),
-        TheoremId.T7_DISSECT_ODD: (F.PO_ODD, F.OP),
-        TheoremId.T8_DISSECT_EVEN: (F.PO_ODD, F.OP),
-        TheoremId.T9_P2: (F.PO_ODD, F.P2MOD4),
-        TheoremId.T_QBAR: (F.QBAR, F.P),
-        TheoremId.T_PDO_IDENT: (F.PO_ODD, F.PDO),
-        TheoremId.T_PD_IDENT: (F.PO_ODD, F.PD),
-        TheoremId.COR_PDO: (F.PDO,),
-        TheoremId.COR_PD: (F.PD,),
-        TheoremId.COR_POOD_PARITY: (F.POOD,),
-        TheoremId.COR_P_PARITY: (F.P,),
-        TheoremId.COR_P2_PARITY: (F.P2MOD4,),
-        TheoremId.CLASSICAL_EULER: (F.P,),
-        TheoremId.CLASSICAL_EWELL: (F.P, F.PD),
-        TheoremId.CLASSICAL_CKS_SQ: (F.P, F.PDO),
-        TheoremId.CLASSICAL_CKS_SIGNED: (F.P, F.PDO),
-        TheoremId.CLASSICAL_MERCA_GK: (F.P,),
-        TheoremId.CLASSICAL_MERCA_PEED_TRI: (F.PEED,),
-        TheoremId.CLASSICAL_MERCA_PEED_2SQ: (F.PEED,),
-    }.get(tid, ())
-    for fid in needed:
-        values(fid, top)
-
-
-def verify(
-    tid: TheoremId,
-    n_max: int,
-    values: Values = function_value,
-) -> VerificationReport:
+def verify(tid: TheoremId, n_max: int, values: Values = function_value) -> VerificationReport:
     """Scan the residual for all 0 <= n <= n_max and report the outcome."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     start = time.perf_counter()
-    first: Optional[Failure] = None
-    if tid is TheoremId.LEBESGUE:
-        j_max = 0
-        while j_max * (j_max + 1) // 2 <= n_max:
-            j_max += 1
-        partial = lebesgue_partial(j_max, n_max)
-        product = gf_series(F.PO_ODD, n_max)
-        for n in range(n_max + 1):
-            diff = partial[n] - product[n]
-            if diff:
-                first = Failure(n, diff)
-                break
-    else:
-        fn = _RESIDUALS[tid]
-        _warm_cache(tid, n_max, values)
-        for n in range(n_max + 1):
-            r = fn(n, values)
-            if r:
-                first = Failure(n, r)
-                break
+    residuals = enumerate(_residuals(tid, n_max, values))
+    first = next((Failure(n, r) for n, r in residuals if r), None)
     millis = int((time.perf_counter() - start) * 1000)
     return VerificationReport(tid.value, n_max, first is None, first, millis)
 
 
 def verify_all(
-    n_max: int,
-    values: Values = function_value,
-    threads: int = 1,
+    n_max: int, values: Values = function_value, threads: int = 1
 ) -> list[VerificationReport]:
     """Run every theorem suite; reports come back in declaration order.
 

@@ -240,18 +240,6 @@ def _mul_binomial(acc: list[int], sign: int, m: int) -> None:
             acc[n] += acc[n - m]
 
 
-def _div_binomial(acc: list[int], sign: int, m: int) -> None:
-    """acc /= (1 - sign*q^m) in place; ascending recurrence, exact."""
-    if m == 0:
-        raise ValueError("cannot divide by a constant binomial factor")
-    if sign == 1:
-        for n in range(m, len(acc)):
-            acc[n] += acc[n - m]
-    else:
-        for n in range(m, len(acc)):
-            acc[n] -= acc[n - m]
-
-
 @dataclass(frozen=True)
 class ProductSpec:
     """A finite product of factors (sign*q^a; q^b)_inf^e.

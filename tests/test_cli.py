@@ -6,7 +6,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from partrec.cli import main
+from partrec.dsl import MAX_ORDER
 from partrec.recurrences import TheoremId
 
 from conftest import PAPER_QID, REPO_ROOT
@@ -132,6 +135,14 @@ def test_check_parse_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "line 2" in err and "col 12" in err
+
+
+@pytest.mark.parametrize("order", [-1, 0, MAX_ORDER + 1])
+def test_check_order_out_of_range(capsys, order):
+    code, out, err = run_cli(capsys, "check", str(PAPER_QID), "--order", str(order))
+    assert code == 2
+    assert out == ""
+    assert f"--order must be within 1..{MAX_ORDER}" in err
 
 
 def test_check_missing_file(capsys):

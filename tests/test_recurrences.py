@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -11,10 +12,8 @@ import pytest
 from partrec.functions import PartitionFunctionId as F, function_value, gf_series
 from partrec.recurrences import (
     TheoremId,
-    IndicatorKind,
     fast_po_odd_table,
     gen_pentagonal_signed,
-    indicator_value,
     oblong_indicator,
     origin_indicator,
     residual,
@@ -90,17 +89,8 @@ def test_square_rhs():
     squares = {m * m for m in range(1, 101)}
     for n in range(1, 10_001):
         assert square_rhs(n) == (2 if n in squares else 0)
-
-
-def test_indicator_kind_dispatch():
-    assert indicator_value(IndicatorKind.ZERO, 17) == 0
-    assert indicator_value(IndicatorKind.ORIGIN, 0) == 1
-    assert indicator_value(IndicatorKind.ORIGIN, 3) == 0
-    assert indicator_value(IndicatorKind.TRIANGULAR, 10) == 1
-    assert indicator_value(IndicatorKind.SQUARE, 9) == 2
-    assert indicator_value(IndicatorKind.GEN_PENTAGONAL_SIGNED, 5) == -1
-    assert indicator_value(IndicatorKind.OBLONG, 6) == 1
     assert origin_indicator(0) == 1
+    assert origin_indicator(3) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +304,55 @@ def test_residual_composition():
         assert residual_cor_pdo(n, source) == residual_t1(n, source) - residual_pdo_identity(
             n, source
         )
+
+
+# sha256 of the residuals at 0 <= n <= 300, space-separated, under
+# `_golden_noisy`; pinned from the hand-written residual functions the
+# record engine replaced, so each suite must reproduce them term for term
+GOLDEN_RESIDUAL_DIGESTS = {
+    "T1": "52e30bc863d73a9edd3ffd1c177dd39ff89ecfb8b3660bc9242d6709b852edef",
+    "T2": "df9a8bbdc6c7a43e4e4eeb35214428a1ac48f892fc89a831fe3364286413f789",
+    "T3": "79dd7bc584b2890ff39307896d11f695d544ebbc5c2f9e1f0c0fe9481913c5bb",
+    "T4": "ff124243fc7b7a6abb6269a0bd551939f5dc743ae6ac1d7fd64975706db6dfdb",
+    "T5": "8297718e313a5e9e9d2f1122c08a18c0fa67da3628543e230a8ad3ecf14fa12d",
+    "T6": "ebc404aa409e68659e51b7c5dc8ec79519becc2d0991d143939dbf060e7a0eb8",
+    "T7_DISSECT_ODD": "d1a49eb21103c0cec97377c707b17dbcb326c94814d609bea6bde2a6e15bcde8",
+    "T8_DISSECT_EVEN": "3a6a9c9973099dffb8a8e8c3edc658fc6fffe4f971b9ddea0cd08c74253344ae",
+    "T9_P2": "c96662a4c04522007f1356781b925bee643b4e7cd856e0a67135a08a351f77c1",
+    "T_QBAR": "defd5fd2e8db14f5d53e48108db271a0e0a3b398794a9fcac0ee46e8a93e0806",
+    "T_PDO_IDENT": "dd24fa6e96cf64088aebbbd91030436b30afc35ac90bbf21cfb8f97df1620bd9",
+    "T_PD_IDENT": "ef8cd98c1b006d7c973ff4e24fc77e5bb016f93c191abcdf760174e1e3b84c44",
+    "COR_PDO": "ed9e075a0120ba6996eb8731757d56da4df7ba9c9c0e8eb8f026dbef11863ccf",
+    "COR_PD": "c10d0e1ff5a482505b4e47e111eef0c0314d0d72c99157d64308f43c3df712db",
+    "COR_POOD_PARITY": "c305a8c191a8be12284c8499130ac67d84d13db658129ceca7edea164e706238",
+    "COR_P_PARITY": "c4bd3da4d3a89909987e8a0b82c336f473aad52ec2f47608e1837053369f3ff9",
+    "COR_P2_PARITY": "44e75818430159d84894cc33c36c0a981d06d2f88d69082145fb96cf6fc107a6",
+    "CLASSICAL_EULER": "a1b395aca70066d0ca7f7dc0e5517ba9008503550c773276761f3e877e0a28e5",
+    "CLASSICAL_EWELL": "5468c37a8b1372f322c7317588ce9db755a4e39f77c51efde9f8a9093107f394",
+    "CLASSICAL_CKS_SQ": "42b00d194d352c09ebc7c3b7b2edc4867a080d1e5cb72febd96ac7d16ee37433",
+    "CLASSICAL_CKS_SIGNED": "7473df3fb1a93b60146be19b82cbd42c5f10d4f5e9a1aed3f26a47bbaaf99256",
+    "CLASSICAL_MERCA_GK": "59418716502163d1f4ddb8495b959f075e0bc741f08ff6110018351859c563f5",
+    "CLASSICAL_MERCA_PEED_TRI": "06e44ff38b77f270b63da3d14fbb2e1b83789b0d146d3ffc6426e315deb49511",
+    "CLASSICAL_MERCA_PEED_2SQ": "139cd8d43af3fe423eb83cfd457e2582677c95c194ae9f23d12c2b6ffab30ead",
+}
+
+
+def _golden_noisy(fid, n):
+    # a pure function of (fid.value, n), so the result does not depend on
+    # the order in which the engine reads values; sha256 rather than hash()
+    # so PYTHONHASHSEED cannot move it.  Off Z>=0 the value is 0 (the
+    # replaced functions passed rationals for the half-index cases).
+    if n < 0 or n != int(n):
+        return 0
+    n = int(n)
+    noise = hashlib.sha256(f"{fid.value}:{n}".encode()).digest()[0] % 5 - 2
+    return function_value(fid, n) + noise
+
+
+@pytest.mark.parametrize("tid", [t for t in TheoremId if t is not TheoremId.LEBESGUE])
+def test_residuals_match_golden_digests(tid):
+    vector = " ".join(str(residual(tid, n, _golden_noisy)) for n in range(301))
+    assert hashlib.sha256(vector.encode()).hexdigest() == GOLDEN_RESIDUAL_DIGESTS[tid.value]
 
 
 def test_mutation_sensitivity():
