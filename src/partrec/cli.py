@@ -50,8 +50,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
         return _fail_usage(
             f"unknown function {args.function!r}; known: {FUNCTION_NAMES}"
         )
-    if args.n < 0:
-        return _fail_usage("--n must be nonnegative")
+    if not 0 <= args.n <= dsl.MAX_ORDER:
+        return _fail_usage(f"--n must be nonnegative and at most {dsl.MAX_ORDER}")
     values = gf_series(fid, args.n).coeffs
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -91,9 +91,13 @@ def _emit_reports(reports: list[VerificationReport], fmt: str, many: bool) -> No
             print(r.summary_line())
 
 
+# T7_DISSECT_ODD reads po_bar at 2n+1, which must stay within dsl.MAX_ORDER
+VERIFY_MAX_N = (dsl.MAX_ORDER - 1) // 2
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        return _fail_usage("--n must be nonnegative")
+    if not 0 <= args.n <= VERIFY_MAX_N:
+        return _fail_usage(f"--n must be nonnegative and at most {VERIFY_MAX_N}")
     if args.theorem.lower() == "all":
         reports = verify_all(args.n, threads=args.threads)
         many = True

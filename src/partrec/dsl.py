@@ -427,6 +427,8 @@ def evaluate(expr: ExprNode, order: int) -> TruncatedSeries:
     extract() children are evaluated at order m*order + r so the result
     carries a full `order` coefficients; everything else evaluates its
     children at the same order, which keeps evaluation order-monotone.
+    An extract whose child order would pass MAX_ORDER raises EvalError
+    before anything is expanded.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -457,7 +459,13 @@ def evaluate(expr: ExprNode, order: int) -> TruncatedSeries:
     if isinstance(expr, Pow):
         return evaluate(expr.base, order) ** expr.exponent
     if isinstance(expr, Extract):
-        inner = evaluate(expr.child, expr.m * order + expr.r)
+        inner_order = expr.m * order + expr.r
+        if inner_order > MAX_ORDER:
+            raise EvalError(
+                f"extract needs its argument to order {inner_order}, above {MAX_ORDER}",
+                print_expr(expr),
+            )
+        inner = evaluate(expr.child, inner_order)
         return inner.extract(expr.m, expr.r)
     if isinstance(expr, LebesguePartial):
         return lebesgue_partial(expr.j_max, order)

@@ -1,20 +1,26 @@
-"""Named partition-counting functions via their product generating functions.
+"""Named partition-counting functions and the one memoized store of their series.
 
-Nine counting functions are exposed, each defined by an exact infinite
-product.  The table below gives the product and what the function counts:
+Nine counting functions are exposed.  Each is an eta quotient in
+eta_k = (q^k; q^k)_inf, and each is also an exact infinite product; the
+table gives both and what the function counts:
 
-    p       1/(q;q)                 unrestricted partitions
-    op      (-q;q)/(q;q)            overpartitions
-    po_bar  (-q;q^2)/(q;q^2)        overpartitions into odd parts
-    pd      (-q;q)                  partitions into distinct parts
-    pdo     (-q;q^2)                partitions into distinct odd parts
-    pood    (-q;q^2)/(q^2;q^2)      odd parts distinct, even parts free
-    p2      (q^2;q^4)/(q;q)         parts not congruent to 2 mod 4
-    qbar    (-q;q)^2                bipartitions into distinct parts
-    peed    (q^4;q^4)/(q;q)         even parts distinct, odd parts free
+    p       1/eta1                 1/(q;q)             unrestricted partitions
+    op      eta2/eta1^2            (-q;q)/(q;q)        overpartitions
+    po_bar  eta2^3/(eta1^2 eta4)   (-q;q^2)/(q;q^2)    overpartitions into odd parts
+    pd      eta2/eta1              (-q;q)              partitions into distinct parts
+    pdo     eta2^2/(eta1 eta4)     (-q;q^2)            partitions into distinct odd parts
+    pood    eta2/(eta1 eta4)       (-q;q^2)/(q^2;q^2)  odd parts distinct, even parts free
+    p2      eta2/(eta1 eta4)       (q^2;q^4)/(q;q)     parts not congruent to 2 mod 4
+    qbar    eta2^2/eta1^2          (-q;q)^2            bipartitions into distinct parts
+    peed    eta4/eta1              (q^4;q^4)/(q;q)     even parts distinct, odd parts free
 
-`function_value` memoizes one series per function, growing on demand, and
-is safe for concurrent readers.
+`gf_series` expands the eta quotient (`ETA_QUOTIENTS`) with the sparse
+pentagonal kernel and keeps the coefficients in one store, a table per
+function, which `function_value` reads too.  The store only grows,
+geometrically and under one lock; nothing is expanded at import, and every
+caller gets an exact prefix.  The products (`PRODUCTS`, expanded by
+`pochhammer_expand`) are the independent reference route that the tests
+compare the store against.
 """
 
 from __future__ import annotations
@@ -27,13 +33,15 @@ from typing import Union
 from .series import (
     ProductSpec,
     TruncatedSeries,
-    pochhammer_expand,
+    eta_quotient,
+    pochhammer_expand,  # noqa: F401  (the reference route; bench/spans.py wraps this name)
     pochhammer_finite,
 )
 
 __all__ = [
     "PartitionFunctionId",
     "PRODUCTS",
+    "ETA_QUOTIENTS",
     "gf_series",
     "function_value",
     "lebesgue_partial",
@@ -78,14 +86,44 @@ PRODUCTS: dict[PartitionFunctionId, ProductSpec] = {
 }
 
 
-def gf_series(fid: PartitionFunctionId, order: int) -> TruncatedSeries:
-    """Exact coefficients of the named function's generating function."""
-    return pochhammer_expand(PRODUCTS[fid], order)
-
+# {k: e} for prod_k eta_k^e, where eta_k = (q^k; q^k)_inf (Hirschhorn, The
+# Power of q, 2017); pood and p2 share one form, so one counting sequence.
+ETA_QUOTIENTS: dict[PartitionFunctionId, dict[int, int]] = {
+    PartitionFunctionId.P: {1: -1},
+    PartitionFunctionId.OP: {2: 1, 1: -2},
+    PartitionFunctionId.PO_ODD: {2: 3, 1: -2, 4: -1},
+    PartitionFunctionId.PD: {2: 1, 1: -1},
+    PartitionFunctionId.PDO: {2: 2, 1: -1, 4: -1},
+    PartitionFunctionId.POOD: {2: 1, 1: -1, 4: -1},
+    PartitionFunctionId.P2MOD4: {2: 1, 1: -1, 4: -1},
+    PartitionFunctionId.QBAR: {2: 2, 1: -2},
+    PartitionFunctionId.PEED: {4: 1, 1: -1},
+}
 
 _cache: dict[PartitionFunctionId, tuple[int, ...]] = {}
 _cache_lock = threading.Lock()
 _CACHE_SEED_ORDER = 64
+
+
+def gf_series(fid: PartitionFunctionId, order: int) -> TruncatedSeries:
+    """Exact coefficients of the named function's generating function.
+
+    Read from the store; a request beyond it expands the eta quotient to
+    at least twice the stored order, so growing one coefficient at a time
+    amortizes to a few expansions.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    table = _cache.get(fid)
+    if table is None or order >= len(table):
+        with _cache_lock:
+            table = _cache.get(fid)
+            if table is None or order >= len(table):
+                current = len(table) - 1 if table else -1
+                grown = max(order, 2 * current, _CACHE_SEED_ORDER)
+                table = eta_quotient(ETA_QUOTIENTS[fid], grown).coeffs
+                _cache[fid] = table
+    return TruncatedSeries(table[: order + 1])
 
 
 def function_value(fid: PartitionFunctionId, n: Union[int, Fraction]) -> int:
@@ -103,14 +141,7 @@ def function_value(fid: PartitionFunctionId, n: Union[int, Fraction]) -> int:
         return 0
     table = _cache.get(fid)
     if table is None or n >= len(table):
-        with _cache_lock:
-            table = _cache.get(fid)
-            if table is None or n >= len(table):
-                # grow geometrically so dense lookups amortize to one expansion
-                current = len(table) - 1 if table else -1
-                order = max(n, 2 * current, _CACHE_SEED_ORDER)
-                table = gf_series(fid, order).coeffs
-                _cache[fid] = table
+        table = gf_series(fid, n).coeffs  # a memo grow: gf_series does the expanding
     return table[n]
 
 

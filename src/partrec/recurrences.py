@@ -21,8 +21,9 @@ from __future__ import annotations
 import time
 from enum import Enum
 from functools import partial
+from itertools import chain
 from math import isqrt
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .functions import PartitionFunctionId as F
 from .functions import function_value, gf_series, lebesgue_partial
@@ -212,6 +213,17 @@ def _kernel(term: _Term, bound: int) -> list[tuple[int, int]]:
     return sorted((e, c) for e, c in coeffs.items() if c)
 
 
+def _warm(terms: Iterable[_Term], n_max: int) -> None:
+    """Grow the memo once per function, to the largest argument the terms
+    read for n <= n_max, so the scan never grows it piecemeal."""
+    largest: dict[F, int] = {}
+    for t in terms:
+        if isinstance(t.f, F):
+            largest[t.f] = max(largest.get(t.f, 0), (t.m * n_max + t.r) // t.div)
+    for f, n in largest.items():
+        function_value(f, n)
+
+
 def _residuals(tid: TheoremId, n_max: int, values: Values, start: int = 0) -> Iterator[int]:
     """Residuals of the suite at start..n_max, computed as they are consumed."""
     if tid is TheoremId.LEBESGUE:
@@ -227,10 +239,7 @@ def _residuals(tid: TheoremId, n_max: int, values: Values, start: int = 0) -> It
         raise ValueError(f"unknown theorem id {tid!r}") from None
     kernels = [_kernel(t, t.m * n_max + t.r) for t in terms]
     if values is function_value:
-        # touch each term's largest argument so the memo grows before the scan
-        for t in terms:
-            if isinstance(t.f, F):
-                values(t.f, (t.m * n_max + t.r) // t.div)
+        _warm(terms, n_max)
     for n in range(start, n_max + 1):
         total = 0
         for t, kernel in zip(terms, kernels):
@@ -315,9 +324,13 @@ def verify_all(
     """Run every theorem suite; reports come back in declaration order.
 
     threads > 1 fans the suites out over a thread pool (residuals are pure
-    given the shared memo); 0 picks a pool size automatically.
+    given the shared memo); 0 picks a pool size automatically.  With the
+    memoized source, each function is first grown once, to its largest
+    argument over every suite.
     """
     ids = list(TheoremId)
+    if values is function_value:
+        _warm(chain.from_iterable(_SUITES.values()), n_max)
     if threads == 1:
         return [verify(tid, n_max, values) for tid in ids]
     from concurrent.futures import ThreadPoolExecutor

@@ -6,8 +6,9 @@ coefficients are Python ints (arbitrary precision) and no floating point
 is used anywhere in the engine.
 
 The module also expands q-Pochhammer products, (s*q^a; q^b)_inf and their
-finite counterparts, and generates the sparse theta series that arise from
-Jacobi's triple product identity.  Series values are immutable after
+finite counterparts, quotients of the Dedekind-eta-style products
+eta_k = (q^k; q^k)_inf, and generates the sparse theta series that arise
+from Jacobi's triple product identity.  Series values are immutable after
 construction, so they are safe to share across threads.
 """
 
@@ -15,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from operator import add, sub
+from typing import Callable, Iterable, Mapping, Union
 
 __all__ = [
     "TruncatedSeries",
@@ -30,6 +32,7 @@ __all__ = [
     "series_inverse",
     "pochhammer_expand",
     "pochhammer_finite",
+    "eta_quotient",
     "theta_series",
     "progression_extract",
 ]
@@ -405,3 +408,54 @@ def theta_series(family: ThetaFamily, order: int) -> TruncatedSeries:
             e = int(e)
         out[e] += family.sign(k)
     return TruncatedSeries(out)
+
+
+def _mul_eta(acc: list[int], k: int, e: int) -> None:
+    """acc *= eta_k^e in place, truncated to len(acc)-1; e < 0 divides.
+
+    eta_k = (q^k; q^k)_inf = sum_j (-1)^j q^(k*j(3j+1)/2) has only about
+    2*sqrt(2N/(3k)) terms up to q^N (Euler's pentagonal number theorem), so
+    each factor costs O(N*sqrt(N/k)) instead of the O(N^2) of its binomials.
+    Multiplying adds shifted copies of the old list; dividing solves
+    acc_new[n] = acc[n] - sum_g s_g * acc_new[n - g] for increasing n.
+    """
+    order = len(acc) - 1
+    pent = THETA_FAMILIES["PENT"]
+    terms = sorted((k * pent.exponent(j), pent.sign(j)) for j in pent.indices_up_to(order // k) if j)
+    plus = [g for g, s in terms if s > 0]
+    minus = [g for g, s in terms if s < 0]
+    for _ in range(abs(e)):
+        if e > 0:
+            old = acc[:]
+            for g in plus:
+                acc[g:] = map(add, acc[g:], old)
+            for g in minus:
+                acc[g:] = map(sub, acc[g:], old)
+            continue
+        for n in range(k, order + 1):
+            t = acc[n]
+            for g in minus:
+                if g > n:
+                    break
+                t += acc[n - g]
+            for g in plus:
+                if g > n:
+                    break
+                t -= acc[n - g]
+            acc[n] = t
+
+
+def eta_quotient(exponents: Mapping[int, int], order: int) -> TruncatedSeries:
+    """Expand prod_k eta_k^e over {k: e} exactly mod q^(order+1).
+
+    Numerator factors go first, while the coefficients are still small.
+    Every eta_k has constant term 1, so any integer exponents are allowed.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if any(k < 1 for k in exponents):
+        raise ValueError(f"eta indices must be >= 1, got {sorted(exponents)}")
+    acc = [1] + [0] * order
+    for k, e in sorted(exponents.items(), key=lambda ke: -ke[1]):
+        _mul_eta(acc, k, e)
+    return TruncatedSeries(acc)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,12 @@ from partrec.series import THETA_FAMILIES, ProductSpec
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PAPER_QID = REPO_ROOT / "identities" / "paper.qid"
+
+# The subprocess tests run `python -m partrec`; pyproject's `pythonpath`
+# covers only this process, so the children get the sources the same way.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+)
 
 # The six triple-product instantiations in use: each left side is a
 # Pochhammer product (negative-modulus factors rewritten with doubled

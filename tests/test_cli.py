@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from partrec.cli import main
+from partrec.cli import VERIFY_MAX_N, main
 from partrec.dsl import MAX_ORDER
 from partrec.recurrences import TheoremId
 
@@ -58,6 +58,28 @@ def test_compute_unknown_function(capsys):
 def test_compute_negative_n(capsys):
     code, _, err = run_cli(capsys, "compute", "p", "--n", "-1")
     assert code == 2 and "nonnegative" in err
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["compute", "p", "--n", str(MAX_ORDER + 1)], MAX_ORDER),
+        (["verify", "all", "--n", "-1"], VERIFY_MAX_N),
+        (["verify", "T1", "--n", str(VERIFY_MAX_N + 1)], VERIFY_MAX_N),
+        (["verify", "all", "--n", str(VERIFY_MAX_N + 1)], VERIFY_MAX_N),
+    ],
+)
+def test_n_out_of_budget(capsys, argv, bound):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"--n must be nonnegative and at most {bound}" in err
+
+
+def test_compute_at_max_order(capsys):
+    code, out, _ = run_cli(capsys, "compute", "pd", "--n", str(MAX_ORDER), "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["values"]) == MAX_ORDER + 1
 
 
 def test_compute_csv_is_bit_stable(capsys):
@@ -156,6 +178,14 @@ def test_check_eval_error_counts_as_failure(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "check", str(div0))
     assert code == 1
     assert "fail" in out and "pd - pd" in out
+
+
+def test_check_extract_over_budget_counts_as_failure(tmp_path, capsys):
+    path = tmp_path / "huge.qid"
+    path.write_text("extract(po_bar, 1000000, 0) == po_bar within 5000\n")
+    code, out, _ = run_cli(capsys, "check", str(path))
+    assert code == 1
+    assert "fail" in out and "extract(po_bar, 1000000, 0)" in out
 
 
 def test_check_threaded_output_order(tmp_path, capsys):

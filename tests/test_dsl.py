@@ -9,6 +9,7 @@ from partrec.dsl import (
     EvalError,
     Extract,
     IntLiteral,
+    MAX_ORDER,
     LebesguePartial,
     Mul,
     NamedFunction,
@@ -167,6 +168,26 @@ def test_evaluate_division_by_non_unit_series():
     with pytest.raises(EvalError) as info:
         evaluate(stmt.lhs, 10)
     assert "pd - pd" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text, ok",
+    [
+        ("extract(po_bar, 2, 0) == po_bar within 2500", True),  # child order 5000
+        ("extract(po_bar, 2, 1) == po_bar within 2500", False),  # 5001
+        ("extract(po_bar, 1000000, 0) == po_bar within 5000", False),
+        ("extract(extract(pd, 2, 0), 2, 0) == pd within 1250", True),  # 2500, then 5000
+        ("extract(extract(pd, 2, 0), 2, 0) == pd within 1251", False),  # 2502, then 5004
+    ],
+)
+def test_evaluate_extract_budget(text, ok):
+    [stmt] = parse(text)
+    if ok:
+        assert len(evaluate(stmt.lhs, stmt.order)) == stmt.order + 1
+        return
+    with pytest.raises(EvalError) as info:
+        evaluate(stmt.lhs, stmt.order)
+    assert f"above {MAX_ORDER}" in str(info.value)
 
 
 def test_evaluation_is_order_monotone():

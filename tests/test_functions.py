@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 from fractions import Fraction
 
 import pytest
 
+from partrec import functions
 from partrec.functions import (
+    ETA_QUOTIENTS,
     PartitionFunctionId as F,
     PRODUCTS,
     _cache_clear,
@@ -16,7 +19,7 @@ from partrec.functions import (
     lebesgue_partial,
     lebesgue_term,
 )
-from partrec.series import ProductSpec, TruncatedSeries, pochhammer_expand
+from partrec.series import ProductSpec, TruncatedSeries, eta_quotient, pochhammer_expand
 
 
 def test_po_bar_small_table():
@@ -59,8 +62,19 @@ def test_qbar_is_cauchy_square_of_pd():
 
 def test_pood_and_p2_series_coincide():
     # (-q;q^2)/(q^2;q^2) == (q^2;q^4)/(q;q): two different counting
-    # problems with the same counting sequence
-    assert gf_series(F.POOD, 500) == gf_series(F.P2MOD4, 500)
+    # problems with the same counting sequence.  Both share one eta form, so
+    # the check runs on the products.
+    assert pochhammer_expand(PRODUCTS[F.POOD], 500) == pochhammer_expand(PRODUCTS[F.P2MOD4], 500)
+
+
+@pytest.mark.parametrize("order", [0, 1, 63, 64, 65, 500])
+@pytest.mark.parametrize("fid", list(F))
+def test_eta_quotient_matches_product(fid, order):
+    # the seed order of the store is 64, so 63..65 straddle its first growth
+    reference = pochhammer_expand(PRODUCTS[fid], order)
+    assert eta_quotient(ETA_QUOTIENTS[fid], order) == reference
+    _cache_clear()
+    assert gf_series(fid, order) == reference
 
 
 def test_po_bar_values_are_even_beyond_zero(po_odd_2000):
@@ -69,7 +83,7 @@ def test_po_bar_values_are_even_beyond_zero(po_odd_2000):
 
 
 def test_every_id_has_a_product():
-    assert set(PRODUCTS) == set(F)
+    assert set(PRODUCTS) == set(F) == set(ETA_QUOTIENTS)
     for fid in F:
         assert fid.product is PRODUCTS[fid]
 
@@ -106,21 +120,57 @@ def test_function_value_matches_series():
         assert function_value(F.PEED, n) == series[n]
 
 
-def test_function_value_concurrent_growth():
+def test_gf_series_reads_the_store(monkeypatch):
     _cache_clear()
+    function_value(F.PO_ODD, 4001)
+    full = eta_quotient(ETA_QUOTIENTS[F.PO_ODD], 4001)
+
+    def no_expansion(exponents, order):
+        raise AssertionError(f"expanded again to order {order}")
+
+    monkeypatch.setattr(functions, "eta_quotient", no_expansion)
+    for order in (0, 64, 2000, 4001):
+        assert gf_series(F.PO_ODD, order) == full.truncate(order)
+    assert function_value(F.PO_ODD, 4001) == full[4001]
+
+
+def test_gf_series_negative_order():
+    with pytest.raises(ValueError):
+        gf_series(F.P, -1)
+
+
+def test_function_value_concurrent_growth(monkeypatch):
+    expand = functions.eta_quotient
+    orders = []
+
+    def recording(exponents, order):
+        orders.append(order)
+        return expand(exponents, order)
+
+    monkeypatch.setattr(functions, "eta_quotient", recording)
+    _cache_clear()
+    reference = pochhammer_expand(PRODUCTS[F.OP], 400)
     errors = []
 
     def worker(seed):
         for n in range(seed, 400, 7):
-            if function_value(F.OP, n) != gf_series(F.OP, n)[n]:
+            if function_value(F.OP, n) != reference[n] or gf_series(F.OP, n) != reference.truncate(n):
                 errors.append(n)
 
     threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
+    # every expansion under the lock grows the store: none repeated or lost
+    assert orders == sorted(set(orders))
 
 
 # ---------------------------------------------------------------------------

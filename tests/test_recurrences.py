@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from partrec.functions import PartitionFunctionId as F, function_value, gf_series
+from partrec import functions
+from partrec.functions import ETA_QUOTIENTS, PartitionFunctionId as F, function_value, gf_series
 from partrec.recurrences import (
     TheoremId,
     fast_po_odd_table,
@@ -416,6 +417,20 @@ def test_verify_all_order_and_threads():
     threaded = verify_all(60, threads=4)
     assert [r.theorem for r in threaded] == [r.theorem for r in sequential]
     assert all(r.passed for r in threaded)
+
+
+def test_verify_all_expands_each_function_once(monkeypatch):
+    expand = functions.eta_quotient
+    expanded = []
+
+    def counting(exponents, order):
+        expanded.extend(f for f in F if ETA_QUOTIENTS[f] is exponents)
+        return expand(exponents, order)
+
+    monkeypatch.setattr(functions, "eta_quotient", counting)
+    functions._cache_clear()
+    assert all(r.passed for r in verify_all(300))
+    assert sorted(expanded, key=list(F).index) == list(F)
 
 
 def test_residual_unknown_id():

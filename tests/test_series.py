@@ -20,6 +20,7 @@ from partrec.series import (
     ProductSpec,
     TruncatedSeries,
     ceil_half,
+    eta_quotient,
     neg_one_pow,
     pochhammer_expand,
     pochhammer_finite,
@@ -310,6 +311,25 @@ def test_pochhammer_times_inverted_spec_is_one(factors, order):
     left = pochhammer_expand(spec, order)
     right = pochhammer_expand(spec.inverted(), order)
     assert left * right == TruncatedSeries.one(order)
+
+
+@settings(deadline=None)
+@given(
+    st.dictionaries(st.integers(min_value=1, max_value=7), st.integers(min_value=-3, max_value=3), max_size=4),
+    st.integers(min_value=0, max_value=80),
+)
+def test_eta_quotient_matches_pochhammer(exponents, order):
+    # eta_k = (q^k; q^k)_inf is the factor (1, k, k, e) of a ProductSpec
+    spec = ProductSpec(tuple((1, k, k, e) for k, e in exponents.items() if e))
+    assert eta_quotient(exponents, order) == pochhammer_expand(spec, order)
+
+
+def test_eta_quotient_validation():
+    assert eta_quotient({1: 1}, 30) == theta_series(THETA_FAMILIES["PENT"], 30)
+    with pytest.raises(ValueError):
+        eta_quotient({0: 1}, 5)
+    with pytest.raises(ValueError):
+        eta_quotient({1: 1}, -1)
 
 
 # ---------------------------------------------------------------------------
