@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from . import dsl, oracle
@@ -99,7 +98,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not 0 <= args.n <= VERIFY_MAX_N:
         return _fail_usage(f"--n must be nonnegative and at most {VERIFY_MAX_N}")
     if args.theorem.lower() == "all":
-        reports = verify_all(args.n, threads=args.threads)
+        reports = verify_all(args.n)
         many = True
     else:
         try:
@@ -119,7 +118,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     try:
         with open(args.file, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail_usage(f"cannot read {args.file}: {exc}")
     try:
         statements = dsl.parse(text)
@@ -136,12 +135,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             order = args.order if args.order is not None else stmt.order
             return VerificationReport(stmt.label(), order, False, None, 0, str(exc))
 
-    if args.threads == 1:
-        reports = [run(s) for s in statements]
-    else:
-        workers = args.threads if args.threads > 0 else None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run, statements))
+    reports = [run(s) for s in statements]
     for r in reports:
         print(r.summary_line())
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAILURE
@@ -191,13 +185,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=int, default=2000, help="verify for 0 <= n <= N (default 2000)"
     )
     p_verify.add_argument("--format", choices=["plain", "csv", "json"], default="plain")
-    p_verify.add_argument("--threads", type=int, default=1, help="0 = auto")
+    p_verify.add_argument(
+        "--threads", type=int, default=1, help="accepted and ignored: runs use one thread"
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_check = sub.add_parser("check", help="check a .qid identity file")
     p_check.add_argument("file")
     p_check.add_argument("--order", type=int, default=None, help="override every statement's order")
-    p_check.add_argument("--threads", type=int, default=1, help="0 = auto")
+    p_check.add_argument(
+        "--threads", type=int, default=1, help="accepted and ignored: runs use one thread"
+    )
     p_check.set_defaults(func=cmd_check)
 
     p_oracle = sub.add_parser(

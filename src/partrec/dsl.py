@@ -305,7 +305,15 @@ class _Parser:
         node = self.atom()
         if self.at_op("^"):
             self.advance()
+            exp_tok = self.peek()
             exponent = self.expect_int()
+            if exponent > self.max_order:
+                # a power costs work linear in the exponent, so it shares the order budget
+                raise ParseError(
+                    f"exponent {exponent} exceeds the engine maximum {self.max_order}",
+                    exp_tok.line,
+                    exp_tok.col,
+                )
             if isinstance(node, Pochhammer) and node.power == 1:
                 return Pochhammer(node.sign, node.a, node.b, exponent)
             return Pow(node, exponent)
@@ -451,11 +459,11 @@ def evaluate(expr: ExprNode, order: int) -> TruncatedSeries:
         return evaluate(expr.left, order) * evaluate(expr.right, order)
     if isinstance(expr, Div):
         divisor = evaluate(expr.right, order)
+        dividend = evaluate(expr.left, order)
         try:
-            inv = divisor.inverse()
+            return dividend / divisor
         except ValueError as exc:
             raise EvalError(str(exc), print_expr(expr.right)) from None
-        return evaluate(expr.left, order) * inv
     if isinstance(expr, Pow):
         return evaluate(expr.base, order) ** expr.exponent
     if isinstance(expr, Extract):

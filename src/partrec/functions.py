@@ -28,11 +28,13 @@ from __future__ import annotations
 import threading
 from enum import Enum
 from fractions import Fraction
+from operator import add
 from typing import Union
 
 from .series import (
     ProductSpec,
     TruncatedSeries,
+    _mul_sparse,
     eta_quotient,
     pochhammer_expand,  # noqa: F401  (the reference route; bench/spans.py wraps this name)
     pochhammer_finite,
@@ -155,9 +157,10 @@ def lebesgue_partial(j_max: int, order: int) -> TruncatedSeries:
     """Partial sums of sum_j (-1;q)_j q^(j(j+1)/2) / (q;q)_j.
 
     Term j is accumulated incrementally: going from term j-1 to term j
-    multiplies by (1+q^(j-1)) * q^j / (1-q^j), which is an O(order) update.
-    Terms whose valuation j(j+1)/2 exceeds the order vanish entirely, so
-    the partial sums stabilize once j(j+1)/2 > order.
+    multiplies by (1+q^(j-1)) * q^j = q^j + q^(2j-1) (2q for j = 1) and
+    divides by (1-q^j), two O(order) updates in place.  Terms whose
+    valuation j(j+1)/2 exceeds the order vanish entirely, so the partial
+    sums stabilize once j(j+1)/2 > order.
     """
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
@@ -168,19 +171,9 @@ def lebesgue_partial(j_max: int, order: int) -> TruncatedSeries:
     for j in range(1, j_max + 1):
         if j * (j + 1) // 2 > order:
             break
-        # term *= (1 + q^(j-1)); the j = 1 step doubles (constant 1 + 1)
-        if j - 1 == 0:
-            term = [2 * c for c in term]
-        else:
-            for n in range(order, j - 2, -1):
-                term[n] += term[n - (j - 1)]
-        # term *= q^j
-        term = [0] * j + term[: order + 1 - j]
-        # term /= (1 - q^j)
-        for n in range(j, order + 1):
-            term[n] += term[n - j]
-        for n in range(order + 1):
-            total[n] += term[n]
+        _mul_sparse(term, [(j, 1), (2 * j - 1, 1)] if j > 1 else [(1, 2)], c0=0)
+        _mul_sparse(term, [(j, -1)], divide=True)
+        total[:] = map(add, total, term)
     return TruncatedSeries(total)
 
 

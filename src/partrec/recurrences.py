@@ -318,23 +318,12 @@ def verify(tid: TheoremId, n_max: int, values: Values = function_value) -> Verif
     return VerificationReport(tid.value, n_max, first is None, first, millis)
 
 
-def verify_all(
-    n_max: int, values: Values = function_value, threads: int = 1
-) -> list[VerificationReport]:
+def verify_all(n_max: int, values: Values = function_value) -> list[VerificationReport]:
     """Run every theorem suite; reports come back in declaration order.
 
-    threads > 1 fans the suites out over a thread pool (residuals are pure
-    given the shared memo); 0 picks a pool size automatically.  With the
-    memoized source, each function is first grown once, to its largest
-    argument over every suite.
+    With the memoized source, each function is first grown once, to its
+    largest argument over every suite.
     """
-    ids = list(TheoremId)
     if values is function_value:
         _warm(chain.from_iterable(_SUITES.values()), n_max)
-    if threads == 1:
-        return [verify(tid, n_max, values) for tid in ids]
-    from concurrent.futures import ThreadPoolExecutor
-
-    workers = threads if threads > 0 else None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: verify(t, n_max, values), ids))
+    return [verify(tid, n_max, values) for tid in TheoremId]

@@ -8,16 +8,20 @@ is used anywhere in the engine.
 The module also expands q-Pochhammer products, (s*q^a; q^b)_inf and their
 finite counterparts, quotients of the Dedekind-eta-style products
 eta_k = (q^k; q^k)_inf, and generates the sparse theta series that arise
-from Jacobi's triple product identity.  Series values are immutable after
-construction, so they are safe to share across threads.
+from Jacobi's triple product identity.  Every product, quotient and
+Pochhammer or eta expansion goes through one in-place kernel, `_mul_sparse`,
+which multiplies or divides a coefficient list by c0 + sum c*q^g in O(N)
+per nonzero term.  Series values are immutable after construction, so they
+are safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
-from typing import Callable, Iterable, Mapping, Union
+from itertools import repeat
+from operator import add, mul, sub
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "TruncatedSeries",
@@ -134,16 +138,19 @@ class TruncatedSeries:
         if isinstance(other, int):
             return TruncatedSeries(other * a for a in self._coeffs)
         self._require_same_order(other)
-        n = self.order
-        out = [0] * (n + 1)
-        y = other._coeffs
-        for i, xi in enumerate(self._coeffs):
-            if xi:
-                for j in range(n + 1 - i):
-                    yj = y[j]
-                    if yj:
-                        out[i + j] += xi * yj
-        return TruncatedSeries(out)
+        # the sparser factor supplies the terms: one slice pass per nonzero
+        dense, sparse = sorted((self._coeffs, other._coeffs), key=lambda c: c.count(0))
+        acc = list(dense)
+        _mul_sparse(acc, _terms(sparse), sparse[0])
+        return TruncatedSeries(acc)
+
+    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Exact quotient mod q^(order+1); the divisor's constant term must
+        be +1 or -1 (the units of Z[[q]] with integer inverse coefficients)."""
+        self._require_same_order(other)
+        acc = list(self._coeffs)
+        _mul_sparse(acc, _terms(other._coeffs), other._coeffs[0], divide=True)
+        return TruncatedSeries(acc)
 
     def __rmul__(self, other: int) -> "TruncatedSeries":
         return self.__mul__(other)
@@ -162,30 +169,13 @@ class TruncatedSeries:
         return result
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse mod q^(order+1).
+        """Multiplicative inverse mod q^(order+1), i.e. 1 / self.
 
-        The constant term must be +1 or -1 (the units of Z[[q]] with
-        integer inverse coefficients in this artifact).  Coefficient n of
-        the inverse is obtained from coefficients < n by incremental
-        convolution; the inner sum skips zero coefficients, so inverting
-        a sparse series (a theta series, say) costs far less than the
-        generic O(N^2).
+        The constant term must be +1 or -1.  The cost is O(N) per nonzero
+        coefficient, so inverting a sparse series (a theta series, say)
+        costs far less than the generic O(N^2).
         """
-        c0 = self._coeffs[0]
-        if c0 not in (1, -1):
-            raise ValueError(f"cannot invert series with constant term {c0}")
-        n = self.order
-        nz = [(k, ck) for k, ck in enumerate(self._coeffs) if ck and k > 0]
-        inv = [0] * (n + 1)
-        inv[0] = c0  # 1/c0 == c0 for c0 = +-1
-        for m in range(1, n + 1):
-            acc = 0
-            for k, ck in nz:
-                if k > m:
-                    break
-                acc += ck * inv[m - k]
-            inv[m] = -c0 * acc
-        return TruncatedSeries(inv)
+        return TruncatedSeries.one(self.order) / self
 
     def extract(self, m: int, r: int) -> "TruncatedSeries":
         """Arithmetic-progression extraction: coefficient n of the result
@@ -224,23 +214,56 @@ def progression_extract(x: TruncatedSeries, m: int, r: int) -> TruncatedSeries:
     return x.extract(m, r)
 
 
-def _mul_binomial(acc: list[int], sign: int, m: int) -> None:
-    """acc *= (1 - sign*q^m) in place, truncated to len(acc)-1.
+def _terms(coeffs: Sequence[int]) -> list[tuple[int, int]]:
+    """The nonzero (g, c) with g >= 1 of a coefficient sequence, ascending."""
+    return [(g, c) for g, c in enumerate(coeffs) if c and g]
 
-    m == 0 degenerates to the scalar (1 - sign): zero for sign=+1, two
-    for sign=-1 (the finite (-1;q)_n products need this).
+
+def _mul_sparse(
+    acc: list[int], terms: Sequence[tuple[int, int]], c0: int = 1, divide: bool = False
+) -> None:
+    """acc *= c0 + sum c*q^g over terms, in place, truncated to len(acc)-1;
+    divide=True divides instead.
+
+    terms are the nonzero (g, c) with g >= 1, in ascending g.  Multiplying
+    adds a shifted, scaled copy of the old list per term, each one C-level
+    slice pass.  Dividing solves acc_new[n] = c0*(acc[n] - sum c*acc_new[n-g])
+    for increasing n, which needs c0 = +-1 (then 1/c0 == c0).  Either way
+    the cost is O(N * len(terms)).
     """
-    if m == 0:
-        c = 1 - sign
-        for i in range(len(acc)):
-            acc[i] *= c
+    if divide:
+        if c0 not in (1, -1):
+            raise ValueError(f"cannot invert series with constant term {c0}")
+        # unit coefficients (all of an eta factor's) need no multiply
+        plus = [g for g, c in terms if c == 1]
+        minus = [g for g, c in terms if c == -1]
+        other = [(g, c) for g, c in terms if c not in (1, -1)]
+        for n in range(len(acc)):
+            t = acc[n]
+            for g in plus:
+                if g > n:
+                    break
+                t -= acc[n - g]
+            for g in minus:
+                if g > n:
+                    break
+                t += acc[n - g]
+            for g, c in other:
+                if g > n:
+                    break
+                t -= c * acc[n - g]
+            acc[n] = t if c0 == 1 else -t
         return
-    if sign == 1:
-        for n in range(len(acc) - 1, m - 1, -1):
-            acc[n] -= acc[n - m]
-    else:
-        for n in range(len(acc) - 1, m - 1, -1):
-            acc[n] += acc[n - m]
+    old = acc[:]
+    if c0 != 1:
+        acc[:] = map(mul, repeat(c0), old)
+    for g, c in terms:
+        if c == 1:
+            acc[g:] = map(add, acc[g:], old)
+        elif c == -1:
+            acc[g:] = map(sub, acc[g:], old)
+        else:
+            acc[g:] = map(add, acc[g:], map(mul, repeat(c), old))
 
 
 @dataclass(frozen=True)
@@ -276,30 +299,17 @@ def pochhammer_expand(spec: ProductSpec, order: int) -> TruncatedSeries:
     """Expand a ProductSpec exactly mod q^(order+1).
 
     Each factor is a product of sparse binomials (1 - sign*q^(a+jb)) over
-    all j with a+jb <= order, multiplied in increasing exponent order.
-    Factors with negative exponent are expanded with positive power into a
-    common denominator, which is inverted once at the end.
+    all j with a+jb <= order, multiplied (e > 0) or divided (e < 0) in
+    place, |e| times, in increasing exponent order.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    num = [1] + [0] * order
-    den: list[int] | None = None
+    acc = [1] + [0] * order
     for sign, a, b, e in spec.factors:
-        if e > 0:
-            target, reps = num, e
-        else:
-            if den is None:
-                den = [1] + [0] * order
-            target, reps = den, -e
-        for _ in range(reps):
-            m = a
-            while m <= order:
-                _mul_binomial(target, sign, m)
-                m += b
-    result = TruncatedSeries(num)
-    if den is not None:
-        result = result * TruncatedSeries(den).inverse()
-    return result
+        for _ in range(abs(e)):
+            for m in range(a, order + 1, b):
+                _mul_sparse(acc, ((m, -sign),), divide=e < 0)
+    return TruncatedSeries(acc)
 
 
 def pochhammer_finite(sign: int, a: int, b: int, n: int, order: int) -> TruncatedSeries:
@@ -315,11 +325,12 @@ def pochhammer_finite(sign: int, a: int, b: int, n: int, order: int) -> Truncate
     if order < 0:
         raise ValueError("order must be nonnegative")
     acc = [1] + [0] * order
-    for k in range(n):
-        m = a + k * b
-        # binomials with m > order are congruent to 1 and can be skipped
-        if m <= order:
-            _mul_binomial(acc, sign, m)
+    if a == 0 and n:
+        _mul_sparse(acc, (), 1 - sign)  # the constant binomial (1 - sign*q^0)
+        a, n = b, n - 1
+    # binomials with exponent > order are congruent to 1 and are skipped
+    for m in range(a, min(a + n * b, order + 1), b):
+        _mul_sparse(acc, ((m, -sign),))
     return TruncatedSeries(acc)
 
 
@@ -416,33 +427,12 @@ def _mul_eta(acc: list[int], k: int, e: int) -> None:
     eta_k = (q^k; q^k)_inf = sum_j (-1)^j q^(k*j(3j+1)/2) has only about
     2*sqrt(2N/(3k)) terms up to q^N (Euler's pentagonal number theorem), so
     each factor costs O(N*sqrt(N/k)) instead of the O(N^2) of its binomials.
-    Multiplying adds shifted copies of the old list; dividing solves
-    acc_new[n] = acc[n] - sum_g s_g * acc_new[n - g] for increasing n.
     """
     order = len(acc) - 1
     pent = THETA_FAMILIES["PENT"]
     terms = sorted((k * pent.exponent(j), pent.sign(j)) for j in pent.indices_up_to(order // k) if j)
-    plus = [g for g, s in terms if s > 0]
-    minus = [g for g, s in terms if s < 0]
     for _ in range(abs(e)):
-        if e > 0:
-            old = acc[:]
-            for g in plus:
-                acc[g:] = map(add, acc[g:], old)
-            for g in minus:
-                acc[g:] = map(sub, acc[g:], old)
-            continue
-        for n in range(k, order + 1):
-            t = acc[n]
-            for g in minus:
-                if g > n:
-                    break
-                t += acc[n - g]
-            for g in plus:
-                if g > n:
-                    break
-                t -= acc[n - g]
-            acc[n] = t
+        _mul_sparse(acc, terms, divide=e < 0)
 
 
 def eta_quotient(exponents: Mapping[int, int], order: int) -> TruncatedSeries:

@@ -67,7 +67,7 @@ def test_criterion_2_erratum_three_routes():
 
 def test_criterion_3_all_theorem_suites_to_500():
     start = time.perf_counter()
-    reports = verify_all(500, threads=1)
+    reports = verify_all(500)
     elapsed = time.perf_counter() - start
     failed = [r.summary_line() for r in reports if not r.passed]
     ok = not failed and len(reports) == len(TheoremId) and elapsed < 30.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -172,6 +173,24 @@ def test_check_missing_file(capsys):
     assert code == 2 and "cannot read" in err
 
 
+def test_check_undecodable_file(tmp_path, capsys):
+    path = tmp_path / "latin1.qid"
+    path.write_bytes(b"p == p within 5\n\xff\n")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"cannot read {path}: 'utf-8' codec can't decode byte 0xff" in err
+
+
+def test_check_exponent_over_budget(tmp_path, capsys):
+    path = tmp_path / "power.qid"
+    path.write_text(f"P(q^1; q^1)^{MAX_ORDER + 1} == p within 5\n")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"line 1, col 13: exponent {MAX_ORDER + 1} exceeds the engine maximum {MAX_ORDER}" in err
+
+
 def test_check_eval_error_counts_as_failure(tmp_path, capsys):
     div0 = tmp_path / "div.qid"
     div0.write_text("p / (pd - pd) == p within 10\n")
@@ -259,3 +278,35 @@ def test_usage_error_exit_code_subprocess():
         cwd=REPO_ROOT,
     )
     assert proc.returncode == 2  # argparse usage errors share the contract
+
+
+# Installs the benchmark's tracer (bench/spans.py), runs a verify and a check,
+# and prints the names of the spans recorded.  install() rebinds names in
+# partrec's modules, so dropping or renaming one of them fails here.
+TRACED_RUN = """
+import json, sys
+import spans
+from partrec import cli
+tracer = spans.Tracer(0)
+spans.install(tracer)
+codes = [cli.main(["verify", "T1", "--n", "20"]), cli.main(["check", sys.argv[1]])]
+print(json.dumps({"codes": codes, "names": sorted({s["name"] for s in tracer.spans})}))
+"""
+
+
+def test_benchmark_tracer_still_installs(tmp_path):
+    path = tmp_path / "one.qid"
+    path.write_text("po_bar == P(-q^1; q^2) / P(q^1; q^2) within 20\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT / "bench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(path)],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["codes"] == [0, 0]
+    assert {"functions.gf_series", "recurrences.verify", "dsl.check"} <= set(doc["names"])

@@ -134,6 +134,20 @@ def test_parse_malformed_exponent():
         parse("pd^ == p within 5")
 
 
+@pytest.mark.parametrize("base, col", [("P(q^1; q^1)", 13), ("theta(TRI)", 12)])
+@pytest.mark.parametrize("exponent", [MAX_ORDER, MAX_ORDER + 1])
+def test_parse_exponent_budget(base, col, exponent):
+    text = f"{base}^{exponent} == p within 5"
+    if exponent <= MAX_ORDER:
+        [stmt] = parse(text)
+        assert len(evaluate(stmt.lhs, stmt.order)) == 6
+        return
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (info.value.line, info.value.col) == (1, col)
+    assert f"exponent {exponent} exceeds the engine maximum {MAX_ORDER}" in str(info.value)
+
+
 def test_parse_skips_comments_and_blanks():
     text = "# comment only\n\np == p within 5  # trailing comment\n"
     assert len(parse(text)) == 1
@@ -167,7 +181,7 @@ def test_evaluate_division_by_non_unit_series():
     [stmt] = parse("p / (pd - pd) == p within 10")
     with pytest.raises(EvalError) as info:
         evaluate(stmt.lhs, 10)
-    assert "pd - pd" in str(info.value)
+    assert str(info.value) == "cannot invert series with constant term 0 (in: pd - pd)"
 
 
 @pytest.mark.parametrize(

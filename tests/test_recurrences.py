@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -414,9 +415,22 @@ def test_report_json_schema():
 def test_verify_all_order_and_threads():
     sequential = verify_all(60)
     assert [r.theorem for r in sequential] == [t.value for t in TheoremId]
-    threaded = verify_all(60, threads=4)
-    assert [r.theorem for r in threaded] == [r.theorem for r in sequential]
-    assert all(r.passed for r in threaded)
+    # callers on several threads at once, growing one cold store, see the same reports
+    functions._cache_clear()
+    results = [None] * 4
+
+    def worker(i):
+        results[i] = verify_all(60)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    for threaded in results:
+        assert [r.theorem for r in threaded] == [r.theorem for r in sequential]
+        assert all(r.passed for r in threaded)
 
 
 def test_verify_all_expands_each_function_once(monkeypatch):

@@ -333,6 +333,65 @@ def test_eta_quotient_validation():
 
 
 # ---------------------------------------------------------------------------
+# Differential tests against schoolbook convolution and inversion
+
+
+def schoolbook_mul(x: list[int], y: list[int]) -> list[int]:
+    return [sum(x[i] * y[k - i] for i in range(k + 1)) for k in range(len(x))]
+
+
+def schoolbook_inverse(x: list[int]) -> list[int]:
+    # x[0] is +-1, its own inverse
+    inv: list[int] = []
+    for k in range(len(x)):
+        inv.append(x[0] * ((k == 0) - sum(x[i] * inv[k - i] for i in range(1, k + 1))))
+    return inv
+
+
+def coefficients(order: int):
+    """order + 1 coefficients made of zero runs and blocks of values up to 3000."""
+    block = st.one_of(
+        st.integers(min_value=1, max_value=8).map(lambda k: [0] * k),
+        st.lists(st.integers(min_value=-3000, max_value=3000), min_size=1, max_size=4),
+    )
+    return st.lists(block, min_size=1, max_size=10).map(
+        lambda blocks: ([c for b in blocks for c in b] + [0] * (order + 1))[: order + 1]
+    )
+
+
+def operands(order: int):
+    """Two coefficient lists and a unit (constant term +-1) of one order."""
+    unit = st.tuples(st.sampled_from((1, -1)), coefficients(order)).map(lambda t: [t[0], *t[1][1:]])
+    return st.tuples(coefficients(order), coefficients(order), unit)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=0, max_value=40).flatmap(operands))
+def test_mul_and_division_match_schoolbook(xyu):
+    x, y, u = xyu
+    assert list((TruncatedSeries(x) * TruncatedSeries(y)).coeffs) == schoolbook_mul(x, y)
+    assert list(TruncatedSeries(u).inverse().coeffs) == schoolbook_inverse(u)
+    assert list((TruncatedSeries(x) / TruncatedSeries(u)).coeffs) == schoolbook_mul(x, schoolbook_inverse(u))
+
+
+@settings(deadline=None)
+@given(
+    st.lists(factor_strategy, min_size=1, max_size=3).filter(lambda fs: any(e < 0 for *_, e in fs)),
+    st.integers(min_value=0, max_value=40),
+)
+def test_pochhammer_with_negative_exponents_matches_schoolbook(factors, order):
+    expected = [1] + [0] * order
+    for sign, a, b, e in factors:
+        for m in range(a, order + 1, b):
+            binomial = [1] + [0] * order
+            binomial[m] -= sign
+            factor = binomial if e > 0 else schoolbook_inverse(binomial)
+            for _ in range(abs(e)):
+                expected = schoolbook_mul(expected, factor)
+    assert list(pochhammer_expand(ProductSpec(tuple(factors)), order).coeffs) == expected
+
+
+# ---------------------------------------------------------------------------
 # Immutability and concurrent use
 
 
