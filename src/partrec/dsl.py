@@ -32,6 +32,8 @@ from .series import (
 
 __all__ = [
     "MAX_ORDER",
+    "MAX_DEPTH",
+    "MAX_DIGITS",
     "ParseError",
     "EvalError",
     "ExprNode",
@@ -55,6 +57,10 @@ __all__ = [
 ]
 
 MAX_ORDER = 5000
+# Deepest expression nesting: bounds the recursion of parse, evaluate and print_expr.
+MAX_DEPTH = 100
+# Longest integer literal, CPython's default limit for converting a digit string.
+MAX_DIGITS = 4300
 
 
 class ParseError(ValueError):
@@ -181,6 +187,7 @@ class Token(NamedTuple):
 
 
 _OPS = ("==", "+", "-", "*", "/", "^", "(", ")", ",", ";")
+_DIGITS = "0123456789"
 
 
 def _tokenize_line(text: str, lineno: int) -> list[Token]:
@@ -203,10 +210,12 @@ def _tokenize_line(text: str, lineno: int) -> list[Token]:
             tokens.append(Token("OP", ch, lineno, col))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:  # ASCII only: str.isdigit also accepts '²' and '٣'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", lineno, col)
             tokens.append(Token("INT", text[i:j], lineno, col))
             i = j
             continue
@@ -231,6 +240,10 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.max_order = max_order
+        self.nesting = 0  # open expr() calls: parentheses and extract arguments
+        # id -> (height, node) of every operator node built; holding the node
+        # keeps its id from being reused while the line is parsed
+        self.heights: dict[int, tuple[int, ExprNode]] = {}
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -257,6 +270,15 @@ class _Parser:
             raise self.error("expected an integer")
         self.advance()
         return int(tok.text)
+
+    def nested(self, node: ExprNode, tok: Token, *children: ExprNode) -> ExprNode:
+        """node, once its height (one more than its tallest child's) is
+        within MAX_DEPTH; tok is the operator that built it."""
+        height = 1 + max(self.heights.get(id(c), (1,))[0] for c in children)
+        if height > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH}", tok.line, tok.col)
+        self.heights[id(node)] = (height, node)
+        return node
 
     def at_op(self, *ops: str) -> bool:
         tok = self.peek()
@@ -286,25 +308,29 @@ class _Parser:
         return IdentityStatement(lhs, rhs, order, source.strip())
 
     def expr(self) -> ExprNode:
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise self.error(f"expression nested deeper than {MAX_DEPTH}")
         node = self.term()
         while self.at_op("+", "-"):
-            op = self.advance().text
+            op = self.advance()
             right = self.term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
+            node = self.nested((Add if op.text == "+" else Sub)(node, right), op, node, right)
+        self.nesting -= 1
         return node
 
     def term(self) -> ExprNode:
         node = self.factor()
         while self.at_op("*", "/"):
-            op = self.advance().text
+            op = self.advance()
             right = self.factor()
-            node = Mul(node, right) if op == "*" else Div(node, right)
+            node = self.nested((Mul if op.text == "*" else Div)(node, right), op, node, right)
         return node
 
     def factor(self) -> ExprNode:
         node = self.atom()
         if self.at_op("^"):
-            self.advance()
+            op = self.advance()
             exp_tok = self.peek()
             exponent = self.expect_int()
             if exponent > self.max_order:
@@ -316,7 +342,7 @@ class _Parser:
                 )
             if isinstance(node, Pochhammer) and node.power == 1:
                 return Pochhammer(node.sign, node.a, node.b, exponent)
-            return Pow(node, exponent)
+            return self.nested(Pow(node, exponent), op, node)
         return node
 
     def atom(self) -> ExprNode:
@@ -389,7 +415,7 @@ class _Parser:
         return Theta(tok.text)
 
     def extract_call(self) -> ExprNode:
-        self.advance()  # 'extract'
+        tok = self.advance()  # 'extract'
         self.expect_op("(")
         child = self.expr()
         self.expect_op(",")
@@ -403,7 +429,7 @@ class _Parser:
             raise ParseError("extract modulus must be >= 1", m_tok.line, m_tok.col)
         if not 0 <= r < m:
             raise ParseError("extract residue must satisfy 0 <= r < m", r_tok.line, r_tok.col)
-        return Extract(child, m, r)
+        return self.nested(Extract(child, m, r), tok, child)
 
     def lebesgue_call(self) -> ExprNode:
         self.advance()  # 'lebesgue'

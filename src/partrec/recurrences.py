@@ -5,11 +5,16 @@ Each theorem or corollary is wired as a residual: (left side) minus
 "residual == 0".  Failures therefore carry a magnitude, which makes broken
 tables easy to diagnose.
 
-Every suite but LEBESGUE is a record in `_SUITES`: terms, each a coefficient
-times coefficient m*n + r of (a partition function times a sparse theta
-kernel), or times an indicator at m*n + r.  One engine, `_residuals`,
-evaluates every record over exact integer kernel exponents; the half-index
-cases read their function at (index - exponent) / div, zero off the integers.
+Every suite but LEBESGUE is a record in `_SUITES`: a sum of terms, each a
+coefficient times coefficient m*n + r of a series product f(q^div) *
+kernel(q^scale), where f is a partition function or the series 1 and the
+kernel a sparse theta series or 1.  So each suite is a product identity
+between generating functions and theta series; the closed-form right sides
+(signed pentagonal, triangular, square and oblong numbers, the origin) are
+theta series on the unit function.  One engine, `_add_term`, adds a window
+lo..hi of any term to the residuals as one scaled slice add over the dense
+table per kernel exponent: `verify` takes the whole range 0..n_max,
+`residual` the single index n, with the same code.
 
 All residuals read partition-function values through a `values` callable
 (defaulting to the memoized `function_value`), so a test can swap in a
@@ -23,20 +28,15 @@ from enum import Enum
 from functools import partial
 from itertools import chain
 from math import isqrt
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .functions import PartitionFunctionId as F
 from .functions import function_value, gf_series, lebesgue_partial
 from .report import Failure, VerificationReport
-from .series import THETA_FAMILIES, ThetaFamily, ceil_half, neg_one_pow
+from .series import THETA_FAMILIES, ThetaFamily, _add_scaled, neg_one_pow, theta_series
 
 __all__ = [
     "TheoremId",
-    "triangular_indicator",
-    "square_rhs",
-    "gen_pentagonal_signed",
-    "oblong_indicator",
-    "origin_indicator",
     "residual",
     "fast_po_odd_table",
     "verify",
@@ -75,57 +75,12 @@ class TheoremId(Enum):
     LEBESGUE = "LEBESGUE"
 
 
-def triangular_indicator(n: int) -> int:
-    """1 if n = m(m+1)/2 for some m >= 0, else 0."""
-    s = isqrt(8 * n + 1)
-    return 1 if s * s == 8 * n + 1 else 0
-
-
-def square_rhs(n: int) -> int:
-    """2 if n is a positive perfect square, 1 if n = 0, else 0."""
-    if n == 0:
-        return 1
-    s = isqrt(n)
-    return 2 if s * s == n else 0
-
-
-def gen_pentagonal_signed(n: int) -> int:
-    """(-1)^ceil(m/2) if n = m(3m+1)/2 for the (unique) m in Z, else 0.
-
-    24n+1 must be an odd square (6m+1)^2; both candidate roots are checked
-    back against the exponent, so no parity-of-root case analysis is
-    trusted on its own.
-    """
-    s = isqrt(24 * n + 1)
-    if s * s != 24 * n + 1:
-        return 0
-    candidates = []
-    if (s - 1) % 6 == 0:
-        candidates.append((s - 1) // 6)
-    if (s + 1) % 6 == 0:
-        candidates.append(-(s + 1) // 6)
-    for m in candidates:
-        if m * (3 * m + 1) // 2 == n:
-            return neg_one_pow(ceil_half(m))
-    return 0
-
-
-def oblong_indicator(n: int) -> int:
-    """1 if n = k(k+1) for some k >= 0, else 0."""
-    s = isqrt(4 * n + 1)
-    return 1 if s * s == 4 * n + 1 else 0
-
-
-def origin_indicator(n: int) -> int:
-    return 1 if n == 0 else 0
-
-
 class _Term(NamedTuple):
-    """coeff * [q^(m*n + r)] of f(q^div) * kernel(q), or coeff * f(m*n + r)
-    when f is an indicator; the term counts only at n = parity (mod 2)."""
+    """coeff * [q^(m*n + r)] of f(q^div) * kernel(q^scale); the term counts
+    only at n = parity (mod 2)."""
 
     coeff: int
-    f: Union[F, Callable[[int], int]]
+    f: Optional[F]  # None: the unit series 1
     kernel: Optional[ThetaFamily] = None  # None: the unit series 1
     scale: int = 1  # kernel exponents are multiplied by this
     m: int = 1
@@ -141,11 +96,11 @@ _SIGNED_SQ_POS = ThetaFamily("SIGNED_SQ_POS", lambda j: j * j, neg_one_pow, two_
 
 _SUITES: dict[TheoremId, tuple[_Term, ...]] = {
     # sum_k (-1)^k po_bar(n - k(3k+1)/2) = (-1)^ceil(m/2) at n = m(3m+1)/2, else 0
-    TheoremId.T1: (_Term(1, F.PO_ODD, _T["PENT"]), _Term(-1, gen_pentagonal_signed)),
+    TheoremId.T1: (_Term(1, F.PO_ODD, _T["PENT"]), _Term(-1, None, _T["PENT_CEIL"])),
     # sum_{k>=0} (-1)^ceil(k/2) po_bar(n - T_k) = [n triangular]
-    TheoremId.T2: (_Term(1, F.PO_ODD, _T["TRI_CEIL"]), _Term(-1, triangular_indicator)),
+    TheoremId.T2: (_Term(1, F.PO_ODD, _T["TRI_CEIL"]), _Term(-1, None, _T["TRI"])),
     # po_bar(n) + 2 sum_{k>=1} (-1)^k po_bar(n - 2k^2) = 2 at squares n > 0, 1 at n = 0
-    TheoremId.T3: (_Term(1, F.PO_ODD, _T["TWOSQ"]), _Term(-1, square_rhs)),
+    TheoremId.T3: (_Term(1, F.PO_ODD, _T["TWOSQ"]), _Term(-1, None, _T["SQ"])),
     # po_bar(n) = sum_{k>=0} pood(n - T_k)
     TheoremId.T4: (_Term(1, F.PO_ODD), _Term(-1, F.POOD, _T["TRI"])),
     # po_bar(n) = sum_k (-1)^ceil(k/2) p(n - k(3k+1)/2)
@@ -165,10 +120,10 @@ _SUITES: dict[TheoremId, tuple[_Term, ...]] = {
     # sum_{k>=0} (-1)^ceil(k/2) po_bar(n - T_k) = sum_k (-1)^k pd(n - k(3k+1)); one-sided,
     # as T_k = T_(-k-1): a two-sided sum counts each exponent twice and fails at n = 0
     TheoremId.T_PD_IDENT: (_Term(1, F.PO_ODD, _T["TRI_CEIL"]), _Term(-1, F.PD, _T["PENT2"])),
-    # sum_k (-1)^k pdo(n - k(3k+1)) = the signed pentagonal indicator
-    TheoremId.COR_PDO: (_Term(1, F.PDO, _T["PENT2"]), _Term(-1, gen_pentagonal_signed)),
+    # sum_k (-1)^k pdo(n - k(3k+1)) = (-1)^ceil(m/2) at n = m(3m+1)/2, else 0
+    TheoremId.COR_PDO: (_Term(1, F.PDO, _T["PENT2"]), _Term(-1, None, _T["PENT_CEIL"])),
     # sum_k (-1)^k pd(n - k(3k+1)) = [n triangular]
-    TheoremId.COR_PD: (_Term(1, F.PD, _T["PENT2"]), _Term(-1, triangular_indicator)),
+    TheoremId.COR_PD: (_Term(1, F.PD, _T["PENT2"]), _Term(-1, None, _T["TRI"])),
     # sum_{k>=0} pood(n - T_k) is even for n >= 1 (mod 2, vacuous at n = 0)
     TheoremId.COR_POOD_PARITY: (_Term(1, F.POOD, _T["TRI"]),),
     # sum_k (-1)^ceil(k/2) p(n - k(3k+1)/2) is even for n >= 1
@@ -176,7 +131,7 @@ _SUITES: dict[TheoremId, tuple[_Term, ...]] = {
     # sum_{k>=0} p2(n - T_k) is even for n >= 1
     TheoremId.COR_P2_PARITY: (_Term(1, F.P2MOD4, _T["TRI"]),),
     # Euler: sum_k (-1)^k p(n - k(3k+1)/2) = [n == 0]
-    TheoremId.CLASSICAL_EULER: (_Term(1, F.P, _T["PENT"]), _Term(-1, origin_indicator)),
+    TheoremId.CLASSICAL_EULER: (_Term(1, F.P, _T["PENT"]), _Term(-1, None)),
     # Ewell: sum_{k>=0} (-1)^ceil(k/2) p(n - T_k) = pd(n/2) at even n, 0 at odd n
     TheoremId.CLASSICAL_EWELL: (_Term(1, F.P, _T["TRI_CEIL"]), _Term(-1, F.PD, div=2)),
     # sum_{j>=0} (-1)^j p(n - j^2) + sum_{j>=1} (-1)^j p(n - 2j^2) = pdo(n) at even n,
@@ -194,9 +149,10 @@ _SUITES: dict[TheoremId, tuple[_Term, ...]] = {
     TheoremId.CLASSICAL_MERCA_GK: (_Term(1, F.P, _T["GPENT_HALF"], scale=2, m=2, div=2),
                                    _Term(-1, F.P, _T["TRI"], m=2, div=4)),
     # sum_{j>=0} (-1)^ceil(j/2) peed(n - T_j) = [n = k(k+1)]
-    TheoremId.CLASSICAL_MERCA_PEED_TRI: (_Term(1, F.PEED, _T["TRI_CEIL"]), _Term(-1, oblong_indicator)),
+    TheoremId.CLASSICAL_MERCA_PEED_TRI: (_Term(1, F.PEED, _T["TRI_CEIL"]),
+                                         _Term(-1, None, _T["TRI"], scale=2)),
     # sum_{j in Z} (-1)^j peed(n - 2j^2) = [n triangular]
-    TheoremId.CLASSICAL_MERCA_PEED_2SQ: (_Term(1, F.PEED, _T["TWOSQ"]), _Term(-1, triangular_indicator)),
+    TheoremId.CLASSICAL_MERCA_PEED_2SQ: (_Term(1, F.PEED, _T["TWOSQ"]), _Term(-1, None, _T["TRI"])),
 }
 _MOD2 = frozenset({TheoremId.COR_POOD_PARITY, TheoremId.COR_P_PARITY, TheoremId.COR_P2_PARITY})
 
@@ -213,57 +169,61 @@ def _kernel(term: _Term, bound: int) -> list[tuple[int, int]]:
     return sorted((e, c) for e, c in coeffs.items() if c)
 
 
-def _warm(terms: Iterable[_Term], n_max: int) -> None:
-    """Grow the memo once per function, to the largest argument the terms
-    read for n <= n_max, so the scan never grows it piecemeal."""
-    largest: dict[F, int] = {}
-    for t in terms:
-        if isinstance(t.f, F):
-            largest[t.f] = max(largest.get(t.f, 0), (t.m * n_max + t.r) // t.div)
-    for f, n in largest.items():
-        function_value(f, n)
+def _add_term(out: list[int], t: _Term, lo: int, values: Values) -> None:
+    """out[n - lo] += coeff * [q^(m*n + r)] of f(q^div) * kernel(q^scale) for
+    n = lo..lo + len(out) - 1, at n = parity (mod 2) only if the term is gated.
+
+    f(q^div) is spread densely up to q^(m*hi + r); each kernel exponent e then
+    adds c * spread[m*n + r - e] for every n in the window at once, one C-level
+    slice pass (stride 2 when gated), so a whole scan costs one pass per kernel
+    term and a single n O(kernel terms) plus the table copy.
+    """
+    hi = lo + len(out) - 1
+    top = t.m * hi + t.r
+    k = top // t.div
+    if t.f is None:
+        table: Sequence[int] = [1] + [0] * k
+    elif values is function_value:
+        table = gf_series(t.f, k).coeffs  # the memo, grown as needed
+    else:
+        table = [values(t.f, i) for i in range(k + 1)]
+    spread = table
+    if t.div != 1:
+        spread = [0] * (top + 1)
+        spread[:: t.div] = table
+    step = 1 if t.parity is None else 2
+    for e, c in _kernel(t, top):
+        b = max(lo, -((t.r - e) // t.m))  # the least n with m*n + r >= e
+        if t.parity is not None:
+            b += (b - t.parity) % 2  # ... and n = parity (mod 2)
+        if b <= hi:
+            src = spread[t.m * b + t.r - e : top - e + 1 : t.m * step]
+            _add_scaled(out, b - lo, src, t.coeff * c, step)
 
 
-def _residuals(tid: TheoremId, n_max: int, values: Values, start: int = 0) -> Iterator[int]:
-    """Residuals of the suite at start..n_max, computed as they are consumed."""
+def _residuals(tid: TheoremId, lo: int, hi: int, values: Values) -> list[int]:
+    """Residuals of the suite at n = lo..hi."""
     if tid is TheoremId.LEBESGUE:
         # coefficients of the partial sums minus the product; j_max is the
-        # least j with j(j+1)/2 > n_max, past which every term vanishes
-        j_max = (isqrt(8 * n_max + 1) + 1) // 2
-        pairs = zip(lebesgue_partial(j_max, n_max), gf_series(F.PO_ODD, n_max))
-        yield from [a - b for a, b in pairs][start:]
-        return
+        # least j with j(j+1)/2 > hi, past which every term vanishes
+        j_max = (isqrt(8 * hi + 1) + 1) // 2
+        pairs = zip(lebesgue_partial(j_max, hi), gf_series(F.PO_ODD, hi))
+        return [a - b for a, b in pairs][lo:]
     try:
         terms = _SUITES[tid]
     except KeyError:
         raise ValueError(f"unknown theorem id {tid!r}") from None
-    kernels = [_kernel(t, t.m * n_max + t.r) for t in terms]
-    if values is function_value:
-        _warm(terms, n_max)
-    for n in range(start, n_max + 1):
-        total = 0
-        for t, kernel in zip(terms, kernels):
-            if t.parity is not None and n % 2 != t.parity:
-                continue
-            a, f, div = t.m * n + t.r, t.f, t.div
-            if not isinstance(f, F):
-                total += t.coeff * f(a)
-                continue
-            s = 0
-            for e, c in kernel:
-                if e > a:
-                    break
-                if (a - e) % div == 0:
-                    s += c * values(f, (a - e) // div)
-            total += t.coeff * s
-        if tid in _MOD2:
-            total = total % 2 if n else 0
-        yield total
+    total = [0] * (hi - lo + 1)
+    for t in terms:
+        _add_term(total, t, lo, values)
+    if tid in _MOD2:
+        total = [v % 2 if n else 0 for n, v in enumerate(total, lo)]
+    return total
 
 
 def residual(tid: TheoremId, n: int, values: Values = function_value) -> int:
     """Residual of the named identity at n (0 means the identity holds)."""
-    return next(_residuals(tid, n, values, start=n))
+    return _residuals(tid, n, n, values)[0]
 
 
 residual_t1 = partial(residual, TheoremId.T1)
@@ -293,18 +253,15 @@ residual_merca_peed_2sq = partial(residual, TheoremId.CLASSICAL_MERCA_PEED_2SQ)
 
 
 def fast_po_odd_table(n_max: int) -> list[int]:
-    """po_bar(0..n_max) via the sparse square-number recurrence.
+    """po_bar(0..n_max) as the theta quotient theta(SQ) / theta(TWOSQ).
 
-    Solving T3 for po_bar(n) needs only the ~sqrt(n/2) earlier entries at
-    n - 2k^2, so the whole table costs O(n_max^(3/2)) big-integer additions.
+    That is T3 solved for po_bar(n) by the sparse division: each entry needs
+    only the ~sqrt(n/2) earlier entries at n - 2k^2, so the whole table costs
+    O(n_max^(3/2)) big-integer additions.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    kernel = _kernel(_Term(1, F.PO_ODD, _T["TWOSQ"]), n_max)[1:]  # theta(TWOSQ) less its 1
-    table: list[int] = []
-    for n in range(n_max + 1):
-        table.append(square_rhs(n) - sum(c * table[n - e] for e, c in kernel if e <= n))
-    return table
+    return list(theta_series(_T["SQ"], n_max) / theta_series(_T["TWOSQ"], n_max))
 
 
 def verify(tid: TheoremId, n_max: int, values: Values = function_value) -> VerificationReport:
@@ -312,7 +269,7 @@ def verify(tid: TheoremId, n_max: int, values: Values = function_value) -> Verif
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     start = time.perf_counter()
-    residuals = enumerate(_residuals(tid, n_max, values))
+    residuals = enumerate(_residuals(tid, 0, n_max, values))
     first = next((Failure(n, r) for n, r in residuals if r), None)
     millis = int((time.perf_counter() - start) * 1000)
     return VerificationReport(tid.value, n_max, first is None, first, millis)
@@ -322,8 +279,13 @@ def verify_all(n_max: int, values: Values = function_value) -> list[Verification
     """Run every theorem suite; reports come back in declaration order.
 
     With the memoized source, each function is first grown once, to its
-    largest argument over every suite.
+    largest argument over every suite, so no suite grows it piecemeal.
     """
     if values is function_value:
-        _warm(chain.from_iterable(_SUITES.values()), n_max)
+        largest: dict[F, int] = {}
+        for t in chain.from_iterable(_SUITES.values()):
+            if t.f is not None:
+                largest[t.f] = max(largest.get(t.f, 0), (t.m * n_max + t.r) // t.div)
+        for f, n in largest.items():
+            function_value(f, n)
     return [verify(tid, n_max, values) for tid in TheoremId]

@@ -219,6 +219,18 @@ def _terms(coeffs: Sequence[int]) -> list[tuple[int, int]]:
     return [(g, c) for g, c in enumerate(coeffs) if c and g]
 
 
+def _add_scaled(acc: list[int], g: int, src: Sequence[int], c: int, step: int = 1) -> None:
+    """acc[g::step] += c * src elementwise, in place, as one C-level slice
+    pass; src must be at least as long as acc[g::step], and exactly as long
+    when step > 1 (with step 1 its excess is ignored)."""
+    if c == 1:
+        acc[g::step] = map(add, acc[g::step], src)
+    elif c == -1:
+        acc[g::step] = map(sub, acc[g::step], src)
+    else:
+        acc[g::step] = map(add, acc[g::step], map(mul, repeat(c), src))
+
+
 def _mul_sparse(
     acc: list[int], terms: Sequence[tuple[int, int]], c0: int = 1, divide: bool = False
 ) -> None:
@@ -258,12 +270,7 @@ def _mul_sparse(
     if c0 != 1:
         acc[:] = map(mul, repeat(c0), old)
     for g, c in terms:
-        if c == 1:
-            acc[g:] = map(add, acc[g:], old)
-        elif c == -1:
-            acc[g:] = map(sub, acc[g:], old)
-        else:
-            acc[g:] = map(add, acc[g:], map(mul, repeat(c), old))
+        _add_scaled(acc, g, old, c)
 
 
 @dataclass(frozen=True)

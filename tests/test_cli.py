@@ -191,6 +191,27 @@ def test_check_exponent_over_budget(tmp_path, capsys):
     assert f"line 1, col 13: exponent {MAX_ORDER + 1} exceeds the engine maximum {MAX_ORDER}" in err
 
 
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        ("p == p within \u00b2", "line 1, col 15", "unexpected character"),
+        ("p == p within 1\u0663", "line 1, col 16", "unexpected character"),
+        ("p == " + "9" * 4301 + " within 5", "line 1, col 6", "integer literal longer than"),
+        ("(" * 3000 + "p" + ")" * 3000 + " == p within 5", "line 1, col 101", "nested deeper than"),
+        ("p" + "*p" * 3000 + " == p within 5", "line 1, col 200", "nested deeper than"),
+    ],
+    ids=["superscript-digit", "arabic-indic-digit", "long-literal", "parentheses", "chain"],
+)
+def test_check_hostile_input_exits_2(tmp_path, capsys, text, where, message):
+    path = tmp_path / "hostile.qid"
+    path.write_text(text + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"{path}: {where}: " in err and message in err
+    assert "Traceback" not in err
+
+
 def test_check_eval_error_counts_as_failure(tmp_path, capsys):
     div0 = tmp_path / "div.qid"
     div0.write_text("p / (pd - pd) == p within 10\n")

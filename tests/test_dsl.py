@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partrec.dsl import (
+    MAX_DEPTH,
+    MAX_DIGITS,
     Div,
     EvalError,
     Extract,
@@ -24,6 +28,8 @@ from partrec.dsl import (
     statement_text,
 )
 from partrec.functions import PartitionFunctionId as F
+from partrec.recurrences import _MOD2, _SUITES, TheoremId
+from partrec.series import THETA_FAMILIES
 
 from conftest import PAPER_QID
 
@@ -146,6 +152,47 @@ def test_parse_exponent_budget(base, col, exponent):
         parse(text)
     assert (info.value.line, info.value.col) == (1, col)
     assert f"exponent {exponent} exceeds the engine maximum {MAX_ORDER}" in str(info.value)
+
+
+@pytest.mark.parametrize("text, col", [("p == p within \u00b2", 15), ("p == p within 1\u0663", 16),
+                                       ("\u0663 == 3 within 5", 1), ("P(q^\u00b9; q^1) == p within 5", 5)])
+def test_parse_only_ascii_digits_are_integers(text, col):
+    # str.isdigit accepts superscripts and Arabic-Indic digits; int() then
+    # fails on '\u00b2' and silently reads '1\u0663' as 13
+    with pytest.raises(ParseError, match="unexpected character") as info:
+        parse(text)
+    assert (info.value.line, info.value.col) == (1, col)
+
+
+def test_parse_integer_literal_length_budget():
+    [stmt] = parse(f"{'9' * MAX_DIGITS} == {'9' * MAX_DIGITS} within 1")
+    assert stmt.lhs == IntLiteral(int("9" * MAX_DIGITS))
+    with pytest.raises(ParseError, match=f"longer than {MAX_DIGITS} digits") as info:
+        parse(f"p == {'9' * (MAX_DIGITS + 1)} within 1")
+    assert (info.value.line, info.value.col) == (1, 6)
+
+
+@pytest.mark.parametrize(
+    "deep, deeper, col",
+    [
+        # nesting: the top-level expression is the first level, and the
+        # error points at the first token of the one level too deep
+        ("(" * (MAX_DEPTH - 1) + "p" + ")" * (MAX_DEPTH - 1),
+         "(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH, MAX_DEPTH + 1),
+        # a left-deep operator chain: each operator adds one level
+        ("p" + "*p" * (MAX_DEPTH - 1), "p" + "*p" * MAX_DEPTH, 2 * MAX_DEPTH),
+        ("extract(" * (MAX_DEPTH - 1) + "p" + ", 1, 0)" * (MAX_DEPTH - 1),
+         "extract(" * MAX_DEPTH + "p" + ", 1, 0)" * MAX_DEPTH, 8 * MAX_DEPTH + 1),
+    ],
+    ids=["parentheses", "chain", "extract"],
+)
+def test_parse_depth_budget(deep, deeper, col):
+    [stmt] = parse(f"{deep} == p within 3")
+    assert parse(statement_text(stmt)) == [stmt]  # printing recurses as deep
+    assert len(evaluate(stmt.lhs, 3)) == 4
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH}") as info:
+        parse(f"{deeper} == p within 3")
+    assert (info.value.line, info.value.col) == (1, col)
 
 
 def test_parse_skips_comments_and_blanks():
@@ -284,3 +331,78 @@ def test_check_all_bundled_statements():
     for stmt in statements:
         report = check(stmt, order=60)
         assert report.passed, report.summary_line()
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed front end: any text either parses or raises ParseError
+
+_FRAGMENTS = [
+    "p", "po_bar", "theta", "(", ")", "TRI", "P(", "-q^1", "; q^2)", "q^", "extract(", "lebesgue(",
+    ", ", "==", "within", "+", "-", "*", "/", "^", "#", "\n", " ", "0", "1", "7", "42",
+    "\u00b2", "\u0663", "\u2460", "\uff11", "9" * (MAX_DIGITS + 1), "(" * 120, "*p" * 120,
+]
+_text = st.one_of(
+    st.text(),
+    st.lists(st.one_of(st.sampled_from(_FRAGMENTS), st.characters()), max_size=30).map("".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_text)
+def test_parse_raises_only_parse_error(text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
+# ---------------------------------------------------------------------------
+# The theorem records against the identity language: a record with m = 1,
+# r = 0, div = 1, scale = 1, no parity gate, not taken mod 2 and only named
+# theta kernels is the product identity sum(positive terms) == sum(negated
+# negative terms), which the language states directly.
+
+_PLAIN_SUITES = {
+    "T1", "T2", "T3", "T4", "T5", "T6", "T9_P2", "T_QBAR", "T_PDO_IDENT", "T_PD_IDENT",
+    "COR_PDO", "COR_PD", "CLASSICAL_EULER", "CLASSICAL_MERCA_PEED_2SQ",
+}
+
+
+def _plain(tid, terms):
+    return tid not in _MOD2 and all(
+        (t.m, t.r, t.div, t.scale, t.parity) == (1, 0, 1, 1, None)
+        and (t.kernel is None or THETA_FAMILIES.get(t.kernel.name) is t.kernel)
+        for t in terms
+    )
+
+
+def _render_term(t, sign):
+    parts = [str(sign * t.coeff)] if sign * t.coeff != 1 else []
+    parts += [t.f.value] if t.f is not None else []
+    parts += [f"theta({t.kernel.name})"] if t.kernel is not None else []
+    return " * ".join(parts) or "1"
+
+
+def _render(terms, order):
+    lhs = " + ".join(_render_term(t, 1) for t in terms if t.coeff > 0) or "0"
+    rhs = " + ".join(_render_term(t, -1) for t in terms if t.coeff < 0) or "0"
+    return f"{lhs} == {rhs} within {order}"
+
+
+def test_plain_records_state_their_identity_in_the_language():
+    rendered = {tid.value: _render(terms, 300) for tid, terms in _SUITES.items() if _plain(tid, terms)}
+    assert set(rendered) == _PLAIN_SUITES
+    assert rendered["T1"] == "po_bar * theta(PENT) == theta(PENT_CEIL) within 300"
+    assert rendered["CLASSICAL_EULER"] == "p * theta(PENT) == 1 within 300"
+    for tid, text in rendered.items():
+        [stmt] = parse(text)
+        report = check(stmt)
+        assert report.passed, (tid, report.summary_line())
+
+
+def test_record_with_swapped_kernel_renders_a_failing_statement():
+    first, rhs = _SUITES[TheoremId.T1]
+    swapped = (first._replace(kernel=THETA_FAMILIES["PENT_CEIL"]), rhs)
+    text = _render(swapped, 300)
+    assert text == "po_bar * theta(PENT_CEIL) == theta(PENT_CEIL) within 300"
+    assert not check(parse(text)[0]).passed

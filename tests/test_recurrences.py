@@ -14,10 +14,10 @@ from partrec import functions
 from partrec.functions import ETA_QUOTIENTS, PartitionFunctionId as F, function_value, gf_series
 from partrec.recurrences import (
     TheoremId,
+    _add_term,
+    _residuals,
+    _Term,
     fast_po_odd_table,
-    gen_pentagonal_signed,
-    oblong_indicator,
-    origin_indicator,
     residual,
     residual_cks_signed,
     residual_cor_pd,
@@ -37,16 +37,19 @@ from partrec.recurrences import (
     residual_t5,
     residual_t6,
     residual_t9,
-    square_rhs,
-    triangular_indicator,
     verify,
     verify_all,
 )
-from partrec.series import ceil_half, neg_one_pow
+from partrec.series import THETA_FAMILIES, ceil_half, neg_one_pow, theta_series
 
 
 # ---------------------------------------------------------------------------
-# Indicators
+# Closed-form right sides (signed pentagonal, triangular, oblong and square
+# indicators): theta series on the unit function
+
+
+def _theta(name, order):
+    return theta_series(THETA_FAMILIES[name], order).coeffs
 
 
 def test_gen_pentagonal_signed_matches_direct_scan():
@@ -63,12 +66,11 @@ def test_gen_pentagonal_signed_matches_direct_scan():
         if min(e, e_neg) > 10_000:
             break
         m += 1
-    for n in range(10_001):
-        assert gen_pentagonal_signed(n) == expected.get(n, 0)
+    assert list(_theta("PENT_CEIL", 10_000)) == [expected.get(n, 0) for n in range(10_001)]
 
 
 def test_gen_pentagonal_signed_prefix():
-    hits = [(n, gen_pentagonal_signed(n)) for n in range(28) if gen_pentagonal_signed(n)]
+    hits = [(n, c) for n, c in enumerate(_theta("PENT_CEIL", 27)) if c]
     assert hits == [
         (0, 1), (1, 1), (2, -1), (5, -1), (7, -1), (12, -1), (15, 1), (22, 1), (26, 1),
     ]
@@ -76,23 +78,27 @@ def test_gen_pentagonal_signed_prefix():
 
 def test_triangular_indicator():
     triangulars = {k * (k + 1) // 2 for k in range(200)}
-    for n in range(10_001):
-        assert triangular_indicator(n) == (1 if n in triangulars else 0)
+    assert list(_theta("TRI", 10_000)) == [1 if n in triangulars else 0 for n in range(10_001)]
 
 
 def test_oblong_indicator():
+    # the MERCA_PEED_TRI right side, through the engine that evaluates it
     oblongs = {k * (k + 1) for k in range(120)}
-    for n in range(10_001):
-        assert oblong_indicator(n) == (1 if n in oblongs else 0)
+    window = [0] * 10_001
+    _add_term(window, _Term(1, None, THETA_FAMILIES["TRI"], scale=2), 0, function_value)
+    assert window == [1 if n in oblongs else 0 for n in range(10_001)]
 
 
 def test_square_rhs():
-    assert square_rhs(0) == 1
     squares = {m * m for m in range(1, 101)}
-    for n in range(1, 10_001):
-        assert square_rhs(n) == (2 if n in squares else 0)
-    assert origin_indicator(0) == 1
-    assert origin_indicator(3) == 0
+    assert list(_theta("SQ", 10_000)) == [1] + [
+        2 if n in squares else 0 for n in range(1, 10_001)
+    ]
+    # with no kernel the term is the series 1: the origin indicator
+    for lo, expected in ((0, [1, 0, 0, 0]), (3, [0])):
+        window = [0] * len(expected)
+        _add_term(window, _Term(1, None), lo, function_value)
+        assert window == expected
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +207,7 @@ def test_corollary_examples():
     assert residual_cor_pdo(5) == 0  # sum is -1 and 5 is pentagonal, sign -1
     assert residual_cor_pd(3) == 0   # 2 - 1 = 1 at the triangular number 3
     assert residual_cor_pd(4) == 0   # 2 - 1 - 1 = 0, 4 not triangular
-    assert gen_pentagonal_signed(5) == -1
+    assert _theta("PENT_CEIL", 5)[5] == -1
 
 
 def test_parity_examples():
@@ -353,8 +359,22 @@ def _golden_noisy(fid, n):
 
 @pytest.mark.parametrize("tid", [t for t in TheoremId if t is not TheoremId.LEBESGUE])
 def test_residuals_match_golden_digests(tid):
-    vector = " ".join(str(residual(tid, n, _golden_noisy)) for n in range(301))
-    assert hashlib.sha256(vector.encode()).hexdigest() == GOLDEN_RESIDUAL_DIGESTS[tid.value]
+    # the pointwise path (lo = hi = n) and the whole-range scan (lo = 0)
+    pointwise = [residual(tid, n, _golden_noisy) for n in range(301)]
+    scanned = _residuals(tid, 0, 300, _golden_noisy)
+    for vector in (pointwise, scanned):
+        text = " ".join(map(str, vector))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_RESIDUAL_DIGESTS[tid.value]
+
+
+@pytest.mark.parametrize("tid", list(TheoremId))
+def test_any_window_is_a_slice_of_the_whole_scan(tid):
+    # odd and even window starts, so the parity gates and the m = 2 strides
+    # meet every alignment; the noisy source keeps zero residuals from hiding
+    # a misplaced term
+    whole = _residuals(tid, 0, 120, _golden_noisy)
+    for lo, hi in ((0, 0), (1, 1), (7, 7), (3, 40), (8, 41), (119, 120)):
+        assert _residuals(tid, lo, hi, _golden_noisy) == whole[lo : hi + 1]
 
 
 def test_mutation_sensitivity():
