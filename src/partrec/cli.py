@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import dsl, oracle
 from .functions import PartitionFunctionId, gf_series
-from .recurrences import TheoremId, verify, verify_all
+from .recurrences import VERIFY_MAX_N, TheoremId, verify, verify_all
 from .report import VerificationReport
 
 EXIT_OK = 0
@@ -88,10 +88,6 @@ def _emit_reports(reports: list[VerificationReport], fmt: str, many: bool) -> No
     else:
         for r in reports:
             print(r.summary_line())
-
-
-# T7_DISSECT_ODD reads po_bar at 2n+1, which must stay within dsl.MAX_ORDER
-VERIFY_MAX_N = (dsl.MAX_ORDER - 1) // 2
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

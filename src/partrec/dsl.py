@@ -2,26 +2,30 @@
 
 One statement per line:
 
-    <expr> == <expr> within <order>
+    <expr> == <expr> [mod <M>] within <order>
 
 with `#` comments, integer literals, the named counting functions (p, op,
 po_bar, pd, pdo, pood, p2, qbar, peed), theta families (bare or via
 theta(NAME)), Pochhammer atoms P([-]q^a; q^b), extract(expr, m, r) for
-arithmetic-progression dissection and lebesgue(j) for partial sums of the
-Lebesgue series.  Operators are ^ over * and / over + and -, all
-left-associative; there are no variables or binding forms, so every
-statement is a closed identity checked by expanding both sides to the
-stated order and comparing coefficients.
+arithmetic-progression dissection, subs(expr, [-]q^d) for expr with q
+replaced by +-q^d, and lebesgue(j) for partial sums of the Lebesgue
+series.  Operators are ^ over * and / over + and -, all left-associative;
+there are no variables or binding forms, so every statement is a closed
+identity checked by expanding both sides to the stated order and comparing
+coefficients; with `mod M` (M >= 2) they are compared modulo M from q^1
+on.  Named functions come from the memoized store, or from a caller's
+`values` source, through which the theorem suites run on corrupted tables.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from operator import neg, sub
+from typing import Iterable, NamedTuple, Optional, Union, get_args
 
-from .functions import PartitionFunctionId, gf_series, lebesgue_partial
-from .report import Failure, VerificationReport
+from .functions import PartitionFunctionId, Values, gf_series, lebesgue_partial
+from .report import Failure, VerificationReport, format_int
 from .series import (
     THETA_FAMILIES,
     ProductSpec,
@@ -47,10 +51,13 @@ __all__ = [
     "Div",
     "Pow",
     "Extract",
+    "Subs",
     "LebesguePartial",
     "IdentityStatement",
     "parse",
     "evaluate",
+    "read_orders",
+    "residuals",
     "print_expr",
     "statement_text",
     "check",
@@ -145,6 +152,13 @@ class Extract:
 
 
 @dataclass(frozen=True)
+class Subs:  # child with q replaced by sign * q^d
+    child: "ExprNode"
+    sign: int
+    d: int
+
+
+@dataclass(frozen=True)
 class LebesguePartial:
     j_max: int
 
@@ -160,6 +174,7 @@ ExprNode = Union[
     Div,
     Pow,
     Extract,
+    Subs,
     LebesguePartial,
 ]
 
@@ -170,6 +185,7 @@ class IdentityStatement:
     rhs: ExprNode
     order: int
     source: str = field(default="", compare=False)
+    modulus: Optional[int] = None  # `mod M`: compare from q^1 on, modulo M
 
     def label(self) -> str:
         return self.source or statement_text(self)
@@ -264,12 +280,16 @@ class _Parser:
             raise self.error(f"expected {op!r}")
         return self.advance()
 
-    def expect_int(self) -> int:
+    def expect_int(self, low: Optional[int] = None, message: str = "") -> int:
+        """An integer literal; below `low` it is a ParseError with `message`."""
         tok = self.peek()
         if tok.kind != "INT":
             raise self.error("expected an integer")
         self.advance()
-        return int(tok.text)
+        value = int(tok.text)
+        if low is not None and value < low:
+            raise ParseError(message, tok.line, tok.col)
+        return value
 
     def nested(self, node: ExprNode, tok: Token, *children: ExprNode) -> ExprNode:
         """node, once its height (one more than its tallest child's) is
@@ -288,14 +308,17 @@ class _Parser:
         lhs = self.expr()
         self.expect_op("==")
         rhs = self.expr()
+        modulus = None
         tok = self.peek()
+        if tok.kind == "NAME" and tok.text == "mod":
+            self.advance()
+            modulus = self.expect_int(2, "modulus must be at least 2")
+            tok = self.peek()
         if tok.kind != "NAME" or tok.text != "within":
             raise self.error("expected 'within'")
         self.advance()
         order_tok = self.peek()
-        order = self.expect_int()
-        if order < 1:
-            raise ParseError("order must be positive", order_tok.line, order_tok.col)
+        order = self.expect_int(1, "order must be positive")
         if order > self.max_order:
             raise ParseError(
                 f"order {order} exceeds the engine maximum {self.max_order}",
@@ -305,7 +328,7 @@ class _Parser:
         end = self.peek()
         if end.kind != "END":
             raise self.error("trailing input after statement")
-        return IdentityStatement(lhs, rhs, order, source.strip())
+        return IdentityStatement(lhs, rhs, order, source.strip(), modulus)
 
     def expr(self) -> ExprNode:
         self.nesting += 1
@@ -363,6 +386,8 @@ class _Parser:
                 return self.theta_call()
             if name == "extract":
                 return self.extract_call()
+            if name == "subs":
+                return self.subs_call()
             if name == "lebesgue":
                 return self.lebesgue_call()
             self.advance()
@@ -375,31 +400,30 @@ class _Parser:
             raise ParseError(f"unknown function name {name!r}", tok.line, tok.col)
         raise self.error("expected an expression")
 
-    def _q_power(self) -> int:
+    def _q_power(self, what: str) -> int:
+        """q^k with k >= 1; `what` names k in the error."""
         tok = self.peek()
         if tok.kind != "NAME" or tok.text != "q":
             raise self.error("expected 'q^'")
         self.advance()
         self.expect_op("^")
-        return self.expect_int()
+        return self.expect_int(1, f"{what} must be >= 1")
 
-    def pochhammer(self) -> ExprNode:
-        self.advance()  # 'P'
-        self.expect_op("(")
+    def _signed_q_power(self, what: str) -> tuple[int, int]:
+        """[-]q^k as (sign, k)."""
         sign = 1
         if self.at_op("-"):
             self.advance()
             sign = -1
-        a_tok = self.peek()
-        a = self._q_power()
+        return sign, self._q_power(what)
+
+    def pochhammer(self) -> ExprNode:
+        self.advance()  # 'P'
+        self.expect_op("(")
+        sign, a = self._signed_q_power("pochhammer exponent a")
         self.expect_op(";")
-        b_tok = self.peek()
-        b = self._q_power()
+        b = self._q_power("pochhammer base exponent b")
         self.expect_op(")")
-        if a < 1:
-            raise ParseError("pochhammer exponent a must be >= 1", a_tok.line, a_tok.col)
-        if b < 1:
-            raise ParseError("pochhammer base exponent b must be >= 1", b_tok.line, b_tok.col)
         return Pochhammer(sign, a, b)
 
     def theta_call(self) -> ExprNode:
@@ -419,17 +443,23 @@ class _Parser:
         self.expect_op("(")
         child = self.expr()
         self.expect_op(",")
-        m_tok = self.peek()
-        m = self.expect_int()
+        m = self.expect_int(1, "extract modulus must be >= 1")
         self.expect_op(",")
         r_tok = self.peek()
         r = self.expect_int()
         self.expect_op(")")
-        if m < 1:
-            raise ParseError("extract modulus must be >= 1", m_tok.line, m_tok.col)
         if not 0 <= r < m:
             raise ParseError("extract residue must satisfy 0 <= r < m", r_tok.line, r_tok.col)
         return self.nested(Extract(child, m, r), tok, child)
+
+    def subs_call(self) -> ExprNode:
+        tok = self.advance()  # 'subs'
+        self.expect_op("(")
+        child = self.expr()
+        self.expect_op(",")
+        sign, d = self._signed_q_power("subs exponent d")
+        self.expect_op(")")
+        return self.nested(Subs(child, sign, d), tok, child)
 
     def lebesgue_call(self) -> ExprNode:
         self.advance()  # 'lebesgue'
@@ -455,14 +485,16 @@ def parse(text: str, max_order: int = MAX_ORDER) -> list[IdentityStatement]:
 # Evaluation
 
 
-def evaluate(expr: ExprNode, order: int) -> TruncatedSeries:
+def evaluate(expr: ExprNode, order: int, values: Optional[Values] = None) -> TruncatedSeries:
     """Exact series value of expr mod q^(order+1).
 
-    extract() children are evaluated at order m*order + r so the result
-    carries a full `order` coefficients; everything else evaluates its
-    children at the same order, which keeps evaluation order-monotone.
-    An extract whose child order would pass MAX_ORDER raises EvalError
-    before anything is expanded.
+    extract() children are evaluated at order m*order + r and subs()
+    children at order // d, so the result carries a full `order`
+    coefficients; everything else evaluates its children at the same
+    order, which keeps evaluation order-monotone.  An extract whose child
+    order would pass MAX_ORDER raises EvalError before anything is
+    expanded.  Named functions come from the store, or from `values` for
+    every index 0..order when it is given.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -476,22 +508,24 @@ def evaluate(expr: ExprNode, order: int) -> TruncatedSeries:
     if isinstance(expr, Theta):
         return theta_series(THETA_FAMILIES[expr.family], order)
     if isinstance(expr, NamedFunction):
-        return gf_series(expr.fid, order)
+        if values is None:
+            return gf_series(expr.fid, order)
+        return TruncatedSeries(values(expr.fid, n) for n in range(order + 1))
     if isinstance(expr, Add):
-        return evaluate(expr.left, order) + evaluate(expr.right, order)
+        return evaluate(expr.left, order, values) + evaluate(expr.right, order, values)
     if isinstance(expr, Sub):
-        return evaluate(expr.left, order) - evaluate(expr.right, order)
+        return evaluate(expr.left, order, values) - evaluate(expr.right, order, values)
     if isinstance(expr, Mul):
-        return evaluate(expr.left, order) * evaluate(expr.right, order)
+        return evaluate(expr.left, order, values) * evaluate(expr.right, order, values)
     if isinstance(expr, Div):
-        divisor = evaluate(expr.right, order)
-        dividend = evaluate(expr.left, order)
+        divisor = evaluate(expr.right, order, values)
+        dividend = evaluate(expr.left, order, values)
         try:
             return dividend / divisor
         except ValueError as exc:
             raise EvalError(str(exc), print_expr(expr.right)) from None
     if isinstance(expr, Pow):
-        return evaluate(expr.base, order) ** expr.exponent
+        return evaluate(expr.base, order, values) ** expr.exponent
     if isinstance(expr, Extract):
         inner_order = expr.m * order + expr.r
         if inner_order > MAX_ORDER:
@@ -499,11 +533,35 @@ def evaluate(expr: ExprNode, order: int) -> TruncatedSeries:
                 f"extract needs its argument to order {inner_order}, above {MAX_ORDER}",
                 print_expr(expr),
             )
-        inner = evaluate(expr.child, inner_order)
+        inner = evaluate(expr.child, inner_order, values)
         return inner.extract(expr.m, expr.r)
+    if isinstance(expr, Subs):
+        out = [0] * (order + 1)
+        out[:: expr.d] = evaluate(expr.child, order // expr.d, values).coeffs
+        if expr.sign == -1:  # (-q^d)^i = (-1)^i q^(d*i): negate the odd i
+            out[expr.d :: 2 * expr.d] = map(neg, out[expr.d :: 2 * expr.d])
+        return TruncatedSeries(out)
     if isinstance(expr, LebesguePartial):
         return lebesgue_partial(expr.j_max, order)
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def read_orders(statements: Iterable[IdentityStatement], order: int) -> dict[PartitionFunctionId, int]:
+    """The largest order to which evaluating the statements at `order` reads
+    each named function, so a caller can grow every table once beforehand."""
+    reads: dict[PartitionFunctionId, int] = {}
+    todo: list[tuple[ExprNode, int]] = [(e, order) for s in statements for e in (s.lhs, s.rhs)]
+    while todo:
+        expr, n = todo.pop()
+        if isinstance(expr, NamedFunction):
+            reads[expr.fid] = max(reads.get(expr.fid, 0), n)
+        elif isinstance(expr, Extract):
+            todo.append((expr.child, expr.m * n + expr.r))
+        elif isinstance(expr, Subs):
+            todo.append((expr.child, n // expr.d))
+        else:  # the operator nodes read their operands at n
+            todo += [(child, n) for child in vars(expr).values() if isinstance(child, get_args(ExprNode))]
+    return reads
 
 
 # ---------------------------------------------------------------------------
@@ -555,35 +613,49 @@ def print_expr(expr: ExprNode) -> str:
         return f"{_wrap(expr.base, _PREC_ATOM)}^{expr.exponent}"
     if isinstance(expr, Extract):
         return f"extract({print_expr(expr.child)}, {expr.m}, {expr.r})"
+    if isinstance(expr, Subs):
+        sign = "-" if expr.sign == -1 else ""
+        return f"subs({print_expr(expr.child)}, {sign}q^{expr.d})"
     if isinstance(expr, LebesguePartial):
         return f"lebesgue({expr.j_max})"
     raise TypeError(f"not an expression node: {expr!r}")
 
 
 def statement_text(stmt: IdentityStatement) -> str:
-    return f"{print_expr(stmt.lhs)} == {print_expr(stmt.rhs)} within {stmt.order}"
+    mod = "" if stmt.modulus is None else f" mod {stmt.modulus}"
+    return f"{print_expr(stmt.lhs)} == {print_expr(stmt.rhs)}{mod} within {stmt.order}"
 
 
 # ---------------------------------------------------------------------------
 # Checking
 
 
+def _difference(stmt: IdentityStatement, lhs: TruncatedSeries, rhs: TruncatedSeries) -> list[int]:
+    diff = list(map(sub, lhs.coeffs, rhs.coeffs))
+    if stmt.modulus is not None:
+        diff = [0] + [v % stmt.modulus for v in diff[1:]]
+    return diff
+
+
+def residuals(stmt: IdentityStatement, order: int, values: Optional[Values] = None) -> list[int]:
+    """lhs - rhs at q^0..q^order, reduced mod M from q^1 on (and 0 at q^0)
+    under `mod M`; the statement holds to `order` when every entry is 0."""
+    return _difference(stmt, evaluate(stmt.lhs, order, values), evaluate(stmt.rhs, order, values))
+
+
 def check(stmt: IdentityStatement, order: Optional[int] = None) -> VerificationReport:
     """Evaluate both sides and compare coefficientwise.
 
-    A failure records the first differing exponent, the residual
-    (lhs - rhs) there, and both coefficients in the detail text.
+    A failure records the first differing exponent, the residual there,
+    and both coefficients in the detail text.
     """
     n = order if order is not None else stmt.order
     start = time.perf_counter()
     lhs = evaluate(stmt.lhs, n)
     rhs = evaluate(stmt.rhs, n)
-    first: Optional[Failure] = None
-    detail: Optional[str] = None
-    for i in range(n + 1):
-        if lhs[i] != rhs[i]:
-            first = Failure(i, lhs[i] - rhs[i])
-            detail = f"q^{i}: lhs={lhs[i]}, rhs={rhs[i]}"
-            break
+    diff = _difference(stmt, lhs, rhs)
+    i = next((i for i, r in enumerate(diff) if r), None)
+    first = None if i is None else Failure(i, diff[i])
+    detail = None if i is None else f"q^{i}: lhs={format_int(lhs[i])}, rhs={format_int(rhs[i])}"
     millis = int((time.perf_counter() - start) * 1000)
     return VerificationReport(stmt.label(), n, first is None, first, millis, detail)

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import threading
 from enum import Enum
-from fractions import Fraction
 from operator import add
-from typing import Union
+from typing import Callable, Hashable, Sequence
 
 from .series import (
     ProductSpec,
@@ -47,6 +46,7 @@ __all__ = [
     "gf_series",
     "function_value",
     "lebesgue_partial",
+    "Values",
 ]
 
 
@@ -73,6 +73,10 @@ class PartitionFunctionId(Enum):
     @property
     def product(self) -> ProductSpec:
         return PRODUCTS[self]
+
+
+# A source of coefficients, called as values(fid, n) like `function_value`.
+Values = Callable[[PartitionFunctionId, int], int]
 
 
 PRODUCTS: dict[PartitionFunctionId, ProductSpec] = {
@@ -102,43 +106,39 @@ ETA_QUOTIENTS: dict[PartitionFunctionId, dict[int, int]] = {
     PartitionFunctionId.PEED: {4: 1, 1: -1},
 }
 
-_cache: dict[PartitionFunctionId, tuple[int, ...]] = {}
-_cache_lock = threading.Lock()
+_cache: dict[PartitionFunctionId, Sequence[int]] = {}
+# one lock for every store; reentrant, as growing a residual table reads this store
+_cache_lock = threading.RLock()
 _CACHE_SEED_ORDER = 64
 
 
-def gf_series(fid: PartitionFunctionId, order: int) -> TruncatedSeries:
-    """Exact coefficients of the named function's generating function.
-
-    Read from the store; a request beyond it expands the eta quotient to
-    at least twice the stored order, so growing one coefficient at a time
-    amortizes to a few expansions.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    table = _cache.get(fid)
+def grown(store: dict, key: Hashable, order: int, expand: Callable[[int], Sequence[int]]) -> Sequence[int]:
+    """store[key] once it holds index `order`: a shorter table is replaced,
+    under the lock, by `expand(n)` for n at least twice its order, so growing
+    one index at a time amortizes to a few expansions.  Tables only grow and
+    every expansion is an exact prefix of the next."""
+    table = store.get(key)
     if table is None or order >= len(table):
         with _cache_lock:
-            table = _cache.get(fid)
+            table = store.get(key)
             if table is None or order >= len(table):
                 current = len(table) - 1 if table else -1
-                grown = max(order, 2 * current, _CACHE_SEED_ORDER)
-                table = eta_quotient(ETA_QUOTIENTS[fid], grown).coeffs
-                _cache[fid] = table
+                table = expand(max(order, 2 * current, _CACHE_SEED_ORDER))
+                store[key] = table
+    return table
+
+
+def gf_series(fid: PartitionFunctionId, order: int) -> TruncatedSeries:
+    """Exact coefficients of the named function's generating function,
+    read from the store and grown by expanding its eta quotient."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    table = grown(_cache, fid, order, lambda n: eta_quotient(ETA_QUOTIENTS[fid], n).coeffs)
     return TruncatedSeries(table[: order + 1])
 
 
-def function_value(fid: PartitionFunctionId, n: Union[int, Fraction]) -> int:
-    """Coefficient of q^n, with the out-of-domain convention value 0.
-
-    Negative n and non-integral rational n both return 0, which is what
-    every recurrence in this package relies on when its shifted argument
-    falls outside Z>=0.
-    """
-    if isinstance(n, Fraction):
-        if n.denominator != 1:
-            return 0
-        n = int(n)
+def function_value(fid: PartitionFunctionId, n: int) -> int:
+    """Coefficient of q^n, and 0 for negative n (an index shifted below zero)."""
     if n < 0:
         return 0
     table = _cache.get(fid)

@@ -5,7 +5,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-__all__ = ["Failure", "VerificationReport"]
+__all__ = ["Failure", "VerificationReport", "format_int"]
+
+
+def format_int(value: int) -> str:
+    """str(value), or, past CPython's limit on converting an int to text
+    (4300 digits by default), its leading digits and its digit count."""
+    try:
+        return str(value)
+    except ValueError:
+        size = abs(value)
+        digits = int(size.bit_length() * 0.30102999566398120)  # log10(2): one short at most
+        digits += 10**digits <= size
+        return f"{'-' if value < 0 else ''}{size // 10 ** (digits - 20)}...({digits} digits)"
 
 
 @dataclass(frozen=True)
@@ -50,7 +62,8 @@ class VerificationReport:
     def summary_line(self) -> str:
         base = f"{self.theorem}: {self.status} (n <= {self.n_max}, {self.millis} ms)"
         if self.first_failure is not None:
-            base += f"; first failure at n={self.first_failure.n}, residual={self.first_failure.residual}"
+            fail = self.first_failure
+            base += f"; first failure at n={fail.n}, residual={format_int(fail.residual)}"
         if self.detail:
             base += f" [{self.detail}]"
         return base

@@ -219,18 +219,6 @@ def _terms(coeffs: Sequence[int]) -> list[tuple[int, int]]:
     return [(g, c) for g, c in enumerate(coeffs) if c and g]
 
 
-def _add_scaled(acc: list[int], g: int, src: Sequence[int], c: int, step: int = 1) -> None:
-    """acc[g::step] += c * src elementwise, in place, as one C-level slice
-    pass; src must be at least as long as acc[g::step], and exactly as long
-    when step > 1 (with step 1 its excess is ignored)."""
-    if c == 1:
-        acc[g::step] = map(add, acc[g::step], src)
-    elif c == -1:
-        acc[g::step] = map(sub, acc[g::step], src)
-    else:
-        acc[g::step] = map(add, acc[g::step], map(mul, repeat(c), src))
-
-
 def _mul_sparse(
     acc: list[int], terms: Sequence[tuple[int, int]], c0: int = 1, divide: bool = False
 ) -> None:
@@ -269,8 +257,13 @@ def _mul_sparse(
     old = acc[:]
     if c0 != 1:
         acc[:] = map(mul, repeat(c0), old)
-    for g, c in terms:
-        _add_scaled(acc, g, old, c)
+    for g, c in terms:  # each term is one C-level slice pass
+        if c == 1:
+            acc[g:] = map(add, acc[g:], old)
+        elif c == -1:
+            acc[g:] = map(sub, acc[g:], old)
+        else:
+            acc[g:] = map(add, acc[g:], map(mul, repeat(c), old))
 
 
 @dataclass(frozen=True)
@@ -399,6 +392,11 @@ THETA_FAMILIES: dict[str, ThetaFamily] = {
         ThetaFamily("SQ", lambda k: k * k, lambda k: 1, two_sided=True),
         ThetaFamily("TWOSQ", lambda k: 2 * k * k, neg_one_pow, two_sided=True),
         ThetaFamily("TWO_TRI4", lambda k: 2 * k * (k + 1), lambda k: 1, two_sided=False),
+        # phi(-q) = sum_j (-1)^j q^(j^2) over j in Z, and the same sum over j >= 0 only
+        ThetaFamily("SIGNED_SQ", lambda k: k * k, neg_one_pow, two_sided=True),
+        ThetaFamily("SIGNED_SQ_POS", lambda k: k * k, neg_one_pow, two_sided=False),
+        # Merca's generalized pentagonal numbers G_k = 0, 1, 2, 5, 7, 12, ...
+        ThetaFamily("GPENT", _merca_gpent, lambda k: neg_one_pow(ceil_half(k)), two_sided=False),
         ThetaFamily(
             "GPENT_HALF",
             lambda k: Fraction(_merca_gpent(k), 2),

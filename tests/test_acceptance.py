@@ -16,7 +16,7 @@ import time
 from partrec import dsl
 from partrec.functions import PartitionFunctionId as F, function_value, gf_series, lebesgue_partial
 from partrec.oracle import constraint_for, oracle_count, oracle_table
-from partrec.recurrences import TheoremId, fast_po_odd_table, verify_all
+from partrec.recurrences import TheoremId, fast_po_odd_table, residual, verify_all
 from partrec.series import THETA_FAMILIES, pochhammer_expand, theta_series
 
 from conftest import JACOBI_TRIPLE_PRODUCT_CASES, PAPER_QID, REPO_ROOT
@@ -146,18 +146,13 @@ def test_criterion_7_dissection_products():
 
 
 def test_criterion_8_parity_congruences_to_2000():
-    from partrec.recurrences import (
-        parity_residual_p,
-        parity_residual_p2,
-        parity_residual_pood,
-    )
-
+    parities = (TheoremId.COR_POOD_PARITY, TheoremId.COR_P_PARITY, TheoremId.COR_P2_PARITY)
     # warm the three tables once; the scans then only index into them
     for fid in (F.POOD, F.P, F.P2MOD4):
         function_value(fid, 2000)
     offenders = []
     for n in range(1, 2001):
-        if parity_residual_pood(n) or parity_residual_p(n) or parity_residual_p2(n):
+        if any(residual(tid, n) for tid in parities):
             offenders.append(n)
     ok = not offenders
     announce(8, "three congruence sums are even for 1 <= n <= 2000", ok)

@@ -331,3 +331,30 @@ def test_benchmark_tracer_still_installs(tmp_path):
     doc = json.loads(proc.stdout.splitlines()[-1])
     assert doc["codes"] == [0, 0]
     assert {"functions.gf_series", "recurrences.verify", "dsl.check"} <= set(doc["names"])
+
+
+def test_check_oversized_coefficient_fails_without_traceback(tmp_path):
+    # 999^5000 has 14998 digits, past CPython's limit on converting an int to text
+    path = tmp_path / "huge.qid"
+    path.write_text("999^5000 == 0 within 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "partrec", "check", str(path)],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 1
+    [line] = proc.stdout.splitlines()
+    assert line.startswith("999^5000 == 0 within 1: fail")
+    # 999^5000 = 6.7211119598656178118... * 10^14997
+    head = "67211119598656178118...(14998 digits)"
+    assert f"residual={head} [q^0: lhs={head}, rhs=0]" in line
+    assert "Traceback" not in proc.stderr
+
+
+def test_format_int_past_the_digit_limit():
+    from partrec.report import format_int
+
+    assert format_int(10**4299) == str(10**4299)  # 4300 digits: printed in full
+    assert format_int(-(10**4300)) == "-" + "1" + "0" * 19 + "...(4301 digits)"
+    assert format_int(10**5000 - 1) == "9" * 20 + "...(5000 digits)"

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from partrec.dsl import (
     MAX_DEPTH,
     MAX_DIGITS,
+    Add,
     Div,
     EvalError,
     Extract,
+    IdentityStatement,
     IntLiteral,
     MAX_ORDER,
     LebesguePartial,
@@ -20,15 +22,19 @@ from partrec.dsl import (
     ParseError,
     Pochhammer,
     Pow,
+    Sub,
+    Subs,
     Theta,
     check,
     evaluate,
     parse,
     print_expr,
+    read_orders,
+    residuals,
     statement_text,
 )
-from partrec.functions import PartitionFunctionId as F
-from partrec.recurrences import _MOD2, _SUITES, TheoremId
+from partrec.functions import PartitionFunctionId as F, gf_series
+from partrec.recurrences import _SUITES, TheoremId
 from partrec.series import THETA_FAMILIES
 
 from conftest import PAPER_QID
@@ -357,52 +363,134 @@ def test_parse_raises_only_parse_error(text):
 
 
 # ---------------------------------------------------------------------------
-# The theorem records against the identity language: a record with m = 1,
-# r = 0, div = 1, scale = 1, no parity gate, not taken mod 2 and only named
-# theta kernels is the product identity sum(positive terms) == sum(negated
-# negative terms), which the language states directly.
-
-_PLAIN_SUITES = {
-    "T1", "T2", "T3", "T4", "T5", "T6", "T9_P2", "T_QBAR", "T_PDO_IDENT", "T_PD_IDENT",
-    "COR_PDO", "COR_PD", "CLASSICAL_EULER", "CLASSICAL_MERCA_PEED_2SQ",
-}
+# The theorem suites are statements of the language
 
 
-def _plain(tid, terms):
-    return tid not in _MOD2 and all(
-        (t.m, t.r, t.div, t.scale, t.parity) == (1, 0, 1, 1, None)
-        and (t.kernel is None or THETA_FAMILIES.get(t.kernel.name) is t.kernel)
-        for t in terms
-    )
-
-
-def _render_term(t, sign):
-    parts = [str(sign * t.coeff)] if sign * t.coeff != 1 else []
-    parts += [t.f.value] if t.f is not None else []
-    parts += [f"theta({t.kernel.name})"] if t.kernel is not None else []
-    return " * ".join(parts) or "1"
-
-
-def _render(terms, order):
-    lhs = " + ".join(_render_term(t, 1) for t in terms if t.coeff > 0) or "0"
-    rhs = " + ".join(_render_term(t, -1) for t in terms if t.coeff < 0) or "0"
-    return f"{lhs} == {rhs} within {order}"
-
-
-def test_plain_records_state_their_identity_in_the_language():
-    rendered = {tid.value: _render(terms, 300) for tid, terms in _SUITES.items() if _plain(tid, terms)}
-    assert set(rendered) == _PLAIN_SUITES
-    assert rendered["T1"] == "po_bar * theta(PENT) == theta(PENT_CEIL) within 300"
-    assert rendered["CLASSICAL_EULER"] == "p * theta(PENT) == 1 within 300"
-    for tid, text in rendered.items():
-        [stmt] = parse(text)
+def test_every_suite_is_a_statement_in_the_language():
+    assert set(_SUITES) == set(TheoremId)
+    for tid, text in _SUITES.items():
+        [stmt] = parse(f"{text} within 300")
+        assert statement_text(stmt) == f"{text} within 300"
         report = check(stmt)
         assert report.passed, (tid, report.summary_line())
 
 
-def test_record_with_swapped_kernel_renders_a_failing_statement():
-    first, rhs = _SUITES[TheoremId.T1]
-    swapped = (first._replace(kernel=THETA_FAMILIES["PENT_CEIL"]), rhs)
-    text = _render(swapped, 300)
-    assert text == "po_bar * theta(PENT_CEIL) == theta(PENT_CEIL) within 300"
-    assert not check(parse(text)[0]).passed
+def test_suite_with_swapped_kernel_fails():
+    text = _SUITES[TheoremId.T1].replace("theta(PENT)", "theta(PENT_CEIL)")
+    assert text == "po_bar * theta(PENT_CEIL) == theta(PENT_CEIL)"
+    assert not check(parse(f"{text} within 300")[0]).passed
+
+
+# ---------------------------------------------------------------------------
+# subs, mod, value sources and read orders
+
+
+def test_subs_sign_twist():
+    pdo = gf_series(F.PDO, 20)
+    [stmt] = parse("subs(pdo, -q^1) == subs(pdo, -q^2) within 20")
+    assert list(evaluate(stmt.lhs, 20)) == [(-1) ** n * pdo[n] for n in range(21)]
+    twisted = [0] * 21
+    twisted[::2] = [(-1) ** i * pdo[i] for i in range(11)]
+    assert list(evaluate(stmt.rhs, 20)) == twisted
+
+
+def test_subs_order_not_divisible_by_d():
+    # order 10 with d = 3 reads p to order 3 and keeps all 11 coefficients
+    series = evaluate(Subs(NamedFunction(F.P), 1, 3), 10)
+    assert list(series) == [1, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0]
+
+
+def test_subs_print_parse_round_trip():
+    text = "subs(extract(pdo, 2, 0), -q^2) == subs(p * theta(TRI), q^1) - 1 within 9"
+    [stmt] = parse(text)
+    assert stmt.lhs == Subs(Extract(NamedFunction(F.PDO), 2, 0), -1, 2)
+    assert statement_text(stmt) == text
+    with pytest.raises(ParseError, match="subs exponent d must be >= 1") as info:
+        parse("subs(p, q^0) == p within 5")
+    assert (info.value.line, info.value.col) == (1, 11)  # at the 0
+
+
+def test_mod_skips_q0():
+    # the constant term 3 is odd, but q^0 is not compared
+    [stmt] = parse("2 * p + 3 == 0 mod 2 within 40")
+    assert stmt.modulus == 2
+    assert check(stmt).passed
+    assert not check(parse("2 * p + 3 == 0 within 40")[0]).passed
+
+
+def test_mod_reports_the_residual_mod_m():
+    [stmt] = parse("7 * po_bar == 0 mod 4 within 5")
+    report = check(stmt)
+    assert report.first_failure is not None
+    assert (report.first_failure.n, report.first_failure.residual) == (1, 2)  # 14 mod 4
+    assert report.detail == "q^1: lhs=14, rhs=0"
+    assert residuals(parse("0 == po_bar mod 4 within 5")[0], 5) == [0, 2, 2, 0, 2, 0]
+
+
+@pytest.mark.parametrize("modulus", ["0", "1"])
+def test_mod_below_two_is_a_parse_error(modulus):
+    with pytest.raises(ParseError, match="modulus must be at least 2") as info:
+        parse(f"\np == p mod {modulus} within 5")
+    assert (info.value.line, info.value.col) == (2, 12)
+
+
+def test_evaluate_reads_a_values_source():
+    def doubled(fid, n):
+        return 2 * gf_series(fid, n)[n]
+
+    product = Mul(NamedFunction(F.P), NamedFunction(F.PD))
+    assert list(evaluate(product, 6, doubled)) == [4 * c for c in evaluate(product, 6)]
+
+
+def test_read_orders():
+    statements = parse(
+        "extract(po_bar, 2, 1) == 2 * op * theta(TWO_TRI4) within 5\n"
+        "subs(extract(pdo, 2, 0), q^2) == p * subs(p, q^4) within 5\n"
+    )
+    assert read_orders(statements, 10) == {F.PO_ODD: 21, F.OP: 10, F.PDO: 10, F.P: 10}
+    assert read_orders(statements[1:], 9) == {F.PDO: 8, F.P: 9}
+
+
+# ---------------------------------------------------------------------------
+# Round trip of random trees: statement_text, then parse, gives the same tree
+
+_leaves = st.one_of(
+    st.integers(0, 30).map(IntLiteral),
+    st.builds(Pochhammer, st.sampled_from([1, -1]), st.integers(1, 4), st.integers(1, 4), st.integers(0, 3)),
+    st.sampled_from(sorted(THETA_FAMILIES)).map(Theta),
+    st.sampled_from(list(F)).map(NamedFunction),
+    st.integers(0, 4).map(LebesguePartial),
+)
+
+
+def _extend(children):
+    binary = st.sampled_from([Add, Sub, Mul, Div])
+    return st.one_of(
+        st.builds(lambda op, a, b: op(a, b), binary, children, children),
+        # P(...)^k parses back into the Pochhammer's own power, so Pow never wraps a power-1 atom
+        st.builds(Pow, children, st.integers(0, 3)).filter(
+            lambda e: not (isinstance(e.base, Pochhammer) and e.base.power == 1)
+        ),
+        st.integers(1, 3).flatmap(lambda m: st.builds(Extract, children, st.just(m), st.integers(0, m - 1))),
+        st.builds(Subs, children, st.sampled_from([1, -1]), st.integers(1, 3)),
+    )
+
+
+_trees = st.recursive(_leaves, _extend, max_leaves=8)
+
+
+def _value(expr, order):
+    try:
+        return evaluate(expr, order)
+    except EvalError as exc:  # a non-unit divisor
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees, _trees, st.one_of(st.none(), st.integers(2, 7)), st.integers(1, 6))
+def test_random_statements_survive_print_and_parse(lhs, rhs, modulus, order):
+    stmt = IdentityStatement(lhs, rhs, order, modulus=modulus)
+    [parsed] = parse(statement_text(stmt))
+    assert parsed == stmt
+    assert _value(parsed.lhs, order) == _value(lhs, order)
+    assert _value(parsed.rhs, order) == _value(rhs, order)

@@ -101,12 +101,14 @@ def test_from_name_round_trip():
 
 def test_function_value_out_of_domain():
     assert function_value(F.PO_ODD, -3) == 0
-    assert function_value(F.P, Fraction(1, 2)) == 0
-    assert function_value(F.P, Fraction(-7, 2)) == 0
+    assert function_value(F.P, -1) == 0
 
 
 def test_function_value_integral_fraction_matches_int():
-    assert function_value(F.P, Fraction(10, 2)) == function_value(F.P, 5) == 7
+    # indices are ints: a caller converts an integral rational itself
+    assert function_value(F.P, int(Fraction(10, 2))) == function_value(F.P, 5) == 7
+    with pytest.raises(TypeError):
+        function_value(F.P, Fraction(10, 2))
 
 
 def test_function_value_examples():

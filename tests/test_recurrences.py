@@ -5,38 +5,20 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 import threading
 from fractions import Fraction
 
 import pytest
 
-from partrec import functions
+from partrec import dsl, functions, recurrences
 from partrec.functions import ETA_QUOTIENTS, PartitionFunctionId as F, function_value, gf_series
 from partrec.recurrences import (
+    VERIFY_MAX_N,
     TheoremId,
-    _add_term,
     _residuals,
-    _Term,
     fast_po_odd_table,
     residual,
-    residual_cks_signed,
-    residual_cor_pd,
-    residual_cor_pdo,
-    residual_dissect_even,
-    residual_dissect_odd,
-    residual_euler,
-    residual_merca_gk,
-    residual_merca_peed_2sq,
-    residual_pd_identity,
-    residual_pdo_identity,
-    residual_qbar,
-    residual_t1,
-    residual_t2,
-    residual_t3,
-    residual_t4,
-    residual_t5,
-    residual_t6,
-    residual_t9,
     verify,
     verify_all,
 )
@@ -82,11 +64,10 @@ def test_triangular_indicator():
 
 
 def test_oblong_indicator():
-    # the MERCA_PEED_TRI right side, through the engine that evaluates it
+    # the MERCA_PEED_TRI right side, theta(TRI) with q replaced by q^2
     oblongs = {k * (k + 1) for k in range(120)}
-    window = [0] * 10_001
-    _add_term(window, _Term(1, None, THETA_FAMILIES["TRI"], scale=2), 0, function_value)
-    assert window == [1 if n in oblongs else 0 for n in range(10_001)]
+    series = dsl.evaluate(dsl.Subs(dsl.Theta("TRI"), 1, 2), 10_000)
+    assert list(series) == [1 if n in oblongs else 0 for n in range(10_001)]
 
 
 def test_square_rhs():
@@ -94,11 +75,8 @@ def test_square_rhs():
     assert list(_theta("SQ", 10_000)) == [1] + [
         2 if n in squares else 0 for n in range(1, 10_001)
     ]
-    # with no kernel the term is the series 1: the origin indicator
-    for lo, expected in ((0, [1, 0, 0, 0]), (3, [0])):
-        window = [0] * len(expected)
-        _add_term(window, _Term(1, None), lo, function_value)
-        assert window == expected
+    # the CLASSICAL_EULER right side, the series 1, is the origin indicator
+    assert list(dsl.evaluate(dsl.IntLiteral(1), 3)) == [1, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -111,26 +89,26 @@ def test_t1_examples():
     # n=2: 2 - 2 - 1 = -1, and 2 is pentagonal with negative sign
     # n=3: 4 - 2 - 2 = 0, and 3 is not pentagonal
     for n in (1, 2, 3):
-        assert residual_t1(n) == 0
+        assert residual(TheoremId.T1, n) == 0
 
 
 def test_t2_examples():
-    assert residual_t2(0) == 0
+    assert residual(TheoremId.T2, 0) == 0
     # 40 - 30 - 16 + 6 + 1 = 1 at the triangular number 10
-    assert residual_t2(10) == 0
+    assert residual(TheoremId.T2, 10) == 0
     # 6 - 4 - 2 = 0 and 4 is not triangular
-    assert residual_t2(4) == 0
+    assert residual(TheoremId.T2, 4) == 0
 
 
 def test_t3_examples():
-    assert residual_t3(0) == 0
-    assert residual_t3(4) == 0   # 6 - 4 = 2 at the square 4
-    assert residual_t3(10) == 0  # 40 - 44 + 4 = 0
+    assert residual(TheoremId.T3, 0) == 0
+    assert residual(TheoremId.T3, 4) == 0   # 6 - 4 = 2 at the square 4
+    assert residual(TheoremId.T3, 10) == 0  # 40 - 44 + 4 = 0
 
 
 def test_t4_examples():
     for n in (0, 3, 5):
-        assert residual_t4(n) == 0
+        assert residual(TheoremId.T4, n) == 0
     # the n=5 sum is pood(5) + pood(4) + pood(2) = 4 + 3 + 1
     assert function_value(F.POOD, 5) + function_value(F.POOD, 4) + function_value(
         F.POOD, 2
@@ -139,14 +117,14 @@ def test_t4_examples():
 
 def test_t5_examples():
     for n in (0, 3, 5):
-        assert residual_t5(n) == 0
+        assert residual(TheoremId.T5, n) == 0
     # n=5: p(5) + p(4) - p(3) - p(0) = 7 + 5 - 3 - 1 = 8
     assert 7 + 5 - 3 - 1 == function_value(F.PO_ODD, 5)
 
 
 def test_t6_examples():
     for n in (0, 4, 10):
-        assert residual_t6(n) == 0
+        assert residual(TheoremId.T6, n) == 0
     # n=10 reads 232 - 200 + 8 = 40, another erratum witness
     assert function_value(F.OP, 10) - 2 * function_value(F.OP, 8) + 2 * function_value(
         F.OP, 2
@@ -155,16 +133,16 @@ def test_t6_examples():
 
 def test_dissection_examples():
     for n in (0, 2, 4):
-        assert residual_dissect_odd(n) == 0
+        assert residual(TheoremId.T7_DISSECT_ODD, n) == 0
     for n in (0, 2, 5):
-        assert residual_dissect_even(n) == 0
+        assert residual(TheoremId.T8_DISSECT_EVEN, n) == 0
     # even dissection at n=5 is po_bar(10) = op(5) + 2*op(3) = 24 + 16 = 40
     assert function_value(F.OP, 5) + 2 * function_value(F.OP, 3) == 40
 
 
 def test_t9_examples():
     for n in (0, 3, 5):
-        assert residual_t9(n) == 0
+        assert residual(TheoremId.T9_P2, n) == 0
     # P2(3) + P2(2) + P2(0) = 2 + 1 + 1 = po_bar(3)
     assert function_value(F.P2MOD4, 3) + function_value(F.P2MOD4, 2) + function_value(
         F.P2MOD4, 0
@@ -173,14 +151,14 @@ def test_t9_examples():
 
 def test_qbar_examples():
     for n in (0, 2, 3):
-        assert residual_qbar(n) == 0
+        assert residual(TheoremId.T_QBAR, n) == 0
     assert function_value(F.QBAR, 2) == 3
     assert function_value(F.QBAR, 3) == 6
 
 
 def test_pdo_identity_examples():
     for n in (0, 2, 5):
-        assert residual_pdo_identity(n) == 0
+        assert residual(TheoremId.T_PDO_IDENT, n) == 0
     # at n=5 both sides equal -1
     rhs = function_value(F.PDO, 5) - function_value(F.PDO, 3) - function_value(F.PDO, 1)
     assert rhs == -1
@@ -188,7 +166,7 @@ def test_pdo_identity_examples():
 
 def test_pd_identity_examples():
     for n in (0, 2, 3):
-        assert residual_pd_identity(n) == 0
+        assert residual(TheoremId.T_PD_IDENT, n) == 0
     # the k = -1 term of the right side shifts by (-1)(3(-1)+1) = 2
     assert function_value(F.PD, 2) - function_value(F.PD, 0) == 0
 
@@ -200,13 +178,13 @@ def test_pd_identity_must_be_one_sided():
     for k in (0, -1):
         doubled += neg_one_pow(ceil_half(k)) * function_value(F.PO_ODD, 0)
     assert doubled == 2
-    assert residual_pd_identity(0) == 0
+    assert residual(TheoremId.T_PD_IDENT, 0) == 0
 
 
 def test_corollary_examples():
-    assert residual_cor_pdo(5) == 0  # sum is -1 and 5 is pentagonal, sign -1
-    assert residual_cor_pd(3) == 0   # 2 - 1 = 1 at the triangular number 3
-    assert residual_cor_pd(4) == 0   # 2 - 1 - 1 = 0, 4 not triangular
+    assert residual(TheoremId.COR_PDO, 5) == 0  # sum is -1 and 5 is pentagonal, sign -1
+    assert residual(TheoremId.COR_PD, 3) == 0   # 2 - 1 = 1 at the triangular number 3
+    assert residual(TheoremId.COR_PD, 4) == 0   # 2 - 1 - 1 = 0, 4 not triangular
     assert _theta("PENT_CEIL", 5)[5] == -1
 
 
@@ -217,25 +195,25 @@ def test_parity_examples():
 
 
 def test_euler_example():
-    assert residual_euler(5) == 0  # 7 - 5 - 3 + 1 = 0
-    assert residual_euler(0) == 0
+    assert residual(TheoremId.CLASSICAL_EULER, 5) == 0  # 7 - 5 - 3 + 1 = 0
+    assert residual(TheoremId.CLASSICAL_EULER, 0) == 0
 
 
 def test_cks_signed_example():
     # p(4) - 2p(3) + 2p(0) = 5 - 6 + 2 = 1 = (+1) * pdo(4)
-    assert residual_cks_signed(4) == 0
+    assert residual(TheoremId.CLASSICAL_CKS_SIGNED, 4) == 0
     assert function_value(F.PDO, 4) == 1
 
 
 def test_merca_peed_examples():
     # peed(3) - 2*peed(1) = 3 - 2 = 1 and 3 is triangular
-    assert residual_merca_peed_2sq(3) == 0
+    assert residual(TheoremId.CLASSICAL_MERCA_PEED_2SQ, 3) == 0
     assert gf_series(F.PEED, 5).coeffs == (1, 1, 2, 3, 4, 6)
 
 
 def test_merca_gk_example():
     # n=2: (p(2) - p(1)) - p(1) = 0; half-integral shifts contribute nothing
-    assert residual_merca_gk(2) == 0
+    assert residual(TheoremId.CLASSICAL_MERCA_GK, 2) == 0
 
 
 def test_merca_gk_uses_rational_arguments():
@@ -255,7 +233,8 @@ def test_merca_gk_uses_rational_arguments():
             shift = Fraction(c * (3 * c + neg_one_pow(k)) // 2, 2)
             if shift > n:
                 break
-            lhs += neg_one_pow(c) * function_value(F.P, n - shift)
+            if shift.denominator == 1:  # p is zero at half-integers
+                lhs += neg_one_pow(c) * function_value(F.P, n - int(shift))
             k += 1
         assert lhs == conv[n]
 
@@ -309,14 +288,13 @@ def test_residual_composition():
         return static[key]
 
     for n in range(0, 120, 7):
-        assert residual_cor_pdo(n, source) == residual_t1(n, source) - residual_pdo_identity(
-            n, source
-        )
+        cor_pdo = residual(TheoremId.COR_PDO, n, source)
+        assert cor_pdo == residual(TheoremId.T1, n, source) - residual(TheoremId.T_PDO_IDENT, n, source)
 
 
 # sha256 of the residuals at 0 <= n <= 300, space-separated, under
-# `_golden_noisy`; pinned from the hand-written residual functions the
-# record engine replaced, so each suite must reproduce them term for term
+# `_golden_noisy`; pinned from the hand-written residual functions that the
+# suite statements replaced, so each must reproduce them term for term
 GOLDEN_RESIDUAL_DIGESTS = {
     "T1": "52e30bc863d73a9edd3ffd1c177dd39ff89ecfb8b3660bc9242d6709b852edef",
     "T2": "df9a8bbdc6c7a43e4e4eeb35214428a1ac48f892fc89a831fe3364286413f789",
@@ -359,9 +337,9 @@ def _golden_noisy(fid, n):
 
 @pytest.mark.parametrize("tid", [t for t in TheoremId if t is not TheoremId.LEBESGUE])
 def test_residuals_match_golden_digests(tid):
-    # the pointwise path (lo = hi = n) and the whole-range scan (lo = 0)
+    # the pointwise path and the whole-range scan
     pointwise = [residual(tid, n, _golden_noisy) for n in range(301)]
-    scanned = _residuals(tid, 0, 300, _golden_noisy)
+    scanned = _residuals(tid, 300, _golden_noisy)
     for vector in (pointwise, scanned):
         text = " ".join(map(str, vector))
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_RESIDUAL_DIGESTS[tid.value]
@@ -369,12 +347,72 @@ def test_residuals_match_golden_digests(tid):
 
 @pytest.mark.parametrize("tid", list(TheoremId))
 def test_any_window_is_a_slice_of_the_whole_scan(tid):
-    # odd and even window starts, so the parity gates and the m = 2 strides
-    # meet every alignment; the noisy source keeps zero residuals from hiding
-    # a misplaced term
-    whole = _residuals(tid, 0, 120, _golden_noisy)
-    for lo, hi in ((0, 0), (1, 1), (7, 7), (3, 40), (8, 41), (119, 120)):
-        assert _residuals(tid, lo, hi, _golden_noisy) == whole[lo : hi + 1]
+    # pointwise residuals at odd and even n, so the mod-2 rule, subs(., q^2)
+    # and extract(., 2, r) meet both alignments; the noisy source keeps zero
+    # residuals from hiding a misplaced term, and the memoized source reads
+    # the suite's residual table
+    whole = _residuals(tid, 120, _golden_noisy)
+    for n in (0, 1, 7, 40, 41, 119, 120):
+        assert residual(tid, n, _golden_noisy) == whole[n]
+    assert [residual(tid, n) for n in (0, 1, 64, 65, 120)] == [0] * 5
+
+
+def test_residual_table_grows_to_the_suite_order():
+    # the table doubles past n, but never past VERIFY_MAX_N, where T7 reads po_bar at 4999
+    assert residual(TheoremId.T7_DISSECT_ODD, 1500) == 0
+    assert residual(TheoremId.T7_DISSECT_ODD, VERIFY_MAX_N) == 0
+    with pytest.raises(dsl.EvalError, match=f"above the suite's order {VERIFY_MAX_N}"):
+        residual(TheoremId.T1, VERIFY_MAX_N + 1)
+    with pytest.raises(dsl.EvalError):
+        verify(TheoremId.T1, VERIFY_MAX_N + 1)
+    with pytest.raises(dsl.EvalError):
+        verify_all(VERIFY_MAX_N + 1)
+    with pytest.raises(ValueError):
+        residual(TheoremId.T1, -1)
+
+
+def test_residual_table_concurrent_growth(monkeypatch):
+    # growing a residual table reads the function store under the same,
+    # reentrant lock; each expansion must grow the table, none repeated or lost
+    scan = recurrences._residuals
+    orders = []
+
+    def recording(tid, n_max, values):
+        orders.append(n_max)
+        return scan(tid, n_max, values)
+
+    monkeypatch.setattr(recurrences, "_residuals", recording)
+    monkeypatch.setattr(recurrences, "_tables", {})
+    functions._cache_clear()
+    errors = []
+
+    def worker(seed):
+        for n in range(seed, 600, 7):
+            if residual(TheoremId.T2, n):
+                errors.append(n)
+
+    threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert orders == sorted(set(orders)) and orders[-1] >= 599
+
+
+def test_every_suite_reads_the_callers_source():
+    # LEBESGUE too: it reads po_bar from `values`, not from the store
+    def corrupted(fid, n):
+        return function_value(fid, n) + (1 if (fid is F.PO_ODD and n == 9) else 0)
+
+    report = verify(TheoremId.LEBESGUE, 50, values=corrupted)
+    assert report.first_failure is not None and report.first_failure.n == 9
 
 
 def test_mutation_sensitivity():
