@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from . import dsl, oracle
 from .functions import PartitionFunctionId, gf_series
 from .recurrences import VERIFY_MAX_N, TheoremId, verify, verify_all
-from .report import VerificationReport
+from .report import VerificationReport, format_int
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -82,7 +82,7 @@ def _emit_reports(reports: list[VerificationReport], fmt: str, many: bool) -> No
                 r.n_max,
                 r.status,
                 "" if fail is None else fail.n,
-                "" if fail is None else fail.residual,
+                "" if fail is None else format_int(fail.residual),
                 r.millis,
             ])
     else:

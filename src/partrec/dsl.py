@@ -15,6 +15,11 @@ identity checked by expanding both sides to the stated order and comparing
 coefficients; with `mod M` (M >= 2) they are compared modulo M from q^1
 on.  Named functions come from the memoized store, or from a caller's
 `values` source, through which the theorem suites run on corrupted tables.
+
+Every maximal chain of *, / and ^ that holds a Pochhammer atom is folded
+into a `series.ProductForm` (its atoms and integer literals) and applied in
+place to the dense product of its other, opaque factors; chains without a
+Pochhammer atom, the theorem suites' among them, multiply dense series.
 """
 
 from __future__ import annotations
@@ -28,9 +33,9 @@ from .functions import PartitionFunctionId, Values, gf_series, lebesgue_partial
 from .report import Failure, VerificationReport, format_int
 from .series import (
     THETA_FAMILIES,
-    ProductSpec,
+    ProductForm,
     TruncatedSeries,
-    pochhammer_expand,
+    pochhammer_expand,  # noqa: F401  (the reference route; bench/spans.py wraps this name)
     theta_series,
 )
 
@@ -494,17 +499,16 @@ def evaluate(expr: ExprNode, order: int, values: Optional[Values] = None) -> Tru
     order, which keeps evaluation order-monotone.  An extract whose child
     order would pass MAX_ORDER raises EvalError before anything is
     expanded.  Named functions come from the store, or from `values` for
-    every index 0..order when it is given.
+    every index 0..order when it is given.  A Pochhammer atom, and a
+    Mul/Div/Pow chain holding one, is folded by `_fold` and expanded as a
+    product form; the value and any EvalError are those of the dense route.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if isinstance(expr, IntLiteral):
         return TruncatedSeries([expr.value] + [0] * order)
-    if isinstance(expr, Pochhammer):
-        if expr.power == 0:
-            return TruncatedSeries.one(order)
-        spec = ProductSpec.of((expr.sign, expr.a, expr.b, expr.power))
-        return pochhammer_expand(spec, order)
+    if isinstance(expr, Pochhammer) or isinstance(expr, (Mul, Div, Pow)) and _has_pochhammer(expr):
+        return _expand(*_fold(expr, order, values), order)
     if isinstance(expr, Theta):
         return theta_series(THETA_FAMILIES[expr.family], order)
     if isinstance(expr, NamedFunction):
@@ -515,17 +519,8 @@ def evaluate(expr: ExprNode, order: int, values: Optional[Values] = None) -> Tru
         return evaluate(expr.left, order, values) + evaluate(expr.right, order, values)
     if isinstance(expr, Sub):
         return evaluate(expr.left, order, values) - evaluate(expr.right, order, values)
-    if isinstance(expr, Mul):
-        return evaluate(expr.left, order, values) * evaluate(expr.right, order, values)
-    if isinstance(expr, Div):
-        divisor = evaluate(expr.right, order, values)
-        dividend = evaluate(expr.left, order, values)
-        try:
-            return dividend / divisor
-        except ValueError as exc:
-            raise EvalError(str(exc), print_expr(expr.right)) from None
-    if isinstance(expr, Pow):
-        return evaluate(expr.base, order, values) ** expr.exponent
+    if isinstance(expr, (Mul, Div, Pow)):
+        return _combine(expr, order, values)
     if isinstance(expr, Extract):
         inner_order = expr.m * order + expr.r
         if inner_order > MAX_ORDER:
@@ -544,6 +539,79 @@ def evaluate(expr: ExprNode, order: int, values: Optional[Values] = None) -> Tru
     if isinstance(expr, LebesguePartial):
         return lebesgue_partial(expr.j_max, order)
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _combine(expr: Union[Mul, Div, Pow], order: int, values: Optional[Values]) -> TruncatedSeries:
+    """A Mul, Div or Pow node of dense children, each evaluated in turn."""
+    if isinstance(expr, Mul):
+        return evaluate(expr.left, order, values) * evaluate(expr.right, order, values)
+    if isinstance(expr, Div):
+        divisor = evaluate(expr.right, order, values)
+        dividend = evaluate(expr.left, order, values)
+        try:
+            return dividend / divisor
+        except ValueError as exc:
+            raise EvalError(str(exc), print_expr(expr.right)) from None
+    return evaluate(expr.base, order, values) ** expr.exponent
+
+
+def _has_pochhammer(expr: ExprNode) -> bool:
+    """Whether the Mul/Div/Pow chain rooted at expr has a Pochhammer factor."""
+    if isinstance(expr, (Mul, Div)):
+        return _has_pochhammer(expr.left) or _has_pochhammer(expr.right)
+    if isinstance(expr, Pow):
+        return _has_pochhammer(expr.base)
+    return isinstance(expr, Pochhammer)
+
+
+# {(sign, a, b): e} for prod (sign*q^a; q^b)_inf^e
+_Factors = dict[tuple[int, int, int], int]
+
+
+def _expand(dense: Optional[TruncatedSeries], scalar: int, factors: _Factors, order: int) -> TruncatedSeries:
+    """dense (1 for None) times the product form, applied in place."""
+    acc = [1] + [0] * order if dense is None else list(dense.coeffs)
+    ProductForm.of(scalar, [(sign, a, b, e) for (sign, a, b), e in factors.items()], order).apply(acc)
+    return TruncatedSeries(acc)
+
+
+def _fold(
+    expr: ExprNode, order: int, values: Optional[Values]
+) -> tuple[Optional[TruncatedSeries], int, _Factors]:
+    """A Mul/Div/Pow chain as (dense, scalar, factors): the product of its
+    opaque factors (None for none), and the scalar and Pochhammer factors of
+    its product form.  Opaque factors are evaluated in the order `_combine`
+    evaluates them.  A divisor whose constant term is not +-1 goes back to
+    `_combine`, which raises the EvalError it always raised."""
+    if isinstance(expr, IntLiteral):
+        return None, expr.value, {}
+    if isinstance(expr, Pochhammer):
+        return None, 1, {(expr.sign, expr.a, expr.b): expr.power}
+    if isinstance(expr, Mul):
+        left, left_scalar, factors = _fold(expr.left, order, values)
+        right, right_scalar, right_factors = _fold(expr.right, order, values)
+        for key, e in right_factors.items():
+            factors[key] = factors.get(key, 0) + e
+        dense = right if left is None else left if right is None else left * right
+        return dense, left_scalar * right_scalar, factors
+    if isinstance(expr, Div):
+        right, right_scalar, right_factors = _fold(expr.right, order, values)
+        if right_scalar not in (1, -1) or right is not None and right[0] not in (1, -1):
+            return _combine(expr, order, values), 1, {}
+        left, left_scalar, factors = _fold(expr.left, order, values)
+        for key, e in right_factors.items():
+            factors[key] = factors.get(key, 0) - e
+        if right is not None:
+            left = (TruncatedSeries.one(order) if left is None else left) / right
+        return left, left_scalar * right_scalar, factors
+    if isinstance(expr, Pow):
+        base, scalar, factors = _fold(expr.base, order, values)
+        n = expr.exponent
+        if n * max(map(abs, factors.values()), default=0) > MAX_ORDER:
+            # the form applies eta_k^e as |e| passes; past the budget, square instead
+            return _expand(base, scalar, factors, order) ** n, 1, {}
+        return (None if base is None else base**n), scalar**n, {k: e * n for k, e in factors.items()}
+    return evaluate(expr, order, values), 1, {}
 
 
 def read_orders(statements: Iterable[IdentityStatement], order: int) -> dict[PartitionFunctionId, int]:

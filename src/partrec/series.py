@@ -8,18 +8,22 @@ is used anywhere in the engine.
 The module also expands q-Pochhammer products, (s*q^a; q^b)_inf and their
 finite counterparts, quotients of the Dedekind-eta-style products
 eta_k = (q^k; q^k)_inf, and generates the sparse theta series that arise
-from Jacobi's triple product identity.  Every product, quotient and
-Pochhammer or eta expansion goes through one in-place kernel, `_mul_sparse`,
-which multiplies or divides a coefficient list by c0 + sum c*q^g in O(N)
-per nonzero term.  Series values are immutable after construction, so they
-are safe to share across threads.
+from Jacobi's triple product identity.  A `ProductForm` holds a product of
+Pochhammer factors as exponents of (1 - q^n), by period and head, and
+expands the gcd-periodic part as an eta quotient; `pochhammer_expand`,
+one binomial at a time, is the independent reference route.  Every
+product, quotient and Pochhammer or eta expansion goes through one
+in-place kernel, `_mul_sparse`, which multiplies or divides a coefficient
+list by c0 + sum c*q^g in O(N) per nonzero term.  Series values are
+immutable after construction, so they are safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
+from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -37,6 +41,7 @@ __all__ = [
     "pochhammer_expand",
     "pochhammer_finite",
     "eta_quotient",
+    "ProductForm",
     "theta_series",
     "progression_extract",
 ]
@@ -228,12 +233,19 @@ def _mul_sparse(
     terms are the nonzero (g, c) with g >= 1, in ascending g.  Multiplying
     adds a shifted, scaled copy of the old list per term, each one C-level
     slice pass.  Dividing solves acc_new[n] = c0*(acc[n] - sum c*acc_new[n-g])
-    for increasing n, which needs c0 = +-1 (then 1/c0 == c0).  Either way
-    the cost is O(N * len(terms)).
+    for increasing n, which needs c0 = +-1 (then 1/c0 == c0); dividing by
+    1 - q^g alone is a running sum over each residue class mod g, one
+    C-level pass.  Either way the cost is O(N * len(terms)).
     """
     if divide:
         if c0 not in (1, -1):
             raise ValueError(f"cannot invert series with constant term {c0}")
+        if c0 == 1 and len(terms) == 1 and terms[0][1] == -1:
+            # 1/(1 - q^g) = sum q^(g*i): a running sum along each residue class mod g
+            g = terms[0][0]
+            for r in range(min(g, len(acc))):
+                acc[r::g] = accumulate(acc[r::g])
+            return
         # unit coefficients (all of an eta factor's) need no multiply
         plus = [g for g, c in terms if c == 1]
         minus = [g for g, c in terms if c == -1]
@@ -451,6 +463,110 @@ def eta_quotient(exponents: Mapping[int, int], order: int) -> TruncatedSeries:
     if any(k < 1 for k in exponents):
         raise ValueError(f"eta indices must be >= 1, got {sorted(exponents)}")
     acc = [1] + [0] * order
+    _mul_eta_quotient(acc, exponents)
+    return TruncatedSeries(acc)
+
+
+def _mul_eta_quotient(acc: list[int], exponents: Mapping[int, int]) -> None:
+    """acc *= prod_k eta_k^e over {k: e} in place, numerator factors first."""
     for k, e in sorted(exponents.items(), key=lambda ke: -ke[1]):
         _mul_eta(acc, k, e)
-    return TruncatedSeries(acc)
+
+
+class ProductForm:
+    """scalar * prod_{n >= 1} (1 - q^n)^(a_n), truncated at q^order.
+
+    a_n is classes[n % period] + head.get(n, 0): one exponent per residue
+    class mod the period, plus a finite head of corrections at n <= order.
+    Nothing of length order is stored.  Build one with `of`; `apply`
+    expands it through the eta kernel and one-term binomials.
+    """
+
+    # a plain class: building a dataclass costs about 1 ms of every CLI run's import
+    __slots__ = ("scalar", "order", "period", "classes", "head")
+
+    def __init__(self, scalar: int, order: int, period: int, classes: tuple[int, ...], head: Mapping[int, int]):
+        self.scalar = scalar
+        self.order = order
+        self.period = period
+        self.classes = classes
+        self.head = head
+
+    @classmethod
+    def of(
+        cls, scalar: int, factors: Iterable[tuple[int, int, int, int]], order: int
+    ) -> "ProductForm":
+        """The form of scalar * prod (sign*q^a; q^b)_inf^e over factors.
+
+        (q^a; q^b) adds e on every n = a (mod b), and its missing n < a go
+        into the head; (-q^a; q^b) is (q^2a; q^2b) / (q^a; q^b).  A factor
+        whose b would take the period's lcm past the order goes into the
+        head as its binomials up to the order instead, so the period never
+        exceeds the order.
+        """
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        exps: dict[tuple[int, int], int] = {}
+        for sign, a, b, e in factors:
+            parts = ((a, b, e),) if sign == 1 else ((2 * a, 2 * b, e), (a, b, -e))
+            for a_, b_, e_ in parts:
+                if a_ <= order:  # a binomial past the order is 1
+                    exps[a_, b_] = exps.get((a_, b_), 0) + e_
+        period = 1
+        periodic: list[tuple[int, int, int]] = []
+        head: dict[int, int] = {}
+        for (a, b), e in sorted(exps.items(), key=lambda abe: abe[0][::-1]):
+            if not e:
+                continue
+            wider = lcm(period, b)
+            if wider <= order:
+                period = wider
+                periodic.append((a, b, e))
+                ns = range(a % b or b, a, b)  # the class's n below a
+                e = -e
+            else:
+                ns = range(a, order + 1, b)
+            for n in ns:
+                head[n] = head.get(n, 0) + e
+        classes = [0] * period
+        for a, b, e in periodic:
+            for r in range(a % b, period, b):
+                classes[r] += e
+        return cls(scalar, order, period, tuple(classes), {n: e for n, e in head.items() if e})
+
+    def eta_split(self) -> tuple[dict[int, int], dict[int, int]]:
+        """({k: e}, {n: e}) with the form == scalar * prod eta_k^e *
+        prod (1 - q^n)^e up to q^order.
+
+        Each class takes the low median of its gcd(n, period) group as the
+        group's level; Moebius inversion over the divisors of the period
+        turns the levels into eta exponents.  A class off its level (that
+        of a lone (q; q^3), say) joins the head's binomials by the difference.
+        """
+        period = self.period
+        groups: dict[int, list[int]] = {}
+        for r, c in enumerate(self.classes):
+            groups.setdefault(gcd(r, period), []).append(c)
+        level = {g: sorted(cs)[(len(cs) - 1) // 2] for g, cs in groups.items()}
+        eta: dict[int, int] = {}
+        for k in sorted(level):  # every divisor of the period, ascending
+            eta[k] = level[k] - sum(e for d, e in eta.items() if k % d == 0)
+        binomials = dict(self.head)
+        for r, c in enumerate(self.classes):
+            extra = c - level[gcd(r, period)]
+            for n in range(r or period, self.order + 1, period) if extra else ():
+                binomials[n] = binomials.get(n, 0) + extra
+        return {k: e for k, e in eta.items() if e}, {n: e for n, e in binomials.items() if e}
+
+    def apply(self, acc: list[int]) -> None:
+        """acc *= the form in place; acc holds q^0..q^order."""
+        if self.scalar != 1:
+            _mul_sparse(acc, (), self.scalar)
+        if not self.scalar:
+            return
+        eta, binomials = self.eta_split()
+        _mul_eta_quotient(acc, eta)
+        for n, e in sorted(binomials.items(), key=lambda ne: (ne[1] < 0, ne[0])):
+            for _ in range(abs(e)):
+                _mul_sparse(acc, ((n, -1),), divide=e < 0)
+

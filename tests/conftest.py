@@ -35,6 +35,18 @@ JACOBI_TRIPLE_PRODUCT_CASES = [
 ]
 
 
+def schoolbook_mul(x: list[int], y: list[int]) -> list[int]:
+    return [sum(x[i] * y[k - i] for i in range(k + 1)) for k in range(len(x))]
+
+
+def schoolbook_inverse(x: list[int]) -> list[int]:
+    # x[0] is +-1, its own inverse
+    inv: list[int] = []
+    for k in range(len(x)):
+        inv.append(x[0] * ((k == 0) - sum(x[i] * inv[k - i] for i in range(1, k + 1))))
+    return inv
+
+
 @pytest.fixture(scope="session")
 def po_odd_2000():
     """The po_bar generating function to order 2000, shared by the heavy tests."""

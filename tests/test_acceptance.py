@@ -212,3 +212,26 @@ def test_criterion_10_dsl_file_checks():
     assert orders_ok
     assert proc_bad.returncode == 2
     assert "line 1" in proc_bad.stderr and "col" in proc_bad.stderr
+
+
+def test_criterion_11_dsl_file_at_order_2000_within_budget():
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "partrec", "check", str(PAPER_QID), "--order", "2000"],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+    )
+    elapsed = time.perf_counter() - start
+    lines = proc.stdout.splitlines()
+    failed = [line for line in lines if ": fail (" in line]
+    # lebesgue(20) equals po_bar only below q^231 (21 * 22 / 2), so its two statements fail there
+    lebesgue_only = len(failed) == 2 and all(
+        line.startswith("lebesgue(20) == ") and "first failure at n=231," in line for line in failed
+    )
+    ok = proc.returncode == 1 and len(lines) == 40 and lebesgue_only and elapsed < 6.0
+    announce(11, "bundled identity file at order 2000 in under 6 s", ok)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert len(lines) == 40
+    assert lebesgue_only, failed
+    assert elapsed < 6.0, f"took {elapsed:.3f}s"

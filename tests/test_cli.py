@@ -6,12 +6,16 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
+from partrec import cli
 from partrec.cli import VERIFY_MAX_N, main
 from partrec.dsl import MAX_ORDER
 from partrec.recurrences import TheoremId
+from partrec.report import Failure, VerificationReport
 
 from conftest import PAPER_QID, REPO_ROOT
 
@@ -122,6 +126,15 @@ def test_verify_all_threaded_matches_sequential(capsys):
     assert strip(seq) == strip(par)  # same rows, timing column aside
 
 
+def test_verify_csv_formats_a_huge_residual(capsys, monkeypatch):
+    # 10^5000 has 5001 digits, past CPython's limit on converting an int to text
+    report = VerificationReport("T1", 5, False, Failure(3, 10**5000), 0)
+    monkeypatch.setattr(cli, "verify", lambda tid, n: report)
+    code, out, _ = run_cli(capsys, "verify", "T1", "--n", "5", "--format", "csv")
+    assert code == 1
+    assert out.splitlines()[1] == "T1,5,fail,3," + "1" + "0" * 19 + "...(5001 digits),0"
+
+
 def test_verify_unknown_theorem(capsys):
     code, _, err = run_cli(capsys, "verify", "T99", "--n", "5")
     assert code == 2 and "unknown theorem" in err
@@ -226,6 +239,32 @@ def test_check_extract_over_budget_counts_as_failure(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "check", str(path))
     assert code == 1
     assert "fail" in out and "extract(po_bar, 1000000, 0)" in out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "P(q^1; q^4999) * P(q^1; q^4998) * P(q^1; q^4997) == 1 within 5000",
+        "P(-q^1; q^1" + "0" * 3999 + ") * P(q^1; q^1) == P(q^1; q^1) within 5000",
+    ],
+    ids=["lcm-past-the-order", "4000-digit-b"],
+)
+def test_check_period_is_bounded_before_allocating(tmp_path, capsys, text):
+    path = tmp_path / "period.qid"
+    path.write_text(text + "\n")
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "check", str(path))
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert ": fail (n <= 5000, " in out and "first failure at n=1," in out
+    assert err == ""
+    assert elapsed < 10.0, f"took {elapsed:.3f}s"
+    assert peak < 20 * 2**20, f"peak {peak} bytes"
 
 
 def test_check_threaded_output_order(tmp_path, capsys):

@@ -33,11 +33,12 @@ from partrec.dsl import (
     residuals,
     statement_text,
 )
-from partrec.functions import PartitionFunctionId as F, gf_series
-from partrec.recurrences import _SUITES, TheoremId
-from partrec.series import THETA_FAMILIES
+from partrec import dsl
+from partrec.functions import PartitionFunctionId as F, function_value, gf_series, lebesgue_partial
+from partrec.recurrences import _SUITES, TheoremId, verify_all
+from partrec.series import THETA_FAMILIES, ProductSpec, pochhammer_expand, theta_series
 
-from conftest import PAPER_QID
+from conftest import PAPER_QID, schoolbook_inverse, schoolbook_mul
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +236,32 @@ def test_evaluate_division_by_non_unit_series():
     with pytest.raises(EvalError) as info:
         evaluate(stmt.lhs, 10)
     assert str(info.value) == "cannot invert series with constant term 0 (in: pd - pd)"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 / 2", "cannot invert series with constant term 2 (in: 2)"),
+        # a folded divisor with a non-unit scalar, and an opaque one in a folded chain
+        ("1 / (2 * P(q^1; q^1))", "cannot invert series with constant term 2 (in: 2 * P(q^1; q^1))"),
+        ("P(q^1; q^1) / (pd - pd)", "cannot invert series with constant term 0 (in: pd - pd)"),
+        ("(P(q^1; q^1) / 0)^0", "cannot invert series with constant term 0 (in: 0)"),
+        # the first error in evaluation order wins: the divisor, then the dividend
+        (
+            "P(q^1; q^2) / extract(po_bar, 2, 1) * extract(p, 3000, 0)",
+            "cannot invert series with constant term 2 (in: extract(po_bar, 2, 1))",
+        ),
+        (
+            "extract(p, 3000, 0) * P(q^1; q^2) / extract(po_bar, 2, 1)",
+            "extract needs its argument to order 30000, above 5000 (in: extract(p, 3000, 0))",
+        ),
+    ],
+)
+def test_division_by_non_unit_keeps_its_message_in_folded_chains(text, message):
+    [stmt] = parse(f"{text} == p within 10")
+    with pytest.raises(EvalError) as info:
+        evaluate(stmt.lhs, 10)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -494,3 +521,108 @@ def test_random_statements_survive_print_and_parse(lhs, rhs, modulus, order):
     assert parsed == stmt
     assert _value(parsed.lhs, order) == _value(lhs, order)
     assert _value(parsed.rhs, order) == _value(rhs, order)
+
+
+# ---------------------------------------------------------------------------
+# Product forms: folded chains against the binomial route and schoolbook products
+
+
+def _reference(expr, order, values):
+    """expr as evaluation worked before chains were folded: each Pochhammer
+    atom through `pochhammer_expand`, each product and quotient schoolbook."""
+    one = [1] + [0] * order
+    if isinstance(expr, IntLiteral):
+        return [expr.value] + [0] * order
+    if isinstance(expr, Pochhammer):
+        if not expr.power:
+            return one
+        return list(pochhammer_expand(ProductSpec.of((expr.sign, expr.a, expr.b, expr.power)), order))
+    if isinstance(expr, Mul):
+        left = _reference(expr.left, order, values)
+        return schoolbook_mul(left, _reference(expr.right, order, values))
+    if isinstance(expr, Div):
+        divisor = _reference(expr.right, order, values)
+        dividend = _reference(expr.left, order, values)
+        if divisor[0] not in (1, -1):
+            raise EvalError(f"cannot invert series with constant term {divisor[0]}", print_expr(expr.right))
+        return schoolbook_mul(dividend, schoolbook_inverse(divisor))
+    if isinstance(expr, Pow):
+        base, result = _reference(expr.base, order, values), one
+        for _ in range(expr.exponent):
+            result = schoolbook_mul(result, base)
+        return result
+    if isinstance(expr, (Add, Sub)):
+        left = _reference(expr.left, order, values)
+        right = _reference(expr.right, order, values)
+        return [x + y if isinstance(expr, Add) else x - y for x, y in zip(left, right)]
+    if isinstance(expr, NamedFunction):
+        return [function_value(expr.fid, n) if values is None else values(expr.fid, n) for n in range(order + 1)]
+    if isinstance(expr, Theta):
+        return list(theta_series(THETA_FAMILIES[expr.family], order))
+    return list(lebesgue_partial(expr.j_max, order))
+
+
+def _noisy(fid, n):
+    return function_value(fid, n) + (n * (1 + list(F).index(fid))) % 5 - 2
+
+
+_opaque = st.one_of(
+    st.sampled_from(list(F)).map(NamedFunction),
+    st.just(Theta("GPENT_HALF")),
+    st.integers(0, 4).map(LebesguePartial),
+    st.builds(Sub, st.sampled_from(list(F)).map(NamedFunction), st.integers(0, 2).map(IntLiteral)),
+)
+_foldable = st.one_of(
+    st.integers(-3, 3).map(IntLiteral),  # non-unit scalars, and 0
+    st.builds(
+        Pochhammer, st.sampled_from([1, -1]), st.integers(1, 7), st.integers(1, 4), st.integers(0, 3)
+    ),
+)
+_chains = st.recursive(
+    st.one_of(_foldable, _foldable, _opaque),
+    lambda children: st.one_of(
+        st.builds(Mul, children, children),
+        st.builds(Div, children, children),
+        st.builds(Pow, children, st.integers(0, 3)),
+    ),
+    max_leaves=6,
+)
+
+
+def _outcome(evaluation):
+    try:
+        return list(evaluation())
+    except EvalError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chains, st.integers(0, 14), st.sampled_from([None, _noisy]))
+def test_folded_chains_match_the_binomial_route(expr, order, values):
+    expected = _outcome(lambda: _reference(expr, order, values))
+    assert _outcome(lambda: evaluate(expr, order, values)) == expected
+
+
+def test_nested_powers_past_the_budget_are_squared():
+    [stmt] = parse("(P(q^1; q^2)^3)^2000 == (P(q^1; q^2)^2000)^3 within 40")
+    assert evaluate(stmt.lhs, 40) == evaluate(stmt.rhs, 40)
+    assert list(evaluate(stmt.lhs, 40)) == list(pochhammer_expand(ProductSpec.of((1, 1, 2, 6000)), 40))
+
+
+def test_bundled_statements_never_expand_binomial_by_binomial(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pochhammer_expand called")
+
+    monkeypatch.setattr(dsl, "pochhammer_expand", refuse)
+    assert all(check(stmt).passed for stmt in parse(PAPER_QID.read_text(encoding="utf-8")))
+
+
+def test_theorem_suites_never_fold(monkeypatch):
+    # the suites have no Pochhammer atom, so verify keeps its dense route
+    class Refuse:
+        @staticmethod
+        def of(*args):
+            raise AssertionError("a suite built a product form")
+
+    monkeypatch.setattr(dsl, "ProductForm", Refuse)
+    assert all(r.passed for r in verify_all(100))

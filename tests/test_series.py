@@ -17,6 +17,7 @@ from partrec.oracle import (
 )
 from partrec.series import (
     THETA_FAMILIES,
+    ProductForm,
     ProductSpec,
     TruncatedSeries,
     ceil_half,
@@ -29,9 +30,10 @@ from partrec.series import (
     series_inverse,
     series_mul,
     theta_series,
+    _mul_sparse,
 )
 
-from conftest import JACOBI_TRIPLE_PRODUCT_CASES
+from conftest import JACOBI_TRIPLE_PRODUCT_CASES, schoolbook_inverse, schoolbook_mul
 
 
 def S(*coeffs: int) -> TruncatedSeries:
@@ -336,18 +338,6 @@ def test_eta_quotient_validation():
 # Differential tests against schoolbook convolution and inversion
 
 
-def schoolbook_mul(x: list[int], y: list[int]) -> list[int]:
-    return [sum(x[i] * y[k - i] for i in range(k + 1)) for k in range(len(x))]
-
-
-def schoolbook_inverse(x: list[int]) -> list[int]:
-    # x[0] is +-1, its own inverse
-    inv: list[int] = []
-    for k in range(len(x)):
-        inv.append(x[0] * ((k == 0) - sum(x[i] * inv[k - i] for i in range(1, k + 1))))
-    return inv
-
-
 def coefficients(order: int):
     """order + 1 coefficients made of zero runs and blocks of values up to 3000."""
     block = st.one_of(
@@ -360,18 +350,25 @@ def coefficients(order: int):
 
 
 def operands(order: int):
-    """Two coefficient lists and a unit (constant term +-1) of one order."""
+    """Two coefficient lists, a unit (constant term +-1) of one order, and
+    the g of a binomial 1 - q^g, which may lie past the order."""
     unit = st.tuples(st.sampled_from((1, -1)), coefficients(order)).map(lambda t: [t[0], *t[1][1:]])
-    return st.tuples(coefficients(order), coefficients(order), unit)
+    return st.tuples(coefficients(order), coefficients(order), unit, st.integers(1, order + 2))
 
 
 @settings(deadline=None)
 @given(st.integers(min_value=0, max_value=40).flatmap(operands))
-def test_mul_and_division_match_schoolbook(xyu):
-    x, y, u = xyu
+def test_mul_and_division_match_schoolbook(xyug):
+    x, y, u, g = xyug
     assert list((TruncatedSeries(x) * TruncatedSeries(y)).coeffs) == schoolbook_mul(x, y)
     assert list(TruncatedSeries(u).inverse().coeffs) == schoolbook_inverse(u)
     assert list((TruncatedSeries(x) / TruncatedSeries(u)).coeffs) == schoolbook_mul(x, schoolbook_inverse(u))
+    # dividing by 1 - q^g alone takes the running-sum path
+    binomial = [1 if n == 0 else -1 if n == g else 0 for n in range(len(x))]
+    quotient = list(x)
+    _mul_sparse(quotient, [(g, -1)], divide=True)
+    assert quotient == schoolbook_mul(x, schoolbook_inverse(binomial))
+    assert list((TruncatedSeries(x) / TruncatedSeries(binomial)).coeffs) == quotient
 
 
 @settings(deadline=None)
@@ -389,6 +386,55 @@ def test_pochhammer_with_negative_exponents_matches_schoolbook(factors, order):
             for _ in range(abs(e)):
                 expected = schoolbook_mul(expected, factor)
     assert list(pochhammer_expand(ProductSpec(tuple(factors)), order).coeffs) == expected
+
+
+# ---------------------------------------------------------------------------
+# Product forms against the binomial-by-binomial reference route
+
+form_factor = st.tuples(
+    st.sampled_from((1, -1)),
+    st.integers(min_value=1, max_value=9),  # a > b as often as not
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=-3, max_value=3).filter(lambda e: e != 0),
+)
+
+
+def expand(form: ProductForm) -> TruncatedSeries:
+    acc = [1] + [0] * form.order
+    form.apply(acc)
+    return TruncatedSeries(acc)
+
+
+@settings(deadline=None)
+@given(st.lists(form_factor, max_size=5), st.integers(min_value=-4, max_value=4), st.integers(min_value=0, max_value=40))
+def test_product_form_matches_pochhammer(factors, scalar, order):
+    # small orders put factors whose b would take the period past the order into the head
+    expected = pochhammer_expand(ProductSpec(tuple(factors)), order) * scalar
+    assert expand(ProductForm.of(scalar, factors, order)) == expected
+
+
+def test_product_form_of_po_bar_is_its_eta_quotient():
+    form = ProductForm.of(1, [(-1, 1, 2, 1), (1, 1, 2, -1)], 50)
+    assert (form.period, form.classes, form.head) == (4, (0, -2, 1, -2), {})
+    assert form.eta_split() == ({1: -2, 2: 3, 4: -1}, {})
+
+
+def test_product_form_head_and_off_gcd_classes():
+    # (q^3; q^2) misses n = 1, which the head puts back
+    assert ProductForm.of(1, [(1, 3, 2, 1)], 10).eta_split() == ({1: 1, 2: -1}, {1: -1})
+    # a lone (q; q^3) is not a function of gcd(n, 3): its class becomes binomials
+    assert ProductForm.of(1, [(1, 1, 3, 1)], 10).eta_split() == ({}, {1: 1, 4: 1, 7: 1, 10: 1})
+
+
+def test_product_form_period_stays_within_the_order():
+    form = ProductForm.of(1, [(1, 1, 4999, 1), (1, 1, 4998, 1), (1, 1, 4997, 1)], 5000)
+    assert form.period == 4997
+    assert form.head == {1: 2, 4999: 1, 5000: 1}
+    huge = 10**3999
+    form = ProductForm.of(1, [(-1, 1, huge, 1), (1, 7, huge, 2)], 5000)
+    assert (form.period, form.classes, form.head) == (1, (0,), {2: 1, 1: -1, 7: 2})
+    # a binomial past the order is 1, and so is a factor starting there
+    assert expand(ProductForm.of(3, [(1, 11, 1, 1)], 10)) == TruncatedSeries([3] + [0] * 10)
 
 
 # ---------------------------------------------------------------------------
