@@ -16,10 +16,11 @@ coefficients; with `mod M` (M >= 2) they are compared modulo M from q^1
 on.  Named functions come from the memoized store, or from a caller's
 `values` source, through which the theorem suites run on corrupted tables.
 
-Every maximal chain of *, / and ^ that holds a Pochhammer atom is folded
-into a `series.ProductForm` (its atoms and integer literals) and applied in
-place to the dense product of its other, opaque factors; chains without a
-Pochhammer atom, the theorem suites' among them, multiply dense series.
+Every maximal chain of *, / and ^ is folded into a scalar (its integer
+literals), the Pochhammer factors of a `series.ProductForm` (its atoms) and
+the dense product of its other, opaque factors; the form, when there is
+one, is applied in place to that product.  The theorem suites' chains hold
+no Pochhammer atom, so they build no form.
 """
 
 from __future__ import annotations
@@ -499,15 +500,13 @@ def evaluate(expr: ExprNode, order: int, values: Optional[Values] = None) -> Tru
     order, which keeps evaluation order-monotone.  An extract whose child
     order would pass MAX_ORDER raises EvalError before anything is
     expanded.  Named functions come from the store, or from `values` for
-    every index 0..order when it is given.  A Pochhammer atom, and a
-    Mul/Div/Pow chain holding one, is folded by `_fold` and expanded as a
-    product form; the value and any EvalError are those of the dense route.
+    every index 0..order when it is given.  Integer literals, Pochhammer
+    atoms and every Mul/Div/Pow chain are folded by `_fold` and expanded by
+    `_expand`.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if isinstance(expr, IntLiteral):
-        return TruncatedSeries([expr.value] + [0] * order)
-    if isinstance(expr, Pochhammer) or isinstance(expr, (Mul, Div, Pow)) and _has_pochhammer(expr):
+    if isinstance(expr, (IntLiteral, Pochhammer, Mul, Div, Pow)):
         return _expand(*_fold(expr, order, values), order)
     if isinstance(expr, Theta):
         return theta_series(THETA_FAMILIES[expr.family], order)
@@ -519,8 +518,6 @@ def evaluate(expr: ExprNode, order: int, values: Optional[Values] = None) -> Tru
         return evaluate(expr.left, order, values) + evaluate(expr.right, order, values)
     if isinstance(expr, Sub):
         return evaluate(expr.left, order, values) - evaluate(expr.right, order, values)
-    if isinstance(expr, (Mul, Div, Pow)):
-        return _combine(expr, order, values)
     if isinstance(expr, Extract):
         inner_order = expr.m * order + expr.r
         if inner_order > MAX_ORDER:
@@ -541,35 +538,17 @@ def evaluate(expr: ExprNode, order: int, values: Optional[Values] = None) -> Tru
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _combine(expr: Union[Mul, Div, Pow], order: int, values: Optional[Values]) -> TruncatedSeries:
-    """A Mul, Div or Pow node of dense children, each evaluated in turn."""
-    if isinstance(expr, Mul):
-        return evaluate(expr.left, order, values) * evaluate(expr.right, order, values)
-    if isinstance(expr, Div):
-        divisor = evaluate(expr.right, order, values)
-        dividend = evaluate(expr.left, order, values)
-        try:
-            return dividend / divisor
-        except ValueError as exc:
-            raise EvalError(str(exc), print_expr(expr.right)) from None
-    return evaluate(expr.base, order, values) ** expr.exponent
-
-
-def _has_pochhammer(expr: ExprNode) -> bool:
-    """Whether the Mul/Div/Pow chain rooted at expr has a Pochhammer factor."""
-    if isinstance(expr, (Mul, Div)):
-        return _has_pochhammer(expr.left) or _has_pochhammer(expr.right)
-    if isinstance(expr, Pow):
-        return _has_pochhammer(expr.base)
-    return isinstance(expr, Pochhammer)
-
-
 # {(sign, a, b): e} for prod (sign*q^a; q^b)_inf^e
 _Factors = dict[tuple[int, int, int], int]
 
 
 def _expand(dense: Optional[TruncatedSeries], scalar: int, factors: _Factors, order: int) -> TruncatedSeries:
-    """dense (1 for None) times the product form, applied in place."""
+    """dense (1 for None) times scalar times the factors' product form,
+    applied in place; with no factors no form is built."""
+    if not factors:
+        if dense is None:
+            return TruncatedSeries([scalar] + [0] * order)
+        return dense if scalar == 1 else dense * scalar
     acc = [1] + [0] * order if dense is None else list(dense.coeffs)
     ProductForm.of(scalar, [(sign, a, b, e) for (sign, a, b), e in factors.items()], order).apply(acc)
     return TruncatedSeries(acc)
@@ -580,9 +559,9 @@ def _fold(
 ) -> tuple[Optional[TruncatedSeries], int, _Factors]:
     """A Mul/Div/Pow chain as (dense, scalar, factors): the product of its
     opaque factors (None for none), and the scalar and Pochhammer factors of
-    its product form.  Opaque factors are evaluated in the order `_combine`
-    evaluates them.  A divisor whose constant term is not +-1 goes back to
-    `_combine`, which raises the EvalError it always raised."""
+    its product form.  Each opaque factor is evaluated once, left to right
+    except that a divisor comes before its dividend; a divisor whose
+    constant term is not +-1 raises EvalError once both are folded."""
     if isinstance(expr, IntLiteral):
         return None, expr.value, {}
     if isinstance(expr, Pochhammer):
@@ -596,9 +575,11 @@ def _fold(
         return dense, left_scalar * right_scalar, factors
     if isinstance(expr, Div):
         right, right_scalar, right_factors = _fold(expr.right, order, values)
-        if right_scalar not in (1, -1) or right is not None and right[0] not in (1, -1):
-            return _combine(expr, order, values), 1, {}
         left, left_scalar, factors = _fold(expr.left, order, values)
+        c0 = right_scalar * (1 if right is None else right[0])  # every form has constant term 1
+        if c0 not in (1, -1):
+            message = f"cannot invert series with constant term {format_int(c0)}"
+            raise EvalError(message, print_expr(expr.right))
         for key, e in right_factors.items():
             factors[key] = factors.get(key, 0) - e
         if right is not None:

@@ -47,10 +47,10 @@ class VerificationReport:
 
     def to_json(self) -> dict[str, Any]:
         """The stable serialization: residuals travel as strings because
-        they are unbounded integers."""
+        they are unbounded integers, through `format_int` past its limit."""
         failure = None
         if self.first_failure is not None:
-            failure = {"n": self.first_failure.n, "residual": str(self.first_failure.residual)}
+            failure = {"n": self.first_failure.n, "residual": format_int(self.first_failure.residual)}
         return {
             "theorem": self.theorem,
             "n_max": self.n_max,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,12 +12,16 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partrec import cli
 from partrec.cli import VERIFY_MAX_N, main
 from partrec.dsl import MAX_ORDER
+from partrec.functions import PartitionFunctionId
+from partrec.oracle import ORACLE_MAX_N
 from partrec.recurrences import TheoremId
-from partrec.report import Failure, VerificationReport
+from partrec.report import Failure, VerificationReport, format_int
 
 from conftest import PAPER_QID, REPO_ROOT
 
@@ -133,6 +139,14 @@ def test_verify_csv_formats_a_huge_residual(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "T1", "--n", "5", "--format", "csv")
     assert code == 1
     assert out.splitlines()[1] == "T1,5,fail,3," + "1" + "0" * 19 + "...(5001 digits),0"
+
+
+def test_verify_json_formats_a_huge_residual(capsys, monkeypatch):
+    report = VerificationReport("T1", 5, False, Failure(3, 10**5000), 0)
+    monkeypatch.setattr(cli, "verify", lambda tid, n: report)
+    code, out, _ = run_cli(capsys, "verify", "T1", "--n", "5", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["first_failure"] == {"n": 3, "residual": format_int(10**5000)}
 
 
 def test_verify_unknown_theorem(capsys):
@@ -316,6 +330,91 @@ def test_oracle_compare_unknown_function(capsys):
 
 
 # ---------------------------------------------------------------------------
+# any argument vector
+
+# check's file argument is one of these kinds, stood in for by "@kind"
+# until the test swaps in a real path
+_QID_TEXTS = {
+    "valid": "po_bar == P(-q^1; q^2) / P(q^1; q^2) within 20\n",
+    "failing": "po_bar == pd within 5\n",
+    "eval-error": "1 / (2 * P(q^1; q^1)) == p within 20\n",
+    "unparsable": "P(q^1; q^2 ==\n",
+    "empty": "# no statements\n",
+}
+
+
+@pytest.fixture(scope="module")
+def qid_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("qid")
+    paths = {"@directory": str(root), "@missing": str(root / "missing.qid")}
+    for kind, text in _QID_TEXTS.items():
+        paths[f"@{kind}"] = str(root / f"{kind}.qid")
+        (root / f"{kind}.qid").write_text(text, encoding="utf-8")
+    paths["@non-utf8"] = str(root / "latin1.qid")
+    (root / "latin1.qid").write_bytes(b"p == p within 5\n\xff\n")
+    return paths
+
+
+def _option(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _int_text(small, extremes):
+    """Small values, the extremes around a bound, and text that is no int."""
+    return st.one_of(small.map(str), st.sampled_from([*map(str, extremes), "", "x", "1.5", "1e3"]))
+
+
+_function = st.sampled_from([f.value for f in PartitionFunctionId] + ["P", "bogus", ""]).map(lambda f: [f])
+_format = _option("--format", st.sampled_from(["plain", "csv", "json", "xml"]))
+_threads = _option("--threads", _int_text(st.integers(0, 4), [-1]))
+_theorem = st.sampled_from([t.value for t in TheoremId] + ["all", "ALL", "t1", "T99", ""]).map(lambda t: [t])
+_file = st.sampled_from([f"@{kind}" for kind in [*_QID_TEXTS, "directory", "missing", "non-utf8"]])
+_argv = st.one_of(
+    st.tuples(
+        st.just(["compute"]),
+        _function,
+        _option("--n", _int_text(st.integers(0, 40), [-1, MAX_ORDER, MAX_ORDER + 1])),
+        _format,
+    ),
+    # verify all at VERIFY_MAX_N takes seconds: only the first n past it is drawn
+    st.tuples(
+        st.just(["verify"]),
+        _theorem,
+        _option("--n", _int_text(st.integers(0, 30), [-1, VERIFY_MAX_N + 1])),
+        _format,
+        _threads,
+    ),
+    st.tuples(
+        st.just(["check"]),
+        _file.map(lambda f: [f]),
+        _option("--order", _int_text(st.integers(1, 40), [-1, 0, MAX_ORDER + 1])),
+        _threads,
+    ),
+    # enumeration grows fast with n (op to 60 takes tens of seconds): small n only
+    st.tuples(
+        st.just(["oracle-compare"]),
+        _function,
+        _option("--n", _int_text(st.integers(0, 20), [-1, ORACLE_MAX_N + 1])),
+    ),
+    st.sampled_from([[], ["bogus"], ["--help"], ["verify"], ["check"], ["compute", "--n", "5"]]).map(
+        lambda argv: (argv,)
+    ),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argv)
+def test_any_argument_vector_exits_0_1_or_2(qid_paths, argv):
+    argv = [qid_paths.get(arg, arg) for arg in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse ends usage errors and --help this way
+            code = exc.code
+    assert code in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
 # the real pipeline
 
 
@@ -392,8 +491,6 @@ def test_check_oversized_coefficient_fails_without_traceback(tmp_path):
 
 
 def test_format_int_past_the_digit_limit():
-    from partrec.report import format_int
-
     assert format_int(10**4299) == str(10**4299)  # 4300 digits: printed in full
     assert format_int(-(10**4300)) == "-" + "1" + "0" * 19 + "...(4301 digits)"
     assert format_int(10**5000 - 1) == "9" * 20 + "...(5000 digits)"

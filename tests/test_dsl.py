@@ -264,6 +264,29 @@ def test_division_by_non_unit_keeps_its_message_in_folded_chains(text, message):
     assert str(info.value) == message
 
 
+def test_a_non_unit_divisor_is_evaluated_once(monkeypatch):
+    calls = []
+
+    def counting(j_max, order):
+        calls.append(j_max)
+        return lebesgue_partial(j_max, order)
+
+    monkeypatch.setattr(dsl, "lebesgue_partial", counting)
+    [stmt] = parse("P(q^1; q^1) / (lebesgue(3) - lebesgue(3)) == p within 10")
+    with pytest.raises(EvalError):
+        evaluate(stmt.lhs, 10)
+    assert calls == [3, 3]
+
+
+def test_division_by_a_huge_non_unit_names_its_digit_count():
+    # 999^5000 has 14998 digits, past CPython's limit on converting an int to text
+    [stmt] = parse("p / 999^5000 == p within 3")
+    with pytest.raises(EvalError) as info:
+        evaluate(stmt.lhs, 3)
+    head = "67211119598656178118...(14998 digits)"
+    assert str(info.value) == f"cannot invert series with constant term {head} (in: 999^5000)"
+
+
 @pytest.mark.parametrize(
     "text, ok",
     [
