@@ -17,10 +17,15 @@ on.  Named functions come from the memoized store, or from a caller's
 `values` source, through which the theorem suites run on corrupted tables.
 
 Every maximal chain of *, / and ^ is folded into a scalar (its integer
-literals), the Pochhammer factors of a `series.ProductForm` (its atoms) and
-the dense product of its other, opaque factors; the form, when there is
-one, is applied in place to that product.  The theorem suites' chains hold
-no Pochhammer atom, so they build no form.
+literals), eta exponents (its named functions, under the store, and its
+P(q^k; q^k) atoms), the Pochhammer factors of a `series.ProductForm` (its
+other atoms) and the dense product of its other, opaque factors.  The
+form's eta part joins the eta exponents, whose quotient is read from the
+function store by key and multiplied by the dense product; what is left of
+the form, (1 - q^n) binomials, is applied in place.  A chain with no
+Pochhammer atom (every theorem suite's) builds no form.  A power is
+folded into the exponents, or its chain expanded and squared, whichever
+takes fewer kernel passes.
 """
 
 from __future__ import annotations
@@ -30,12 +35,22 @@ from dataclasses import dataclass, field
 from operator import neg, sub
 from typing import Iterable, NamedTuple, Optional, Union, get_args
 
-from .functions import PartitionFunctionId, Values, gf_series, lebesgue_partial
+from .functions import (
+    ETA_QUOTIENTS,
+    PartitionFunctionId,
+    Values,
+    eta_key,
+    eta_series,
+    gf_series,
+    lebesgue_partial,
+)
 from .report import Failure, VerificationReport, format_int
 from .series import (
     THETA_FAMILIES,
     ProductForm,
     TruncatedSeries,
+    _mul_eta_binomials,
+    eta_passes,
     pochhammer_expand,  # noqa: F401  (the reference route; bench/spans.py wraps this name)
     theta_series,
 )
@@ -538,61 +553,108 @@ def evaluate(expr: ExprNode, order: int, values: Optional[Values] = None) -> Tru
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-# {(sign, a, b): e} for prod (sign*q^a; q^b)_inf^e
+# {(sign, a, b): e} for prod (sign*q^a; q^b)_inf^e, and {k: e} for prod eta_k^e
 _Factors = dict[tuple[int, int, int], int]
+_Eta = dict[int, int]
+_Fold = tuple[Optional[TruncatedSeries], int, _Factors, _Eta]
 
 
-def _expand(dense: Optional[TruncatedSeries], scalar: int, factors: _Factors, order: int) -> TruncatedSeries:
-    """dense (1 for None) times scalar times the factors' product form,
-    applied in place; with no factors no form is built."""
-    if not factors:
-        if dense is None:
-            return TruncatedSeries([scalar] + [0] * order)
-        return dense if scalar == 1 else dense * scalar
+def _split(factors: _Factors, eta: _Eta, order: int) -> tuple[_Eta, dict[int, int]]:
+    """({k: e}, {n: e}): eta times the factors' product form as eta_k and
+    (1 - q^n) exponents, with the eta_k past the order (1 there) dropped.
+    No form is built when there are no factors."""
+    eta = dict(eta)
+    binomials: dict[int, int] = {}
+    if factors:
+        form = ProductForm.of(1, [(sign, a, b, e) for (sign, a, b), e in factors.items()], order)
+        form_eta, binomials = form.eta_split()
+        for k, e in form_eta.items():
+            eta[k] = eta.get(k, 0) + e
+    return {k: e for k, e in eta.items() if e and k <= order}, binomials
+
+
+def _expand(
+    dense: Optional[TruncatedSeries], scalar: int, factors: _Factors, eta: _Eta, order: int
+) -> TruncatedSeries:
+    """dense (1 for None) times scalar times prod eta_k^e times the factors'
+    product form.  The eta quotient (the form's included) is read from the
+    store (`eta_series`) and multiplied by dense, unless dense has more
+    nonzero terms than the quotient takes kernel passes: then it is applied
+    to dense in place.  The form's (1 - q^n) binomials are applied in place
+    last."""
+    if not scalar:
+        return TruncatedSeries.zero(order)
+    eta, binomials = _split(factors, eta, order)
+    if eta and (dense is None or len(dense) - dense.coeffs.count(0) <= eta_passes(eta, order)):
+        table = eta_series(eta_key(eta), order)
+        dense, eta = (table if dense is None else table * dense), {}
     acc = [1] + [0] * order if dense is None else list(dense.coeffs)
-    ProductForm.of(scalar, [(sign, a, b, e) for (sign, a, b), e in factors.items()], order).apply(acc)
-    return TruncatedSeries(acc)
+    _mul_eta_binomials(acc, eta, binomials)
+    series = TruncatedSeries(acc)
+    return series if scalar == 1 else series * scalar
 
 
-def _fold(
-    expr: ExprNode, order: int, values: Optional[Values]
-) -> tuple[Optional[TruncatedSeries], int, _Factors]:
-    """A Mul/Div/Pow chain as (dense, scalar, factors): the product of its
-    opaque factors (None for none), and the scalar and Pochhammer factors of
-    its product form.  Each opaque factor is evaluated once, left to right
-    except that a divisor comes before its dividend; a divisor whose
-    constant term is not +-1 raises EvalError once both are folded."""
+def _power(
+    dense: Optional[TruncatedSeries], scalar: int, factors: _Factors, eta: _Eta, n: int, order: int
+) -> _Fold:
+    """The fold of a chain raised to the n-th power: every exponent times n,
+    unless n times the chain's kernel passes (its eta and binomial factors)
+    exceed what squaring the expanded chain costs, about
+    (bit_length + popcount of n) dense products of `order` passes each."""
+    if n > 1:
+        split_eta, binomials = _split(factors, eta, order)
+        passes = eta_passes(split_eta, order) + sum(map(abs, binomials.values()))
+        if n * passes > (n.bit_length() + bin(n).count("1")) * order:
+            return _expand(dense, scalar, factors, eta, order) ** n, 1, {}, {}
+    return (
+        None if dense is None else dense**n,
+        scalar**n,
+        {key: e * n for key, e in factors.items()},
+        {k: e * n for k, e in eta.items()},
+    )
+
+
+def _fold(expr: ExprNode, order: int, values: Optional[Values]) -> _Fold:
+    """A Mul/Div/Pow chain as (dense, scalar, factors, eta): the product of
+    its opaque factors (None for none), and the scalar, Pochhammer factors
+    and eta exponents that `_expand` multiplies it by.  A P(q^k; q^k) atom is
+    eta_k, and under the store (values None) a named function is its eta
+    quotient; under a caller's `values` source it stays opaque.  Each opaque
+    factor is evaluated once, left to right except that a divisor comes
+    before its dividend; a divisor whose constant term is not +-1 raises
+    EvalError once both are folded."""
     if isinstance(expr, IntLiteral):
-        return None, expr.value, {}
+        return None, expr.value, {}, {}
     if isinstance(expr, Pochhammer):
-        return None, 1, {(expr.sign, expr.a, expr.b): expr.power}
+        if expr.sign == 1 and expr.a == expr.b:
+            return _power(None, 1, {}, {expr.a: 1}, expr.power, order)
+        return _power(None, 1, {(expr.sign, expr.a, expr.b): 1}, {}, expr.power, order)
+    if isinstance(expr, NamedFunction) and values is None:
+        return None, 1, {}, dict(ETA_QUOTIENTS[expr.fid])
     if isinstance(expr, Mul):
-        left, left_scalar, factors = _fold(expr.left, order, values)
-        right, right_scalar, right_factors = _fold(expr.right, order, values)
-        for key, e in right_factors.items():
-            factors[key] = factors.get(key, 0) + e
+        left, left_scalar, factors, eta = _fold(expr.left, order, values)
+        right, right_scalar, right_factors, right_eta = _fold(expr.right, order, values)
+        for exps, right_exps in ((factors, right_factors), (eta, right_eta)):
+            for key, e in right_exps.items():
+                exps[key] = exps.get(key, 0) + e
         dense = right if left is None else left if right is None else left * right
-        return dense, left_scalar * right_scalar, factors
+        return dense, left_scalar * right_scalar, factors, eta
     if isinstance(expr, Div):
-        right, right_scalar, right_factors = _fold(expr.right, order, values)
-        left, left_scalar, factors = _fold(expr.left, order, values)
-        c0 = right_scalar * (1 if right is None else right[0])  # every form has constant term 1
+        right, right_scalar, right_factors, right_eta = _fold(expr.right, order, values)
+        left, left_scalar, factors, eta = _fold(expr.left, order, values)
+        c0 = right_scalar * (1 if right is None else right[0])  # every form and eta quotient has constant term 1
         if c0 not in (1, -1):
             message = f"cannot invert series with constant term {format_int(c0)}"
             raise EvalError(message, print_expr(expr.right))
-        for key, e in right_factors.items():
-            factors[key] = factors.get(key, 0) - e
+        for exps, right_exps in ((factors, right_factors), (eta, right_eta)):
+            for key, e in right_exps.items():
+                exps[key] = exps.get(key, 0) - e
         if right is not None:
             left = (TruncatedSeries.one(order) if left is None else left) / right
-        return left, left_scalar * right_scalar, factors
+        return left, left_scalar * right_scalar, factors, eta
     if isinstance(expr, Pow):
-        base, scalar, factors = _fold(expr.base, order, values)
-        n = expr.exponent
-        if n * max(map(abs, factors.values()), default=0) > MAX_ORDER:
-            # the form applies eta_k^e as |e| passes; past the budget, square instead
-            return _expand(base, scalar, factors, order) ** n, 1, {}
-        return (None if base is None else base**n), scalar**n, {k: e * n for k, e in factors.items()}
-    return evaluate(expr, order, values), 1, {}
+        return _power(*_fold(expr.base, order, values), expr.exponent, order)
+    return evaluate(expr, order, values), 1, {}, {}
 
 
 def read_orders(statements: Iterable[IdentityStatement], order: int) -> dict[PartitionFunctionId, int]:

@@ -14,13 +14,18 @@ table gives both and what the function counts:
     qbar    eta2^2/eta1^2          (-q;q)^2            bipartitions into distinct parts
     peed    eta4/eta1              (q^4;q^4)/(q;q)     even parts distinct, odd parts free
 
-`gf_series` expands the eta quotient (`ETA_QUOTIENTS`) with the sparse
-pentagonal kernel and keeps the coefficients in one store, a table per
-function, which `function_value` reads too.  The store only grows,
-geometrically and under one lock; nothing is expanded at import, and every
-caller gets an exact prefix.  The products (`PRODUCTS`, expanded by
-`pochhammer_expand`) are the independent reference route that the tests
-compare the store against.
+One store holds the coefficients of eta quotients, a table per key: the
+nonzero exponents {(k, e)} of prod eta_k^e (`eta_key`), which are unique to
+the series.  A function name is a key (`KEYS`), so pood and p2 share one
+table; `gf_series` and `function_value` read it, and the identity language
+stores the eta quotient of any product chain there too (`eta_series`).  A
+missing or short key is expanded from the stored table whose exponent
+difference costs the fewest pentagonal-kernel passes, or from 1 when none is
+cheaper.  Tables only grow, geometrically and under one lock; nothing is
+expanded at import, and every caller gets an exact prefix.  Past
+MAX_DERIVED_KEYS keys besides the named ones, the least recently used is
+dropped.  The products (`PRODUCTS`, expanded by `pochhammer_expand`) are the
+independent reference route that the tests compare the store against.
 """
 
 from __future__ import annotations
@@ -28,12 +33,14 @@ from __future__ import annotations
 import threading
 from enum import Enum
 from operator import add
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 from .series import (
     ProductSpec,
     TruncatedSeries,
+    _mul_eta_quotient,
     _mul_sparse,
+    eta_passes,
     eta_quotient,
     pochhammer_expand,  # noqa: F401  (the reference route; bench/spans.py wraps this name)
     pochhammer_finite,
@@ -43,6 +50,9 @@ __all__ = [
     "PartitionFunctionId",
     "PRODUCTS",
     "ETA_QUOTIENTS",
+    "KEYS",
+    "eta_key",
+    "eta_series",
     "gf_series",
     "function_value",
     "lebesgue_partial",
@@ -106,7 +116,28 @@ ETA_QUOTIENTS: dict[PartitionFunctionId, dict[int, int]] = {
     PartitionFunctionId.PEED: {4: 1, 1: -1},
 }
 
-_cache: dict[PartitionFunctionId, Sequence[int]] = {}
+
+# The nonzero (k, e) of prod_k eta_k^e: a key of the store.
+EtaKey = frozenset[tuple[int, int]]
+
+
+def eta_key(exponents: Mapping[int, int]) -> EtaKey:
+    """The store key of prod_k eta_k^e over {k: e}: its nonzero (k, e).
+    Moebius inversion makes an eta quotient's exponents unique, so two
+    spellings of one series (pood and p2, say) get one key."""
+    return frozenset((k, e) for k, e in exponents.items() if e)
+
+
+KEYS: dict[PartitionFunctionId, EtaKey] = {
+    fid: eta_key(exponents) for fid, exponents in ETA_QUOTIENTS.items()
+}
+_NAMED = frozenset(KEYS.values())
+# Keys other than the named ones (a product chain's eta quotient) kept at
+# once, least recently used first out; the named keys are never dropped.
+MAX_DERIVED_KEYS = 32
+
+# eta key -> exact coefficients from q^0; derived keys in order of last use
+_cache: dict[EtaKey, Sequence[int]] = {}
 # one lock for every store; reentrant, as growing a residual table reads this store
 _cache_lock = threading.RLock()
 _CACHE_SEED_ORDER = 64
@@ -128,20 +159,54 @@ def grown(store: dict, key: Hashable, order: int, expand: Callable[[int], Sequen
     return table
 
 
-def gf_series(fid: PartitionFunctionId, order: int) -> TruncatedSeries:
-    """Exact coefficients of the named function's generating function,
-    read from the store and grown by expanding its eta quotient."""
+def _expand_key(key: EtaKey, order: int) -> Sequence[int]:
+    """The eta quotient `key` to q^order, from the stored table holding
+    q^order whose exponent difference to `key` costs the fewest kernel
+    passes (`eta_passes`), or from 1 when no stored table is cheaper."""
+    target = dict(key)
+    base, diff, cost = None, target, eta_passes(target, order)
+    for stored, table in _cache.items():
+        if len(table) > order:
+            step = dict(target)
+            for k, e in stored:
+                step[k] = step.get(k, 0) - e
+            step_cost = eta_passes(step, order)
+            if step_cost < cost:
+                base, diff, cost = table, step, step_cost
+    if base is None:
+        return eta_quotient(target, order).coeffs
+    acc = list(base[: order + 1])
+    _mul_eta_quotient(acc, {k: e for k, e in diff.items() if e})
+    return acc
+
+
+def eta_series(key: EtaKey, order: int) -> TruncatedSeries:
+    """The eta quotient `key` (see `eta_key`) to q^order, read from the store
+    and grown by `_expand_key`.  Past MAX_DERIVED_KEYS derived keys, the least
+    recently used one is dropped."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    table = grown(_cache, fid, order, lambda n: eta_quotient(ETA_QUOTIENTS[fid], n).coeffs)
+    with _cache_lock:
+        table = grown(_cache, key, order, lambda n: _expand_key(key, n))
+        if key not in _NAMED:
+            _cache[key] = _cache.pop(key)  # now the most recently used
+            derived = [k for k in _cache if k not in _NAMED]
+            for old in derived[: len(derived) - MAX_DERIVED_KEYS]:
+                del _cache[old]
     return TruncatedSeries(table[: order + 1])
+
+
+def gf_series(fid: PartitionFunctionId, order: int) -> TruncatedSeries:
+    """Exact coefficients of the named function's generating function: its
+    eta quotient's table in the store."""
+    return eta_series(KEYS[fid], order)
 
 
 def function_value(fid: PartitionFunctionId, n: int) -> int:
     """Coefficient of q^n, and 0 for negative n (an index shifted below zero)."""
     if n < 0:
         return 0
-    table = _cache.get(fid)
+    table = _cache.get(KEYS[fid])
     if table is None or n >= len(table):
         table = gf_series(fid, n).coeffs  # a memo grow: gf_series does the expanding
     return table[n]

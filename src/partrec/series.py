@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -41,6 +41,7 @@ __all__ = [
     "pochhammer_expand",
     "pochhammer_finite",
     "eta_quotient",
+    "eta_passes",
     "ProductForm",
     "theta_series",
     "progression_extract",
@@ -234,17 +235,21 @@ def _mul_sparse(
     adds a shifted, scaled copy of the old list per term, each one C-level
     slice pass.  Dividing solves acc_new[n] = c0*(acc[n] - sum c*acc_new[n-g])
     for increasing n, which needs c0 = +-1 (then 1/c0 == c0); dividing by
-    1 - q^g alone is a running sum over each residue class mod g, one
-    C-level pass.  Either way the cost is O(N * len(terms)).
+    1 - q^g alone is a running sum, acc[n] += acc[n-g], in about
+    min(g, N/g) C-level passes.  Either way the cost is O(N * len(terms)).
     """
     if divide:
         if c0 not in (1, -1):
             raise ValueError(f"cannot invert series with constant term {c0}")
         if c0 == 1 and len(terms) == 1 and terms[0][1] == -1:
-            # 1/(1 - q^g) = sum q^(g*i): a running sum along each residue class mod g
+            # 1/(1 - q^g) = sum q^(g*i): g residue classes mod g, or N/g blocks of g
             g = terms[0][0]
-            for r in range(min(g, len(acc))):
-                acc[r::g] = accumulate(acc[r::g])
+            if g * g > len(acc):
+                for s in range(g, len(acc), g):  # each block adds the block before it, already summed
+                    acc[s : s + g] = map(add, acc[s : s + g], acc[s - g : s])
+            else:
+                for r in range(g):
+                    acc[r::g] = accumulate(acc[r::g])
             return
         # unit coefficients (all of an eta factor's) need no multiply
         plus = [g for g, c in terms if c == 1]
@@ -448,8 +453,22 @@ def _mul_eta(acc: list[int], k: int, e: int) -> None:
     order = len(acc) - 1
     pent = THETA_FAMILIES["PENT"]
     terms = sorted((k * pent.exponent(j), pent.sign(j)) for j in pent.indices_up_to(order // k) if j)
-    for _ in range(abs(e)):
+    for _ in range(abs(e) if terms else 0):  # eta_k == 1 below q^k
         _mul_sparse(acc, terms, divide=e < 0)
+
+
+def eta_passes(exponents: Mapping[int, int], order: int) -> int:
+    """Kernel passes of expanding prod_k eta_k^e over {k: e} to q^order:
+    |e| times the pentagonal terms of eta_k up to q^order.
+
+    j(3j+1)/2 <= m for j >= 1 exactly when 6j+1 <= isqrt(24m+1), and
+    j(3j-1)/2 <= m exactly when 6j-1 <= isqrt(24m+1).
+    """
+    total = 0
+    for k, e in exponents.items():
+        s = isqrt(24 * (order // k) + 1)
+        total += abs(e) * ((s - 1) // 6 + (s + 1) // 6)
+    return total
 
 
 def eta_quotient(exponents: Mapping[int, int], order: int) -> TruncatedSeries:
@@ -478,8 +497,9 @@ class ProductForm:
 
     a_n is classes[n % period] + head.get(n, 0): one exponent per residue
     class mod the period, plus a finite head of corrections at n <= order.
-    Nothing of length order is stored.  Build one with `of`; `apply`
-    expands it through the eta kernel and one-term binomials.
+    Nothing of length order is stored.  Build one with `of`; `eta_split`
+    turns it into the eta factors and one-term binomials that
+    `_mul_eta_binomials` expands.
     """
 
     # a plain class: building a dataclass costs about 1 ms of every CLI run's import
@@ -558,15 +578,12 @@ class ProductForm:
                 binomials[n] = binomials.get(n, 0) + extra
         return {k: e for k, e in eta.items() if e}, {n: e for n, e in binomials.items() if e}
 
-    def apply(self, acc: list[int]) -> None:
-        """acc *= the form in place; acc holds q^0..q^order."""
-        if self.scalar != 1:
-            _mul_sparse(acc, (), self.scalar)
-        if not self.scalar:
-            return
-        eta, binomials = self.eta_split()
-        _mul_eta_quotient(acc, eta)
-        for n, e in sorted(binomials.items(), key=lambda ne: (ne[1] < 0, ne[0])):
-            for _ in range(abs(e)):
-                _mul_sparse(acc, ((n, -1),), divide=e < 0)
+
+def _mul_eta_binomials(acc: list[int], eta: Mapping[int, int], binomials: Mapping[int, int]) -> None:
+    """acc *= prod_k eta_k^e over eta times prod_n (1 - q^n)^e over
+    binomials, in place: the eta factors, then the binomials, numerators first."""
+    _mul_eta_quotient(acc, eta)
+    for n, e in sorted(binomials.items(), key=lambda ne: (ne[1] < 0, ne[0])):
+        for _ in range(abs(e)):
+            _mul_sparse(acc, ((n, -1),), divide=e < 0)
 

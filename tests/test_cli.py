@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partrec import cli
+from partrec import cli, functions
 from partrec.cli import VERIFY_MAX_N, main
 from partrec.dsl import MAX_ORDER
 from partrec.functions import PartitionFunctionId
@@ -176,6 +176,29 @@ def test_check_failing_statement(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "check", str(bad))
     assert code == 1
     assert "fail" in out and "q^1" in out
+
+
+def test_check_of_many_forms_keeps_a_bounded_store(tmp_path, capsys):
+    # 200 distinct eta quotients eta_k^e / eta_1, every seventh statement false at q^0
+    lines = []
+    for i in range(200):
+        k, e = 1 + i % 25, 1 + i // 25
+        bump = " + 1" if i % 7 == 0 else ""
+        lines.append(f"P(q^{k}; q^{k})^{e} * p == P(q^{k}; q^{k})^{e} / P(q^1; q^1){bump} within 40")
+    path = tmp_path / "many.qid"
+    path.write_text("\n".join(lines) + "\n")
+    functions._cache_clear()
+    for _ in range(2):  # the second run expands again the keys the first one dropped
+        code, out, _ = run_cli(capsys, "check", str(path))
+        assert code == 1
+        reports = out.splitlines()
+        assert len(reports) == 200
+        for i, (line, report) in enumerate(zip(lines, reports)):
+            outcome = "fail (n <= 40, " if i % 7 == 0 else "pass (n <= 40, "
+            assert report.startswith(f"{line}: {outcome}")
+            assert i % 7 != 0 or "first failure at n=0, residual=-1 " in report
+        derived = [key for key in functions._cache if key not in functions.KEYS.values()]
+        assert len(derived) <= functions.MAX_DERIVED_KEYS
 
 
 def test_check_parse_error(tmp_path, capsys):

@@ -33,7 +33,7 @@ from partrec.dsl import (
     residuals,
     statement_text,
 )
-from partrec import dsl
+from partrec import dsl, functions, series
 from partrec.functions import PartitionFunctionId as F, function_value, gf_series, lebesgue_partial
 from partrec.recurrences import _SUITES, TheoremId, verify_all
 from partrec.series import THETA_FAMILIES, ProductSpec, pochhammer_expand, theta_series
@@ -649,3 +649,53 @@ def test_theorem_suites_never_fold(monkeypatch):
 
     monkeypatch.setattr(dsl, "ProductForm", Refuse)
     assert all(r.passed for r in verify_all(100))
+
+
+# ---------------------------------------------------------------------------
+# The eta store: chains read their eta quotient by key
+
+
+def test_checking_paper_qid_expands_each_key_once_per_order(monkeypatch):
+    expand = functions._expand_key
+    expanded = []
+
+    def recording(key, order):
+        expanded.append((key, order))
+        return expand(key, order)
+
+    monkeypatch.setattr(functions, "_expand_key", recording)
+    functions._cache_clear()
+    assert all(check(stmt).passed for stmt in parse(PAPER_QID.read_text(encoding="utf-8")))
+    assert len(set(expanded)) == len(expanded) == 18
+    # 17 eta quotients; po_bar is grown once more, for extract(po_bar, 2, r) at q^401
+    assert len({key for key, _ in expanded}) == 17
+
+
+def test_a_chain_of_named_functions_reads_one_table(monkeypatch):
+    functions._cache_clear()
+    po_bar = gf_series(F.PO_ODD, 300)
+    monkeypatch.setattr(functions, "_expand_key", lambda key, order: pytest.fail(f"expanded {set(key)}"))
+    # pd * pdo and the Pochhammer quotient are both po_bar's eta quotient
+    assert evaluate(parse("pd * pdo == 1 within 1")[0].lhs, 300) == po_bar
+    assert evaluate(parse("P(-q^1; q^2) / P(q^1; q^2) == 1 within 1")[0].lhs, 300) == po_bar
+
+
+@pytest.mark.parametrize(
+    "text, kernel_calls",
+    [
+        # po_bar's 6 eta passes, then 15 dense products (9 squarings, 6 multiplies)
+        ("po_bar^1000 == 1 within 500", 21),
+        # one eta_1 pass, then 17 products; folding the power would take 5000 passes
+        ("P(q^1; q^1)^5000 == 1 within 2000", 18),
+        # three eta_1 / eta_2 passes each way cost less than squaring
+        ("P(q^1; q^2)^3 == 1 within 50", 6),
+    ],
+)
+def test_powers_choose_squaring_by_cost(monkeypatch, text, kernel_calls):
+    # a kernel that only counts its calls: the route, not the coefficients, is under test
+    calls = []
+    monkeypatch.setattr(series, "_mul_sparse", lambda acc, terms, c0=1, divide=False: calls.append(terms))
+    monkeypatch.setattr(functions, "_cache", {})
+    [stmt] = parse(text)
+    evaluate(stmt.lhs, stmt.order)
+    assert len(calls) == kernel_calls

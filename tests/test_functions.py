@@ -7,13 +7,19 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partrec import functions
 from partrec.functions import (
     ETA_QUOTIENTS,
+    KEYS,
+    MAX_DERIVED_KEYS,
     PartitionFunctionId as F,
     PRODUCTS,
     _cache_clear,
+    eta_key,
+    eta_series,
     function_value,
     gf_series,
     lebesgue_partial,
@@ -134,6 +140,49 @@ def test_gf_series_reads_the_store(monkeypatch):
     for order in (0, 64, 2000, 4001):
         assert gf_series(F.PO_ODD, order) == full.truncate(order)
     assert function_value(F.PO_ODD, 4001) == full[4001]
+
+
+def test_pood_and_p2_share_one_table():
+    _cache_clear()
+    assert KEYS[F.POOD] == KEYS[F.P2MOD4] == eta_key({1: -1, 2: 1, 4: -1, 3: 0})
+    assert gf_series(F.POOD, 100) == gf_series(F.P2MOD4, 100)
+    assert len(functions._cache) == 1
+
+
+_eta_keys = st.dictionaries(st.integers(1, 6), st.integers(-3, 3), max_size=4).map(eta_key)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_eta_keys, st.integers(0, 60)), max_size=4), _eta_keys, st.integers(1, 3), st.integers(0, 60)
+)
+def test_neighbour_derivation_matches_expansion_from_one(stored, target, k, order):
+    # target * eta_k is stored too, so a neighbour one factor away is on hand
+    near = eta_key({**dict(target), k: dict(target).get(k, 0) + 1})
+    with functions._cache_lock:
+        saved = dict(functions._cache)
+        functions._cache.clear()
+        try:
+            for key, n in stored + [(near, order)]:
+                eta_series(key, n)
+            derived = functions._expand_key(target, order)
+        finally:
+            functions._cache.clear()
+            functions._cache.update(saved)
+    assert list(derived) == list(eta_quotient(dict(target), order))
+
+
+def test_derived_keys_are_dropped_least_recently_used_first(monkeypatch):
+    monkeypatch.setattr(functions, "MAX_DERIVED_KEYS", 2)
+    _cache_clear()
+    a, b, c = (eta_key({5: e}) for e in (1, 2, 3))
+    gf_series(F.PO_ODD, 10)
+    for key in (a, b, a, c):
+        eta_series(key, 10)
+    assert set(functions._cache) == {KEYS[F.PO_ODD], a, c}
+    # a dropped key is expanded again, with the same coefficients
+    assert eta_series(b, 10) == eta_quotient({5: 2}, 10)
+    assert set(functions._cache) == {KEYS[F.PO_ODD], c, b}
 
 
 def test_gf_series_negative_order():

@@ -30,6 +30,7 @@ from partrec.series import (
     series_inverse,
     series_mul,
     theta_series,
+    _mul_eta_binomials,
     _mul_sparse,
 )
 
@@ -350,25 +351,34 @@ def coefficients(order: int):
 
 
 def operands(order: int):
-    """Two coefficient lists, a unit (constant term +-1) of one order, and
-    the g of a binomial 1 - q^g, which may lie past the order."""
+    """Two coefficient lists and a unit (constant term +-1) of one order."""
     unit = st.tuples(st.sampled_from((1, -1)), coefficients(order)).map(lambda t: [t[0], *t[1][1:]])
-    return st.tuples(coefficients(order), coefficients(order), unit, st.integers(1, order + 2))
+    return st.tuples(coefficients(order), coefficients(order), unit)
 
 
 @settings(deadline=None)
-@given(st.integers(min_value=0, max_value=40).flatmap(operands))
-def test_mul_and_division_match_schoolbook(xyug):
-    x, y, u, g = xyug
+@given(st.integers(min_value=0, max_value=40).flatmap(operands), st.data())
+def test_mul_and_division_match_schoolbook(xyu, data):
+    x, y, u = xyu
     assert list((TruncatedSeries(x) * TruncatedSeries(y)).coeffs) == schoolbook_mul(x, y)
     assert list(TruncatedSeries(u).inverse().coeffs) == schoolbook_inverse(u)
     assert list((TruncatedSeries(x) / TruncatedSeries(u)).coeffs) == schoolbook_mul(x, schoolbook_inverse(u))
-    # dividing by 1 - q^g alone takes the running-sum path
-    binomial = [1 if n == 0 else -1 if n == g else 0 for n in range(len(x))]
-    quotient = list(x)
-    _mul_sparse(quotient, [(g, -1)], divide=True)
-    assert quotient == schoolbook_mul(x, schoolbook_inverse(binomial))
-    assert list((TruncatedSeries(x) / TruncatedSeries(binomial)).coeffs) == quotient
+    # dividing by 1 - q^g alone: running sums for g^2 <= N coefficients, else
+    # blocks of g (several, or one short one), and nothing past the order
+    n = len(x)
+    branches = (
+        [g for g in range(1, n + 1) if g * g <= n],
+        [g for g in range(1, n + 1) if g * g > n and 2 * g <= n],
+        [g for g in range(1, n) if g * g > n and 2 * g > n],
+        [n, n + 1],
+    )
+    for gs in filter(None, branches):
+        g = data.draw(st.sampled_from(gs))
+        binomial = [1 if k == 0 else -1 if k == g else 0 for k in range(n)]
+        quotient = list(x)
+        _mul_sparse(quotient, [(g, -1)], divide=True)
+        assert quotient == schoolbook_mul(x, schoolbook_inverse(binomial))
+        assert list((TruncatedSeries(x) / TruncatedSeries(binomial)).coeffs) == quotient
 
 
 @settings(deadline=None)
@@ -400,8 +410,8 @@ form_factor = st.tuples(
 
 
 def expand(form: ProductForm) -> TruncatedSeries:
-    acc = [1] + [0] * form.order
-    form.apply(acc)
+    acc = [form.scalar] + [0] * form.order
+    _mul_eta_binomials(acc, *form.eta_split())
     return TruncatedSeries(acc)
 
 
