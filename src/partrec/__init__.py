@@ -8,7 +8,6 @@ from .report import VerificationReport
 from .series import (
     THETA_FAMILIES,
     ProductSpec,
-    ThetaFamily,
     TruncatedSeries,
     pochhammer_expand,
     pochhammer_finite,
@@ -26,7 +25,6 @@ __all__ = [
     "TheoremId",
     "TruncatedSeries",
     "ProductSpec",
-    "ThetaFamily",
     "THETA_FAMILIES",
     "VerificationReport",
     "ConstraintSpec",

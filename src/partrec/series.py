@@ -8,32 +8,31 @@ is used anywhere in the engine.
 The module also expands q-Pochhammer products, (s*q^a; q^b)_inf and their
 finite counterparts, quotients of the Dedekind-eta-style products
 eta_k = (q^k; q^k)_inf, and generates the sparse theta series that arise
-from Jacobi's triple product identity.  A `ProductForm` holds a product of
-Pochhammer factors as exponents of (1 - q^n), by period and head, and
-expands the gcd-periodic part as an eta quotient; `pochhammer_expand`,
-one binomial at a time, is the independent reference route.  Every
-product, quotient and Pochhammer or eta expansion goes through one
-in-place kernel, `_mul_sparse`, which multiplies or divides a coefficient
-list by c0 + sum c*q^g in O(N) per nonzero term.  Series values are
-immutable after construction, so they are safe to share across threads.
+from Jacobi's triple product identity.  Each theta family is one row of
+`THETA_FAMILIES`, a quadratic sum of signs times q^((a*k^2 + b*k)/d), and
+`theta_series` is its one generator; eta_k takes its pentagonal terms
+from the PENT row.  A `ProductForm` holds a product of Pochhammer factors
+as exponents of (1 - q^n), by period and head, and expands the
+gcd-periodic part as an eta quotient; `pochhammer_expand`, one binomial
+at a time, is the independent reference route.  Every product, quotient
+and Pochhammer or eta expansion goes through one in-place kernel,
+`_mul_sparse`, which multiplies or divides a coefficient list by
+c0 + sum c*q^g in O(N) per nonzero term.  Series values are immutable
+after construction, so they are safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "TruncatedSeries",
     "ProductSpec",
-    "ThetaFamily",
     "THETA_FAMILIES",
-    "ceil_half",
-    "neg_one_pow",
     "series_add",
     "series_sub",
     "series_mul",
@@ -46,21 +45,6 @@ __all__ = [
     "theta_series",
     "progression_extract",
 ]
-
-
-def ceil_half(k: int) -> int:
-    """Ceiling of k/2 for any integer k, fixed as floor((k+1)/2).
-
-    This is the unique convention under which the signed pentagonal theta
-    reproduces the triple-product expansion; ceil_half(-1) == 0 and
-    ceil_half(-3) == -1.
-    """
-    return (k + 1) // 2
-
-
-def neg_one_pow(m: int) -> int:
-    """(-1)**m as an exact int, valid for negative m."""
-    return 1 - 2 * (m & 1)
 
 
 class TruncatedSeries:
@@ -351,95 +335,45 @@ def pochhammer_finite(sign: int, a: int, b: int, n: int, order: int) -> Truncate
     return TruncatedSeries(acc)
 
 
-Exponent = Union[int, Fraction]
-
-
-@dataclass(frozen=True)
-class ThetaFamily:
-    """A named exponent-and-sign rule generating a sparse theta series.
-
-    exponent(k) must be nonnegative and strictly increasing in |k| within
-    the family's index range, so the terms below any truncation order form
-    a finite, computable set.  Exponents may be Fractions (half-integral);
-    non-integral exponents contribute nothing to an integer-power series.
-    """
-
-    name: str
-    exponent: Callable[[int], Exponent]
-    sign: Callable[[int], int]
-    two_sided: bool
-
-    def indices_up_to(self, bound: int) -> list[int]:
-        """All k in range with exponent(k) <= bound, in |k| order."""
-        out: list[int] = []
-        j = 0
-        while True:
-            ks = (0,) if j == 0 else ((j, -j) if self.two_sided else (j,))
-            alive = False
-            for k in ks:
-                if self.exponent(k) <= bound:
-                    alive = True
-                    out.append(k)
-            if not alive and j > 0:
-                return out
-            j += 1
-
-
-def _pent(k: int) -> int:
-    return k * (3 * k + 1) // 2
-
-
-def _tri(k: int) -> int:
-    return k * (k + 1) // 2
-
-
-def _merca_gpent(k: int) -> int:
-    c = ceil_half(k)
-    return c * (3 * c + neg_one_pow(k)) // 2
-
-
-THETA_FAMILIES: dict[str, ThetaFamily] = {
-    f.name: f
-    for f in (
-        ThetaFamily("PENT", _pent, neg_one_pow, two_sided=True),
-        ThetaFamily("PENT_CEIL", _pent, lambda k: neg_one_pow(ceil_half(k)), two_sided=True),
-        ThetaFamily("PENT2", lambda k: k * (3 * k + 1), neg_one_pow, two_sided=True),
-        ThetaFamily("TRI", _tri, lambda k: 1, two_sided=False),
-        ThetaFamily("TRI_CEIL", _tri, lambda k: neg_one_pow(ceil_half(k)), two_sided=False),
-        ThetaFamily("SQ", lambda k: k * k, lambda k: 1, two_sided=True),
-        ThetaFamily("TWOSQ", lambda k: 2 * k * k, neg_one_pow, two_sided=True),
-        ThetaFamily("TWO_TRI4", lambda k: 2 * k * (k + 1), lambda k: 1, two_sided=False),
-        # phi(-q) = sum_j (-1)^j q^(j^2) over j in Z, and the same sum over j >= 0 only
-        ThetaFamily("SIGNED_SQ", lambda k: k * k, neg_one_pow, two_sided=True),
-        ThetaFamily("SIGNED_SQ_POS", lambda k: k * k, neg_one_pow, two_sided=False),
-        # Merca's generalized pentagonal numbers G_k = 0, 1, 2, 5, 7, 12, ...
-        ThetaFamily("GPENT", _merca_gpent, lambda k: neg_one_pow(ceil_half(k)), two_sided=False),
-        ThetaFamily(
-            "GPENT_HALF",
-            lambda k: Fraction(_merca_gpent(k), 2),
-            lambda k: neg_one_pow(ceil_half(k)),
-            two_sided=False,
-        ),
-    )
+# name: (a, b, d, two_sided, signs), the sparse quadratic sum
+#   sum of signs[k % len(signs)] * q^((a*k^2 + b*k)/d)
+# over k in Z (two_sided) or k >= 0, skipping the k where d does not divide
+# a*k^2 + b*k.  Signs (1, -1, -1, 1) are (-1)^ceil(k/2) for every integer k.
+THETA_FAMILIES: dict[str, tuple[int, int, int, bool, tuple[int, ...]]] = {
+    "PENT": (3, 1, 2, True, (1, -1)),
+    "PENT_CEIL": (3, 1, 2, True, (1, -1, -1, 1)),
+    "PENT2": (3, 1, 1, True, (1, -1)),
+    "TRI": (1, 1, 2, False, (1,)),
+    "TRI_CEIL": (1, 1, 2, False, (1, -1, -1, 1)),
+    "SQ": (1, 0, 1, True, (1,)),
+    "TWOSQ": (2, 0, 1, True, (1, -1)),
+    "TWO_TRI4": (2, 2, 1, False, (1,)),
+    # phi(-q) = sum_j (-1)^j q^(j^2) over j in Z, and the same sum over j >= 0 only
+    "SIGNED_SQ": (1, 0, 1, True, (1, -1)),
+    "SIGNED_SQ_POS": (1, 0, 1, False, (1, -1)),
+    # Merca's generalized pentagonal numbers G_k = 0, 1, 2, 5, 7, 12, ... over
+    # k >= 0, signed (-1)^ceil(k/2), are PENT's terms in order; GPENT_HALF
+    # keeps q^(G_k/2) for the even G_k, that is q^(j(3j+1)/4) with sign (-1)^j
+    "GPENT": (3, 1, 2, True, (1, -1)),
+    "GPENT_HALF": (3, 1, 4, True, (1, -1)),
 }
 
 
-def theta_series(family: ThetaFamily, order: int) -> TruncatedSeries:
-    """Sum of sign(k)*q^exponent(k) over all in-range k with exponent <= order.
+def theta_series(row: tuple[int, int, int, bool, tuple[int, ...]], order: int) -> TruncatedSeries:
+    """Expand a THETA_FAMILIES row to q^order.
 
-    Half-integral exponents (GPENT_HALF) are skipped: they live at powers
-    the integer-exponent series does not have.
+    Every row has 0 <= b <= a, so a*k^2 + b*k is nonnegative and grows with
+    |k| on each side of 0: each side's walk stops at the first k past the order.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
+    a, b, d, two_sided, signs = row
     out = [0] * (order + 1)
-    for k in family.indices_up_to(order):
-        e = family.exponent(k)
-        if isinstance(e, Fraction):
-            if e.denominator != 1:
-                continue
-            e = int(e)
-        out[e] += family.sign(k)
+    for k, step in ((0, 1), (-1, -1)) if two_sided else ((0, 1),):
+        while (m := a * k * k + b * k) <= d * order:
+            if not m % d:
+                out[m // d] += signs[k % len(signs)]
+            k += step
     return TruncatedSeries(out)
 
 
@@ -450,9 +384,8 @@ def _mul_eta(acc: list[int], k: int, e: int) -> None:
     2*sqrt(2N/(3k)) terms up to q^N (Euler's pentagonal number theorem), so
     each factor costs O(N*sqrt(N/k)) instead of the O(N^2) of its binomials.
     """
-    order = len(acc) - 1
-    pent = THETA_FAMILIES["PENT"]
-    terms = sorted((k * pent.exponent(j), pent.sign(j)) for j in pent.indices_up_to(order // k) if j)
+    pent = theta_series(THETA_FAMILIES["PENT"], (len(acc) - 1) // k)
+    terms = [(k * g, c) for g, c in _terms(pent.coeffs)]
     for _ in range(abs(e) if terms else 0):  # eta_k == 1 below q^k
         _mul_sparse(acc, terms, divide=e < 0)
 

@@ -6,10 +6,11 @@ from pathlib import Path
 import pytest
 
 from partrec.functions import PartitionFunctionId, gf_series
-from partrec.series import THETA_FAMILIES, ProductSpec
+from partrec.series import ProductSpec
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PAPER_QID = REPO_ROOT / "identities" / "paper.qid"
+THETA_ETA_QID = REPO_ROOT / "identities" / "theta_eta.qid"
 
 # The subprocess tests run `python -m partrec`; pyproject's `pythonpath`
 # covers only this process, so the children get the sources the same way.
@@ -51,8 +52,3 @@ def schoolbook_inverse(x: list[int]) -> list[int]:
 def po_odd_2000():
     """The po_bar generating function to order 2000, shared by the heavy tests."""
     return gf_series(PartitionFunctionId.PO_ODD, 2000)
-
-
-@pytest.fixture(scope="session")
-def theta_families():
-    return THETA_FAMILIES

@@ -462,6 +462,19 @@ def test_usage_error_exit_code_subprocess():
     assert proc.returncode == 2  # argparse usage errors share the contract
 
 
+def test_cli_import_leaves_out_fractions():
+    # fractions would also pull in decimal: start-up cost on every CLI run
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, partrec.cli; print('fractions' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # Installs the benchmark's tracer (bench/spans.py), runs a verify and a check,
 # and prints the names of the spans recorded.  install() rebinds names in
 # partrec's modules, so dropping or renaming one of them fails here.

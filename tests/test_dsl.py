@@ -38,7 +38,7 @@ from partrec.functions import PartitionFunctionId as F, function_value, gf_serie
 from partrec.recurrences import _SUITES, TheoremId, verify_all
 from partrec.series import THETA_FAMILIES, ProductSpec, pochhammer_expand, theta_series
 
-from conftest import PAPER_QID, schoolbook_inverse, schoolbook_mul
+from conftest import PAPER_QID, THETA_ETA_QID, schoolbook_inverse, schoolbook_mul
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +638,14 @@ def test_bundled_statements_never_expand_binomial_by_binomial(monkeypatch):
 
     monkeypatch.setattr(dsl, "pochhammer_expand", refuse)
     assert all(check(stmt).passed for stmt in parse(PAPER_QID.read_text(encoding="utf-8")))
+
+
+def test_theta_families_equal_their_eta_forms():
+    # ten families are eta quotients; the eleventh statement is GPENT == PENT
+    statements = parse(THETA_ETA_QID.read_text(encoding="utf-8"))
+    assert len(statements) == 11
+    for stmt in statements:
+        assert check(stmt).passed, statement_text(stmt)
 
 
 def test_theorem_suites_never_fold(monkeypatch):

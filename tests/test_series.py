@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partrec import series
 from partrec.oracle import (
     ConstraintSpec,
     Distinctness,
@@ -20,9 +22,8 @@ from partrec.series import (
     ProductForm,
     ProductSpec,
     TruncatedSeries,
-    ceil_half,
+    eta_passes,
     eta_quotient,
-    neg_one_pow,
     pochhammer_expand,
     pochhammer_finite,
     progression_extract,
@@ -30,6 +31,7 @@ from partrec.series import (
     series_inverse,
     series_mul,
     theta_series,
+    _mul_eta,
     _mul_eta_binomials,
     _mul_sparse,
 )
@@ -177,23 +179,6 @@ def test_theta_pent_ceil():
     assert theta_series(THETA_FAMILIES["PENT_CEIL"], 7).coeffs == (1, 1, -1, 0, 0, -1, 0, -1)
 
 
-def test_pent_ceil_signs_match_triangular_parity_formula():
-    # (-1)^ceil(k/2) and (-1)^(k(k+1)/2) must produce the same series
-    family = THETA_FAMILIES["PENT_CEIL"]
-    order = 200
-    alt = [0] * (order + 1)
-    for k in family.indices_up_to(order):
-        alt[k * (3 * k + 1) // 2] += neg_one_pow(k * (k + 1) // 2)
-    assert list(theta_series(family, order).coeffs) == alt
-
-
-def test_ceil_half_convention():
-    # pinned: ceil(k/2) == floor((k+1)/2) for all integers
-    assert [ceil_half(k) for k in (-4, -3, -2, -1, 0, 1, 2, 3)] == [-2, -1, -1, 0, 0, 1, 1, 2]
-    for k in range(-50, 51):
-        assert ceil_half(k) == -((-k) // 2)
-
-
 def test_theta_gpent_half_skips_non_integral_exponents():
     # generalized pentagonal halves: q^(G_k/2) survives only for even G_k
     got = theta_series(THETA_FAMILIES["GPENT_HALF"], 20)
@@ -207,21 +192,49 @@ def test_theta_gpent_half_skips_non_integral_exponents():
     assert list(got.coeffs) == expected
 
 
-def test_theta_exponents_strictly_increase(theta_families):
-    for family in theta_families.values():
-        ks = family.indices_up_to(300)
-        pos = [family.exponent(k) for k in ks if k >= 0]
-        neg = [family.exponent(k) for k in ks if k <= 0]
-        assert pos == sorted(pos) and len(set(pos)) == len(pos)
-        assert neg == sorted(neg) and len(set(neg)) == len(neg)
+def _sign(m: int) -> int:
+    return (-1) ** (m % 2)
 
 
-def test_theta_two_sided_windows_are_exact(theta_families):
-    # every contributing index is found and none beyond the bound
-    fam = theta_families["PENT"]
-    ks = fam.indices_up_to(100)
-    direct = [k for k in range(-20, 21) if k * (3 * k + 1) // 2 <= 100]
-    assert sorted(ks) == sorted(direct)
+def _ceil_sign(k: int) -> int:
+    return _sign((k + 1) // 2)  # (-1)^ceil(k/2), negative k included
+
+
+def _merca_gpent(k: int) -> int:
+    # Merca's generalized pentagonal numbers G_k = 0, 1, 2, 5, 7, 12, ...
+    c = (k + 1) // 2
+    return c * (3 * c + _sign(k)) // 2
+
+
+# Each family as a rule per index k: (exponent, sign, k over Z or k >= 0).
+# Exponents that are not integers contribute nothing.
+THETA_RULES = {
+    "PENT": (lambda k: k * (3 * k + 1) // 2, _sign, True),
+    "PENT_CEIL": (lambda k: k * (3 * k + 1) // 2, _ceil_sign, True),
+    "PENT2": (lambda k: k * (3 * k + 1), _sign, True),
+    "TRI": (lambda k: k * (k + 1) // 2, lambda k: 1, False),
+    "TRI_CEIL": (lambda k: k * (k + 1) // 2, _ceil_sign, False),
+    "SQ": (lambda k: k * k, lambda k: 1, True),
+    "TWOSQ": (lambda k: 2 * k * k, _sign, True),
+    "TWO_TRI4": (lambda k: 2 * k * (k + 1), lambda k: 1, False),
+    "SIGNED_SQ": (lambda k: k * k, _sign, True),
+    "SIGNED_SQ_POS": (lambda k: k * k, _sign, False),
+    "GPENT": (_merca_gpent, _ceil_sign, False),
+    "GPENT_HALF": (lambda k: Fraction(_merca_gpent(k), 2), _ceil_sign, False),
+}
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 50, 400, 2000])
+@pytest.mark.parametrize("name", sorted(THETA_FAMILIES))
+def test_theta_rows_match_brute_force_rules(name, order):
+    exponent, sign, two_sided = THETA_RULES[name]
+    expected = [0] * (order + 1)
+    # every exponent is at least |k|/2, so |k| <= 2*order + 1 reaches past q^order
+    for k in range(-2 * order - 1 if two_sided else 0, 2 * order + 2):
+        e = exponent(k)
+        if e <= order and e == int(e):
+            expected[int(e)] += sign(k)
+    assert list(theta_series(THETA_FAMILIES[name], order)) == expected
 
 
 @pytest.mark.parametrize("name, spec", JACOBI_TRIPLE_PRODUCT_CASES)
@@ -333,6 +346,16 @@ def test_eta_quotient_validation():
         eta_quotient({0: 1}, 5)
     with pytest.raises(ValueError):
         eta_quotient({1: 1}, -1)
+
+
+def test_eta_passes_counts_the_terms_mul_eta_applies(monkeypatch):
+    applied = []
+    monkeypatch.setattr(series, "_mul_sparse", lambda acc, terms, c0=1, divide=False: applied.append(len(terms)))
+    for k in range(1, 9):
+        for order in range(601):
+            applied.clear()
+            _mul_eta([1] + [0] * order, k, 1)
+            assert sum(applied) == eta_passes({k: 1}, order), (k, order)
 
 
 # ---------------------------------------------------------------------------
