@@ -20,7 +20,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import dsl, oracle
-from .functions import PartitionFunctionId, gf_series
+from .functions import PartitionFunctionId, function_value, gf_series
 from .recurrences import VERIFY_MAX_N, TheoremId, verify, verify_all
 from .report import VerificationReport, format_int
 
@@ -123,6 +123,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     if not statements:
         print("no statements", file=sys.stderr)
         return EXIT_OK
+
+    # grow each named table once, to its largest read by a statement that expands
+    for fid, n in dsl.read_orders(filter(dsl.expands, statements), args.order).items():
+        function_value(fid, n)
 
     def run(stmt: dsl.IdentityStatement) -> VerificationReport:
         try:

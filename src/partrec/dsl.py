@@ -11,10 +11,16 @@ arithmetic-progression dissection, subs(expr, [-]q^d) for expr with q
 replaced by +-q^d, and lebesgue(j) for partial sums of the Lebesgue
 series.  Operators are ^ over * and / over + and -, all left-associative;
 there are no variables or binding forms, so every statement is a closed
-identity checked by expanding both sides to the stated order and comparing
-coefficients; with `mod M` (M >= 2) they are compared modulo M from q^1
-on.  Named functions come from the memoized store, or from a caller's
-`values` source, through which the theorem suites run on corrupted tables.
+identity checked to the stated order.  `check` decides a statement whose
+sides are both products (integer literals, Pochhammer atoms, named
+functions and the theta families with an eta form in `THETA_ETA`, under
+*, / and ^) on their scalars and exponent sequences a_n of (1 - q^n),
+which it reads off without expanding; equal products are equal series.
+Any other statement, and every statement under `mod M` or with a zero
+scalar, is checked by expanding both sides and comparing coefficients;
+with `mod M` (M >= 2) they are compared modulo M from q^1 on.  Named
+functions come from the memoized store, or from a caller's `values`
+source, through which the theorem suites run on corrupted tables.
 
 Every maximal chain of *, / and ^ is folded into a scalar (its integer
 literals), eta exponents (its named functions, under the store, and its
@@ -37,6 +43,7 @@ from typing import Iterable, NamedTuple, Optional, Union, get_args
 
 from .functions import (
     ETA_QUOTIENTS,
+    KEYS,
     PartitionFunctionId,
     Values,
     eta_key,
@@ -46,11 +53,13 @@ from .functions import (
 )
 from .report import Failure, VerificationReport, format_int
 from .series import (
+    THETA_ETA,
     THETA_FAMILIES,
     ProductForm,
     TruncatedSeries,
     _mul_eta_binomials,
     eta_passes,
+    eta_quotient,
     pochhammer_expand,  # noqa: F401  (the reference route; bench/spans.py wraps this name)
     theta_series,
 )
@@ -81,6 +90,7 @@ __all__ = [
     "residuals",
     "print_expr",
     "statement_text",
+    "expands",
     "check",
 ]
 
@@ -594,17 +604,29 @@ def _expand(
     return series if scalar == 1 else series * scalar
 
 
+def _squarings(n: int) -> int:
+    """Dense products that raising to the n-th power by squaring takes:
+    about bit_length + popcount of |n|."""
+    return abs(n).bit_length() + bin(n).count("1")
+
+
 def _power(
-    dense: Optional[TruncatedSeries], scalar: int, factors: _Factors, eta: _Eta, n: int, order: int
+    dense: Optional[TruncatedSeries],
+    scalar: int,
+    factors: _Factors,
+    eta: _Eta,
+    n: int,
+    order: int,
+    decide: bool = False,
 ) -> _Fold:
     """The fold of a chain raised to the n-th power: every exponent times n,
     unless n times the chain's kernel passes (its eta and binomial factors)
-    exceed what squaring the expanded chain costs, about
-    (bit_length + popcount of n) dense products of `order` passes each."""
-    if n > 1:
+    exceed what squaring the expanded chain costs, `_squarings(n)` dense
+    products of `order` passes each.  A deciding fold never squares."""
+    if n > 1 and not decide:
         split_eta, binomials = _split(factors, eta, order)
         passes = eta_passes(split_eta, order) + sum(map(abs, binomials.values()))
-        if n * passes > (n.bit_length() + bin(n).count("1")) * order:
+        if n * passes > _squarings(n) * order:
             return _expand(dense, scalar, factors, eta, order) ** n, 1, {}, {}
     return (
         None if dense is None else dense**n,
@@ -614,7 +636,7 @@ def _power(
     )
 
 
-def _fold(expr: ExprNode, order: int, values: Optional[Values]) -> _Fold:
+def _fold(expr: ExprNode, order: int, values: Optional[Values], decide: bool = False) -> _Fold:
     """A Mul/Div/Pow chain as (dense, scalar, factors, eta): the product of
     its opaque factors (None for none), and the scalar, Pochhammer factors
     and eta exponents that `_expand` multiplies it by.  A P(q^k; q^k) atom is
@@ -622,26 +644,30 @@ def _fold(expr: ExprNode, order: int, values: Optional[Values]) -> _Fold:
     quotient; under a caller's `values` source it stays opaque.  Each opaque
     factor is evaluated once, left to right except that a divisor comes
     before its dividend; a divisor whose constant term is not +-1 raises
-    EvalError once both are folded."""
+    EvalError once both are folded.
+
+    A deciding fold (`decide`, for `check`, of a side `_is_product`
+    accepts) expands nothing: powers fold into the exponents, and a theta
+    is its eta form (`THETA_ETA`)."""
     if isinstance(expr, IntLiteral):
         return None, expr.value, {}, {}
     if isinstance(expr, Pochhammer):
         if expr.sign == 1 and expr.a == expr.b:
-            return _power(None, 1, {}, {expr.a: 1}, expr.power, order)
-        return _power(None, 1, {(expr.sign, expr.a, expr.b): 1}, {}, expr.power, order)
+            return _power(None, 1, {}, {expr.a: 1}, expr.power, order, decide)
+        return _power(None, 1, {(expr.sign, expr.a, expr.b): 1}, {}, expr.power, order, decide)
     if isinstance(expr, NamedFunction) and values is None:
         return None, 1, {}, dict(ETA_QUOTIENTS[expr.fid])
     if isinstance(expr, Mul):
-        left, left_scalar, factors, eta = _fold(expr.left, order, values)
-        right, right_scalar, right_factors, right_eta = _fold(expr.right, order, values)
+        left, left_scalar, factors, eta = _fold(expr.left, order, values, decide)
+        right, right_scalar, right_factors, right_eta = _fold(expr.right, order, values, decide)
         for exps, right_exps in ((factors, right_factors), (eta, right_eta)):
             for key, e in right_exps.items():
                 exps[key] = exps.get(key, 0) + e
         dense = right if left is None else left if right is None else left * right
         return dense, left_scalar * right_scalar, factors, eta
     if isinstance(expr, Div):
-        right, right_scalar, right_factors, right_eta = _fold(expr.right, order, values)
-        left, left_scalar, factors, eta = _fold(expr.left, order, values)
+        right, right_scalar, right_factors, right_eta = _fold(expr.right, order, values, decide)
+        left, left_scalar, factors, eta = _fold(expr.left, order, values, decide)
         c0 = right_scalar * (1 if right is None else right[0])  # every form and eta quotient has constant term 1
         if c0 not in (1, -1):
             message = f"cannot invert series with constant term {format_int(c0)}"
@@ -653,26 +679,70 @@ def _fold(expr: ExprNode, order: int, values: Optional[Values]) -> _Fold:
             left = (TruncatedSeries.one(order) if left is None else left) / right
         return left, left_scalar * right_scalar, factors, eta
     if isinstance(expr, Pow):
-        return _power(*_fold(expr.base, order, values), expr.exponent, order)
+        return _power(*_fold(expr.base, order, values, decide), expr.exponent, order, decide)
+    if decide and isinstance(expr, Theta):
+        return None, 1, {}, dict(THETA_ETA[expr.family])
     return evaluate(expr, order, values), 1, {}, {}
 
 
-def read_orders(statements: Iterable[IdentityStatement], order: int) -> dict[PartitionFunctionId, int]:
-    """The largest order to which evaluating the statements at `order` reads
-    each named function, so a caller can grow every table once beforehand."""
+def _chain(expr: ExprNode, e: int, factors: _Factors, eta: _Eta, opaque: list[ExprNode]) -> None:
+    """Add the Pochhammer factors and eta exponents of a Mul/Div/Pow chain,
+    times e, as `_fold` folds them (every power folded); the factors it
+    evaluates on their own are appended to `opaque`."""
+    if isinstance(expr, (Mul, Div)):
+        _chain(expr.left, e, factors, eta, opaque)
+        _chain(expr.right, -e if isinstance(expr, Div) else e, factors, eta, opaque)
+    elif isinstance(expr, Pow):
+        _chain(expr.base, e * expr.exponent, factors, eta, opaque)
+    elif isinstance(expr, Pochhammer):
+        if expr.sign == 1 and expr.a == expr.b:
+            eta[expr.a] = eta.get(expr.a, 0) + e * expr.power
+        else:
+            key = (expr.sign, expr.a, expr.b)
+            factors[key] = factors.get(key, 0) + e * expr.power
+    elif isinstance(expr, NamedFunction):
+        for k, x in ETA_QUOTIENTS[expr.fid].items():
+            eta[k] = eta.get(k, 0) + e * x
+    elif not isinstance(expr, IntLiteral):
+        opaque.append(expr)
+
+
+def read_orders(
+    statements: Iterable[IdentityStatement], order: Optional[int] = None
+) -> dict[PartitionFunctionId, int]:
+    """The largest order to which evaluating the statements at `order` (each
+    at its own order for None) reads each named function's table, so a
+    caller can grow every table once beforehand.  A chain reads one table,
+    that of its eta quotient: a named function in a chain counts only when
+    the chain's quotient is a named function's, and the chain has at most
+    one opaque factor (the product of two is dense, and `_expand` applies
+    the quotient to it in place).  An extract past MAX_ORDER raises before
+    it reads anything."""
+    named = {key: fid for fid, key in KEYS.items()}
     reads: dict[PartitionFunctionId, int] = {}
-    todo: list[tuple[ExprNode, int]] = [(e, order) for s in statements for e in (s.lhs, s.rhs)]
+    todo = [(e, s.order if order is None else order) for s in statements for e in (s.lhs, s.rhs)]
     while todo:
         expr, n = todo.pop()
-        if isinstance(expr, NamedFunction):
+        if isinstance(expr, (IntLiteral, Pochhammer, Mul, Div, Pow)):
+            factors: _Factors = {}
+            eta: _Eta = {}
+            opaque: list[ExprNode] = []
+            _chain(expr, 1, factors, eta, opaque)
+            fid = named.get(eta_key(_split(factors, eta, n)[0]))
+            if fid is not None and len(opaque) < 2:
+                reads[fid] = max(reads.get(fid, 0), n)
+            todo += [(child, n) for child in opaque]
+        elif isinstance(expr, NamedFunction):
             reads[expr.fid] = max(reads.get(expr.fid, 0), n)
         elif isinstance(expr, Extract):
-            todo.append((expr.child, expr.m * n + expr.r))
+            if expr.m * n + expr.r <= MAX_ORDER:
+                todo.append((expr.child, expr.m * n + expr.r))
         elif isinstance(expr, Subs):
             todo.append((expr.child, n // expr.d))
-        else:  # the operator nodes read their operands at n
+        else:  # the sums read their operands at n
             todo += [(child, n) for child in vars(expr).values() if isinstance(child, get_args(ExprNode))]
-    return reads
+    # pood and p2 read one table, so they take one order
+    return {fid: max(m for f, m in reads.items() if KEYS[f] == KEYS[fid]) for fid in reads}
 
 
 # ---------------------------------------------------------------------------
@@ -754,19 +824,111 @@ def residuals(stmt: IdentityStatement, order: int, values: Optional[Values] = No
     return _difference(stmt, evaluate(stmt.lhs, order, values), evaluate(stmt.rhs, order, values))
 
 
-def check(stmt: IdentityStatement, order: Optional[int] = None) -> VerificationReport:
-    """Evaluate both sides and compare coefficientwise.
+def _is_product(expr: ExprNode) -> bool:
+    """Whether expr is a product with no opaque factor: a chain (or atom)
+    whose only factors besides literals, Pochhammer atoms and named
+    functions are thetas with an eta form."""
+    opaque: list[ExprNode] = []
+    _chain(expr, 1, {}, {}, opaque)
+    return all(isinstance(x, Theta) and x.family in THETA_ETA for x in opaque)
 
-    A failure records the first differing exponent, the residual there,
-    and both coefficients in the detail text.
-    """
-    n = order if order is not None else stmt.order
-    start = time.perf_counter()
+
+def expands(stmt: IdentityStatement) -> bool:
+    """Whether `check` compares the statement coefficient by coefficient:
+    under `mod M`, or when a side has an opaque factor.  (A product
+    statement is also expanded when folding finds a scalar of 0.)"""
+    return stmt.modulus is not None or not (_is_product(stmt.lhs) and _is_product(stmt.rhs))
+
+
+def _product_folds(stmt: IdentityStatement) -> Optional[tuple[_Fold, _Fold]]:
+    """Both sides as deciding folds, when `check` decides the statement on
+    exponent sequences: `expands` is False for it and both scalars are
+    nonzero.  None sends it to the coefficient path.  A non-unit divisor
+    raises EvalError here, as evaluating the sides would."""
+    if expands(stmt):
+        return None
+    folds = _fold(stmt.lhs, 0, None, decide=True), _fold(stmt.rhs, 0, None, decide=True)
+    return folds if folds[0][1] and folds[1][1] else None
+
+
+def _exponents(fold: _Fold, n: int) -> list[int]:
+    """[0, a_1, ..., a_n]: the exponent a_m of (1 - q^m) in a deciding
+    fold's product, read off the product form of its factors and eta_k
+    (that is, P(q^k; q^k)) with no expansion."""
+    _, _, factors, eta = fold
+    atoms = [(sign, a, b, e) for (sign, a, b), e in factors.items()] + [(1, k, k, e) for k, e in eta.items()]
+    form = ProductForm.of(1, atoms, n)
+    seq = [0] * (n + 1)
+    period = form.period
+    for r, c in enumerate(form.classes):
+        if c:  # class 0 starts at n = period: a_0 is not an exponent
+            seq[r or period :: period] = [c] * len(range(r or period, n + 1, period))
+    for m, e in form.head.items():
+        seq[m] += e
+    return seq
+
+
+def _coefficient(fold: _Fold, n: int) -> int:
+    """[q^n] of a deciding fold's product, expanded to q^n alone and with no
+    store read.  Each eta_k^e or (1 - q^m)^e is applied in |e| kernel passes
+    per term, or raised to its power by squaring when that takes fewer."""
+    _, scalar, factors, eta = fold
+    eta, binomials = _split(factors, eta, n)
+    one = TruncatedSeries.one(n)
+    squared = one
+    for k, e in list(eta.items()):
+        if eta_passes({k: e}, n) > _squarings(e) * n:
+            squared = squared * eta_quotient({k: 1}, n) ** eta.pop(k)
+    for m, e in list(binomials.items()):
+        if abs(e) > _squarings(e) * n:
+            squared = squared * (one - TruncatedSeries.monomial(m, n)) ** binomials.pop(m)
+    acc = list(squared.coeffs)
+    _mul_eta_binomials(acc, eta, binomials)
+    return scalar * acc[n]
+
+
+def _compare_products(left: _Fold, right: _Fold, n: int) -> Optional[tuple[int, int, int, int]]:
+    """(i, residual, lhs_i, rhs_i) at the first difference of two products
+    to q^n, or None when they agree: unequal scalars differ at q^0, and
+    otherwise the sides differ first at the least i with a_i != b_i, by
+    -scalar * (a_i - b_i); only there are the sides expanded, to q^i."""
+    s, t = left[1], right[1]
+    if s != t:
+        return 0, s - t, s, t
+    a, b = _exponents(left, n), _exponents(right, n)
+    if a == b:
+        return None
+    i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+    return i, -s * (a[i] - b[i]), _coefficient(left, i), _coefficient(right, i)
+
+
+def _compare_coefficients(stmt: IdentityStatement, n: int) -> Optional[tuple[int, int, int, int]]:
+    """(i, residual, lhs_i, rhs_i) at the first nonzero entry of the
+    statement's residuals to q^n, or None when there is none."""
     lhs = evaluate(stmt.lhs, n)
     rhs = evaluate(stmt.rhs, n)
     diff = _difference(stmt, lhs, rhs)
     i = next((i for i, r in enumerate(diff) if r), None)
-    first = None if i is None else Failure(i, diff[i])
-    detail = None if i is None else f"q^{i}: lhs={format_int(lhs[i])}, rhs={format_int(rhs[i])}"
+    return None if i is None else (i, diff[i], lhs[i], rhs[i])
+
+
+def check(stmt: IdentityStatement, order: Optional[int] = None) -> VerificationReport:
+    """Check the statement to q^order (its own order for None).
+
+    When both sides fold to products (`_product_folds`), the statement is
+    decided on their scalars and exponent sequences with no expansion;
+    otherwise both sides are evaluated and compared coefficientwise.  A
+    failure records the first differing exponent, the residual there, and
+    both coefficients in the detail text.
+    """
+    n = order if order is not None else stmt.order
+    start = time.perf_counter()
+    folds = _product_folds(stmt)
+    failure = _compare_coefficients(stmt, n) if folds is None else _compare_products(*folds, n)
+    first = detail = None
+    if failure is not None:
+        i, residual, lhs_i, rhs_i = failure
+        first = Failure(i, residual)
+        detail = f"q^{i}: lhs={format_int(lhs_i)}, rhs={format_int(rhs_i)}"
     millis = int((time.perf_counter() - start) * 1000)
     return VerificationReport(stmt.label(), n, first is None, first, millis, detail)

@@ -11,7 +11,8 @@ eta_k = (q^k; q^k)_inf, and generates the sparse theta series that arise
 from Jacobi's triple product identity.  Each theta family is one row of
 `THETA_FAMILIES`, a quadratic sum of signs times q^((a*k^2 + b*k)/d), and
 `theta_series` is its one generator; eta_k takes its pentagonal terms
-from the PENT row.  A `ProductForm` holds a product of Pochhammer factors
+from the PENT row.  `THETA_ETA` holds the eta-quotient forms of the ten
+families that have one.  A `ProductForm` holds a product of Pochhammer factors
 as exponents of (1 - q^n), by period and head, and expands the
 gcd-periodic part as an eta quotient; `pochhammer_expand`, one binomial
 at a time, is the independent reference route.  Every product, quotient
@@ -33,6 +34,7 @@ __all__ = [
     "TruncatedSeries",
     "ProductSpec",
     "THETA_FAMILIES",
+    "THETA_ETA",
     "series_add",
     "series_sub",
     "series_mul",
@@ -356,6 +358,22 @@ THETA_FAMILIES: dict[str, tuple[int, int, int, bool, tuple[int, ...]]] = {
     # keeps q^(G_k/2) for the even G_k, that is q^(j(3j+1)/4) with sign (-1)^j
     "GPENT": (3, 1, 2, True, (1, -1)),
     "GPENT_HALF": (3, 1, 4, True, (1, -1)),
+}
+
+# The families that are eta quotients, as {k: e} for prod_k eta_k^e;
+# SIGNED_SQ_POS (a false theta) and GPENT_HALF are not.  `dsl.check` reads a
+# theta through this form when it decides a statement on exponent sequences.
+THETA_ETA: dict[str, dict[int, int]] = {
+    "PENT": {1: 1},
+    "GPENT": {1: 1},
+    "PENT2": {2: 1},
+    "PENT_CEIL": {2: 3, 1: -1, 4: -1},
+    "TRI": {2: 2, 1: -1},
+    "TRI_CEIL": {1: 1, 4: 1, 2: -1},
+    "TWO_TRI4": {8: 2, 4: -1},
+    "SQ": {2: 5, 1: -2, 4: -2},
+    "TWOSQ": {2: 2, 4: -1},
+    "SIGNED_SQ": {1: 2, 2: -1},
 }
 
 

@@ -179,11 +179,12 @@ def test_check_failing_statement(tmp_path, capsys):
 
 
 def test_check_of_many_forms_keeps_a_bounded_store(tmp_path, capsys):
-    # 200 distinct eta quotients eta_k^e / eta_1, every seventh statement false at q^0
+    # 200 distinct eta quotients eta_k^e / eta_1, every seventh statement false at q^0;
+    # the `+ 0` keeps the others off the exponent-sequence decision, so all 200 reach the store
     lines = []
     for i in range(200):
         k, e = 1 + i % 25, 1 + i // 25
-        bump = " + 1" if i % 7 == 0 else ""
+        bump = " + 1" if i % 7 == 0 else " + 0"
         lines.append(f"P(q^{k}; q^{k})^{e} * p == P(q^{k}; q^{k})^{e} / P(q^1; q^1){bump} within 40")
     path = tmp_path / "many.qid"
     path.write_text("\n".join(lines) + "\n")
@@ -199,6 +200,25 @@ def test_check_of_many_forms_keeps_a_bounded_store(tmp_path, capsys):
             assert i % 7 != 0 or "first failure at n=0, residual=-1 " in report
         derived = [key for key in functions._cache if key not in functions.KEYS.values()]
         assert len(derived) <= functions.MAX_DERIVED_KEYS
+
+
+def test_check_grows_each_named_table_once(tmp_path, capsys, monkeypatch):
+    # po_bar is read at q^1000, then inside the extract at q^2001: grown once, to the larger
+    path = tmp_path / "two.qid"
+    path.write_text("lebesgue(45) == po_bar within 5\nextract(po_bar, 2, 1) == 2 * op * theta(TWO_TRI4) within 5\n")
+    expand = functions._expand_key
+    expanded = []
+
+    def recording(key, order):
+        expanded.append(key)
+        return expand(key, order)
+
+    monkeypatch.setattr(functions, "_expand_key", recording)
+    functions._cache_clear()
+    code, out, _ = run_cli(capsys, "check", str(path), "--order", "1000")
+    assert code == 0, out
+    assert expanded.count(functions.KEYS[PartitionFunctionId.PO_ODD]) == 1
+    assert len(expanded) == len(set(expanded))
 
 
 def test_check_parse_error(tmp_path, capsys):
@@ -491,7 +511,8 @@ print(json.dumps({"codes": codes, "names": sorted({s["name"] for s in tracer.spa
 
 def test_benchmark_tracer_still_installs(tmp_path):
     path = tmp_path / "one.qid"
-    path.write_text("po_bar == P(-q^1; q^2) / P(q^1; q^2) within 20\n")
+    # the first statement is decided on exponent sequences; the second reads po_bar's table
+    path.write_text("po_bar == P(-q^1; q^2) / P(q^1; q^2) within 20\nlebesgue(20) == po_bar within 20\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT / "bench")]))
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_RUN, str(path)],

@@ -641,11 +641,26 @@ def test_bundled_statements_never_expand_binomial_by_binomial(monkeypatch):
 
 
 def test_theta_families_equal_their_eta_forms():
-    # ten families are eta quotients; the eleventh statement is GPENT == PENT
+    # ten families are eta quotients; the eleventh statement is GPENT == PENT.
+    # `check` would decide these from THETA_ETA itself, so they are compared
+    # on coefficients, through the numeric path `verify` uses.
     statements = parse(THETA_ETA_QID.read_text(encoding="utf-8"))
     assert len(statements) == 11
     for stmt in statements:
-        assert check(stmt).passed, statement_text(stmt)
+        assert not any(residuals(stmt, stmt.order)), statement_text(stmt)
+
+
+def test_theta_eta_qid_spells_the_theta_eta_table():
+    # each `theta(X) == <eta chain>` line of the file is the table's form of X
+    forms = {}
+    for stmt in parse(THETA_ETA_QID.read_text(encoding="utf-8")):
+        if isinstance(stmt.rhs, Theta):
+            continue
+        factors, eta, opaque = {}, {}, []
+        dsl._chain(stmt.rhs, 1, factors, eta, opaque)
+        assert not factors and not opaque
+        forms[stmt.lhs.family] = {k: e for k, e in eta.items() if e}
+    assert forms == series.THETA_ETA
 
 
 def test_theorem_suites_never_fold(monkeypatch):
@@ -674,9 +689,10 @@ def test_checking_paper_qid_expands_each_key_once_per_order(monkeypatch):
     monkeypatch.setattr(functions, "_expand_key", recording)
     functions._cache_clear()
     assert all(check(stmt).passed for stmt in parse(PAPER_QID.read_text(encoding="utf-8")))
-    assert len(set(expanded)) == len(expanded) == 18
-    # 17 eta quotients; po_bar is grown once more, for extract(po_bar, 2, r) at q^401
-    assert len({key for key, _ in expanded}) == 17
+    # the statements decided on exponent sequences expand nothing; what is left
+    # (extract and lebesgue) reads po_bar, op and three chains' eta quotients
+    assert len(set(expanded)) == len(expanded) == 5
+    assert len({key for key, _ in expanded}) == 5
 
 
 def test_a_chain_of_named_functions_reads_one_table(monkeypatch):
@@ -707,3 +723,125 @@ def test_powers_choose_squaring_by_cost(monkeypatch, text, kernel_calls):
     [stmt] = parse(text)
     evaluate(stmt.lhs, stmt.order)
     assert len(calls) == kernel_calls
+
+
+# ---------------------------------------------------------------------------
+# Deciding product statements on exponent sequences, against the coefficient path
+
+
+def _spelled(factors):
+    """prod P(sign*q^a; q^b)^e over (sign, a, b, e), as a Mul/Div chain."""
+    expr = IntLiteral(1)
+    for sign, a, b, e in factors:
+        expr = (Mul if e > 0 else Div)(expr, Pochhammer(sign, a, b, abs(e)))
+    return expr
+
+
+def _respell(expr):
+    """The same product spelled another way: named functions and eta-form
+    thetas as their Pochhammer or eta atoms, each atom split, factors swapped
+    and powers multiplied out."""
+    if isinstance(expr, NamedFunction):
+        return _spelled(expr.fid.product.factors)
+    if isinstance(expr, Theta):
+        return _spelled((1, k, k, e) for k, e in series.THETA_ETA[expr.family].items())
+    if isinstance(expr, Pochhammer):
+        if expr.sign == -1:  # (-x; Q) = (x^2; Q^2) / (x; Q)
+            return Div(Pochhammer(1, 2 * expr.a, 2 * expr.b, expr.power), Pochhammer(1, expr.a, expr.b, expr.power))
+        # (x; Q) = (x; Q^2) (xQ; Q^2)
+        return Mul(Pochhammer(1, expr.a, 2 * expr.b, expr.power), Pochhammer(1, expr.a + expr.b, 2 * expr.b, expr.power))
+    if isinstance(expr, Mul):
+        return Mul(_respell(expr.right), _respell(expr.left))
+    if isinstance(expr, Div):
+        return Div(_respell(expr.left), _respell(expr.right))
+    if isinstance(expr, Pow):
+        result = IntLiteral(1)
+        for _ in range(expr.exponent):
+            result = Mul(result, _respell(expr.base))
+        return result
+    return expr
+
+
+_product_atoms = st.one_of(
+    st.integers(-4, 4).map(IntLiteral),
+    st.builds(Pochhammer, st.sampled_from([1, -1]), st.integers(1, 6), st.integers(1, 6), st.integers(0, 3)),
+    st.sampled_from(list(F)).map(NamedFunction),
+    st.sampled_from(sorted(series.THETA_ETA)).map(Theta),
+)
+# opaque factors send a statement to the coefficient path; the extract's
+# budget error, raised before a later non-unit divisor, must still come first
+_opaque_atoms = st.one_of(
+    st.just(Theta("GPENT_HALF")),
+    st.just(Theta("SIGNED_SQ_POS")),
+    st.just(LebesguePartial(3)),
+    st.just(Extract(NamedFunction(F.P), MAX_ORDER + 1, 0)),
+    st.builds(Add, st.sampled_from(list(F)).map(NamedFunction), st.integers(0, 2).map(IntLiteral)),
+)
+
+
+def _product_chains(atoms):
+    return st.recursive(
+        atoms,
+        lambda children: st.one_of(
+            st.builds(Mul, children, children),
+            st.builds(Div, children, children),
+            st.builds(Pow, children, st.integers(0, 3)),
+        ),
+        max_leaves=6,
+    )
+
+
+_products = _product_chains(_product_atoms)
+_mixed = _product_chains(st.one_of(_product_atoms, _product_atoms, _product_atoms, _opaque_atoms))
+_sides = st.one_of(
+    st.builds(lambda x: (x, _respell(x)), _products),
+    st.builds(lambda x, atom: (Mul(x, atom), Mul(_respell(x), atom)), _products, _product_atoms),
+    st.builds(lambda x, atom: (x, Mul(_respell(x), atom)), _products, _product_atoms),
+    st.tuples(_products, _products),
+    st.tuples(_mixed, _mixed),
+)
+
+
+def _report(stmt, order):
+    try:
+        r = check(stmt, order)
+    except EvalError as exc:
+        return str(exc)
+    return r.theorem, r.n_max, r.passed, r.first_failure, r.detail
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sides, st.integers(0, 30))
+def test_deciding_on_exponents_matches_the_coefficient_path(sides, order):
+    stmt = IdentityStatement(*sides, order)
+    decided = _report(stmt, order)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dsl, "_product_folds", lambda stmt: None)
+        assert decided == _report(stmt, order)
+
+
+def test_a_decided_failure_expands_only_to_its_index(monkeypatch):
+    # both sides were expanded to q^1000 before (2.7 s); now only to q^1
+    kernel = series._mul_sparse
+
+    def short(acc, terms, c0=1, divide=False):
+        assert len(acc) <= 2, f"a kernel pass to q^{len(acc) - 1}"
+        kernel(acc, terms, c0, divide)
+
+    functions._cache_clear()
+    monkeypatch.setattr(series, "_mul_sparse", short)
+    monkeypatch.setattr(functions, "_expand_key", lambda key, order: pytest.fail(f"expanded {set(key)}"))
+    [stmt] = parse("P(q^1; q^1)^5000 == 1 within 1000")
+    report = check(stmt)
+    assert not report.passed
+    assert (report.first_failure.n, report.first_failure.residual) == (1, -5000)
+    assert report.detail == "q^1: lhs=-5000, rhs=0"
+    assert not functions._cache
+
+
+def test_a_derived_true_statement_expands_nothing(monkeypatch):
+    functions._cache_clear()
+    monkeypatch.setattr(series, "_mul_sparse", lambda *args, **kwargs: pytest.fail("a kernel pass"))
+    monkeypatch.setattr(functions, "_expand_key", lambda key, order: pytest.fail(f"expanded {set(key)}"))
+    [stmt] = parse("p2 * P(-q^2; q^5) == P(q^2; q^4) / P(q^1; q^1) * P(-q^2; q^5) within 1000")
+    assert check(stmt).passed

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partrec import series
+from partrec import dsl, series
 from partrec.oracle import (
     ConstraintSpec,
     Distinctness,
@@ -18,6 +18,7 @@ from partrec.oracle import (
     oracle_table,
 )
 from partrec.series import (
+    THETA_ETA,
     THETA_FAMILIES,
     ProductForm,
     ProductSpec,
@@ -235,6 +236,18 @@ def test_theta_rows_match_brute_force_rules(name, order):
         if e <= order and e == int(e):
             expected[int(e)] += sign(k)
     assert list(theta_series(THETA_FAMILIES[name], order)) == expected
+
+
+def test_theta_eta_covers_the_families_that_are_eta_quotients():
+    assert sorted(THETA_ETA) == sorted(set(THETA_FAMILIES) - {"SIGNED_SQ_POS", "GPENT_HALF"})
+
+
+@pytest.mark.parametrize("name", sorted(THETA_ETA))
+def test_theta_rows_equal_their_eta_forms(name):
+    # `dsl.check` decides statements from THETA_ETA, so the table is checked
+    # here against the sparse sums themselves, to the engine's largest order
+    order = dsl.MAX_ORDER
+    assert theta_series(THETA_FAMILIES[name], order) == eta_quotient(THETA_ETA[name], order)
 
 
 @pytest.mark.parametrize("name, spec", JACOBI_TRIPLE_PRODUCT_CASES)
