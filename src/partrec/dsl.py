@@ -620,9 +620,10 @@ def _power(
     decide: bool = False,
 ) -> _Fold:
     """The fold of a chain raised to the n-th power: every exponent times n,
-    unless n times the chain's kernel passes (its eta and binomial factors)
-    exceed what squaring the expanded chain costs, `_squarings(n)` dense
-    products of `order` passes each.  A deciding fold never squares."""
+    unless n times the chain's kernel passes (its eta quotient's plan,
+    `eta_passes`, and one per binomial) exceed what squaring the expanded
+    chain costs, `_squarings(n)` dense products of `order` passes each.  A
+    deciding fold never squares."""
     if n > 1 and not decide:
         split_eta, binomials = _split(factors, eta, order)
         passes = eta_passes(split_eta, order) + sum(map(abs, binomials.values()))
@@ -870,8 +871,10 @@ def _exponents(fold: _Fold, n: int) -> list[int]:
 
 def _coefficient(fold: _Fold, n: int) -> int:
     """[q^n] of a deciding fold's product, expanded to q^n alone and with no
-    store read.  Each eta_k^e or (1 - q^m)^e is applied in |e| kernel passes
-    per term, or raised to its power by squaring when that takes fewer."""
+    store read.  An eta_k^e is raised to its power by squaring when that
+    takes fewer kernel passes than its plan (`eta_passes`), and a
+    (1 - q^m)^e when that takes fewer than |e|; the rest are applied in
+    place, the eta_k by their joint plan."""
     _, scalar, factors, eta = fold
     eta, binomials = _split(factors, eta, n)
     one = TruncatedSeries.one(n)

@@ -20,7 +20,8 @@ the series.  A function name is a key (`KEYS`), so pood and p2 share one
 table; `gf_series` and `function_value` read it, and the identity language
 stores the eta quotient of any product chain there too (`eta_series`).  A
 missing or short key is expanded from the stored table whose exponent
-difference costs the fewest pentagonal-kernel passes, or from 1 when none is
+difference takes the fewest kernel passes by its plan (`series.eta_passes`:
+sparse theta factors and pentagonal eta_k), or from 1 when none is
 cheaper.  Tables only grow, geometrically and under one lock; nothing is
 expanded at import, and every caller gets an exact prefix.  Past
 MAX_DERIVED_KEYS keys besides the named ones, the least recently used is
@@ -33,13 +34,15 @@ from __future__ import annotations
 import threading
 from enum import Enum
 from operator import add
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .series import (
+    EtaKey,
     ProductSpec,
     TruncatedSeries,
     _mul_eta_quotient,
     _mul_sparse,
+    eta_key,
     eta_passes,
     eta_quotient,
     pochhammer_expand,  # noqa: F401  (the reference route; bench/spans.py wraps this name)
@@ -117,17 +120,6 @@ ETA_QUOTIENTS: dict[PartitionFunctionId, dict[int, int]] = {
 }
 
 
-# The nonzero (k, e) of prod_k eta_k^e: a key of the store.
-EtaKey = frozenset[tuple[int, int]]
-
-
-def eta_key(exponents: Mapping[int, int]) -> EtaKey:
-    """The store key of prod_k eta_k^e over {k: e}: its nonzero (k, e).
-    Moebius inversion makes an eta quotient's exponents unique, so two
-    spellings of one series (pood and p2, say) get one key."""
-    return frozenset((k, e) for k, e in exponents.items() if e)
-
-
 KEYS: dict[PartitionFunctionId, EtaKey] = {
     fid: eta_key(exponents) for fid, exponents in ETA_QUOTIENTS.items()
 }
@@ -161,8 +153,9 @@ def grown(store: dict, key: Hashable, order: int, expand: Callable[[int], Sequen
 
 def _expand_key(key: EtaKey, order: int) -> Sequence[int]:
     """The eta quotient `key` to q^order, from the stored table holding
-    q^order whose exponent difference to `key` costs the fewest kernel
-    passes (`eta_passes`), or from 1 when no stored table is cheaper."""
+    q^order whose exponent difference to `key` takes the fewest kernel
+    passes by its plan (`eta_passes`), or from 1 when no stored table is
+    cheaper."""
     target = dict(key)
     base, diff, cost = None, target, eta_passes(target, order)
     for stored, table in _cache.items():

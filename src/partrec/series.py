@@ -12,7 +12,12 @@ from Jacobi's triple product identity.  Each theta family is one row of
 `THETA_FAMILIES`, a quadratic sum of signs times q^((a*k^2 + b*k)/d), and
 `theta_series` is its one generator; eta_k takes its pentagonal terms
 from the PENT row.  `THETA_ETA` holds the eta-quotient forms of the ten
-families that have one.  A `ProductForm` holds a product of Pochhammer factors
+families that have one.  An eta quotient is expanded by a plan (`_plan`):
+up to two of those thetas at q^s, each one sparse factor in place of
+several eta_k, and the eta_k left over as pentagonal passes, the
+cheapest found by kernel passes (`eta_passes`).  po_bar, which is
+eta2^3/(eta1^2 eta4) and also phi(-q^2)/phi(-q), takes 75 passes to q^2000
+instead of 330.  A `ProductForm` holds a product of Pochhammer factors
 as exponents of (1 - q^n), by period and head, and expands the
 gcd-periodic part as an eta quotient; `pochhammer_expand`, one binomial
 at a time, is the independent reference route.  Every product, quotient
@@ -25,6 +30,7 @@ after construction, so they are safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, repeat
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
@@ -41,6 +47,8 @@ __all__ = [
     "series_inverse",
     "pochhammer_expand",
     "pochhammer_finite",
+    "EtaKey",
+    "eta_key",
     "eta_quotient",
     "eta_passes",
     "ProductForm",
@@ -211,16 +219,28 @@ def _terms(coeffs: Sequence[int]) -> list[tuple[int, int]]:
     return [(g, c) for g, c in enumerate(coeffs) if c and g]
 
 
+def _by_value(terms: Sequence[tuple[int, int]]) -> list[tuple[int, list[int]]]:
+    """terms as (c, [g, ...]): one group per distinct coefficient, in order of
+    first appearance, each group's g ascending."""
+    groups: dict[int, list[int]] = {}
+    for g, c in terms:
+        groups.setdefault(c, []).append(g)
+    return list(groups.items())
+
+
 def _mul_sparse(
     acc: list[int], terms: Sequence[tuple[int, int]], c0: int = 1, divide: bool = False
 ) -> None:
     """acc *= c0 + sum c*q^g over terms, in place, truncated to len(acc)-1;
     divide=True divides instead.
 
-    terms are the nonzero (g, c) with g >= 1, in ascending g.  Multiplying
-    adds a shifted, scaled copy of the old list per term, each one C-level
-    slice pass.  Dividing solves acc_new[n] = c0*(acc[n] - sum c*acc_new[n-g])
-    for increasing n, which needs c0 = +-1 (then 1/c0 == c0); dividing by
+    terms are the nonzero (g, c) with g >= 1, in ascending g, and the terms
+    that share a coefficient are applied as one group.  Multiplying adds a
+    shifted copy of the old list per term, each one C-level slice pass, and
+    scales the old list once per group.  Dividing solves
+    acc_new[n] = c0*(acc[n] - sum c*acc_new[n-g]) for increasing n, which
+    needs c0 = +-1 (then 1/c0 == c0), with one multiply per n and group of a
+    non-unit coefficient (all of phi(+-q)'s 2s are one); dividing by
     1 - q^g alone is a running sum, acc[n] += acc[n-g], in about
     min(g, N/g) C-level passes.  Either way the cost is O(N * len(terms)).
     """
@@ -237,36 +257,41 @@ def _mul_sparse(
                 for r in range(g):
                     acc[r::g] = accumulate(acc[r::g])
             return
-        # unit coefficients (all of an eta factor's) need no multiply
-        plus = [g for g, c in terms if c == 1]
-        minus = [g for g, c in terms if c == -1]
-        other = [(g, c) for g, c in terms if c not in (1, -1)]
+        groups = _by_value(terms)
         for n in range(len(acc)):
             t = acc[n]
-            for g in plus:
-                if g > n:
-                    break
-                t -= acc[n - g]
-            for g in minus:
-                if g > n:
-                    break
-                t += acc[n - g]
-            for g, c in other:
-                if g > n:
-                    break
-                t -= c * acc[n - g]
+            for c, gs in groups:
+                if c == 1:  # unit coefficients (all of an eta factor's) need no multiply
+                    for g in gs:
+                        if g > n:
+                            break
+                        t -= acc[n - g]
+                elif c == -1:
+                    for g in gs:
+                        if g > n:
+                            break
+                        t += acc[n - g]
+                else:
+                    u = 0
+                    for g in gs:
+                        if g > n:
+                            break
+                        u += acc[n - g]
+                    t -= c * u
             acc[n] = t if c0 == 1 else -t
         return
     old = acc[:]
     if c0 != 1:
         acc[:] = map(mul, repeat(c0), old)
-    for g, c in terms:  # each term is one C-level slice pass
-        if c == 1:
-            acc[g:] = map(add, acc[g:], old)
-        elif c == -1:
-            acc[g:] = map(sub, acc[g:], old)
+    for c, gs in _by_value(terms):  # each term is one C-level slice pass
+        if c in (1, -1):
+            scaled = old
+        elif len(gs) == 1:  # read once: no list
+            scaled = map(mul, repeat(c), old)
         else:
-            acc[g:] = map(add, acc[g:], map(mul, repeat(c), old))
+            scaled = list(map(mul, repeat(c, len(old) - gs[0]), old))
+        for g in gs:
+            acc[g:] = map(sub if c == -1 else add, acc[g:], scaled)
 
 
 @dataclass(frozen=True)
@@ -395,37 +420,182 @@ def theta_series(row: tuple[int, int, int, bool, tuple[int, ...]], order: int) -
     return TruncatedSeries(out)
 
 
-def _mul_eta(acc: list[int], k: int, e: int) -> None:
-    """acc *= eta_k^e in place, truncated to len(acc)-1; e < 0 divides.
-
-    eta_k = (q^k; q^k)_inf = sum_j (-1)^j q^(k*j(3j+1)/2) has only about
-    2*sqrt(2N/(3k)) terms up to q^N (Euler's pentagonal number theorem), so
-    each factor costs O(N*sqrt(N/k)) instead of the O(N^2) of its binomials.
-    """
-    pent = theta_series(THETA_FAMILIES["PENT"], (len(acc) - 1) // k)
-    terms = [(k * g, c) for g, c in _terms(pent.coeffs)]
-    for _ in range(abs(e) if terms else 0):  # eta_k == 1 below q^k
+def _mul_theta(acc: list[int], name: str, s: int, e: int) -> None:
+    """acc *= theta_name(q^s)^e in place, truncated to len(acc)-1, for a
+    THETA_FAMILIES name; e < 0 divides.  Each power of the factor is one
+    kernel call with one pass per term of the sparse sum."""
+    theta = theta_series(THETA_FAMILIES[name], (len(acc) - 1) // s)
+    terms = [(s * g, c) for g, c in _terms(theta.coeffs)]
+    for _ in range(abs(e) if terms else 0):  # theta(q^s) == 1 below q^s
         _mul_sparse(acc, terms, divide=e < 0)
 
 
-def eta_passes(exponents: Mapping[int, int], order: int) -> int:
-    """Kernel passes of expanding prod_k eta_k^e over {k: e} to q^order:
-    |e| times the pentagonal terms of eta_k up to q^order.
+def _mul_eta(acc: list[int], k: int, e: int) -> None:
+    """acc *= eta_k^e in place, truncated to len(acc)-1; e < 0 divides.
 
-    j(3j+1)/2 <= m for j >= 1 exactly when 6j+1 <= isqrt(24m+1), and
-    j(3j-1)/2 <= m exactly when 6j-1 <= isqrt(24m+1).
+    eta_k = (q^k; q^k)_inf = sum_j (-1)^j q^(k*j(3j+1)/2), the PENT row at
+    q^k, has only about 2*sqrt(2N/(3k)) terms up to q^N (Euler's pentagonal
+    number theorem), so each factor costs O(N*sqrt(N/k)) instead of the
+    O(N^2) of its binomials.  A plan applies its leftover eta_k this way;
+    composed per (k, e), it is the unplanned route the tests compare with.
     """
-    total = 0
-    for k, e in exponents.items():
-        s = isqrt(24 * (order // k) + 1)
-        total += abs(e) * ((s - 1) // 6 + (s + 1) // 6)
-    return total
+    _mul_theta(acc, "PENT", k, e)
+
+
+def _row_terms(row: tuple[int, int, int, bool, tuple[int, ...]], m: int) -> int:
+    """The nonzero terms q^g, 1 <= g <= m, of a THETA_ETA family's row.
+
+    For k >= 1, a*k^2 + b*k <= d*m exactly when 2ak + b <= s, and
+    a*k^2 - b*k <= d*m exactly when 2ak - b <= s, where s = isqrt(4adm + b^2).
+    In these rows d divides every exponent, and with b = 0 the two sides of
+    a two-sided sum land on the same q^g.
+    """
+    a, b, d, two_sided, _ = row
+    s = isqrt(4 * a * d * m + b * b)
+    return (s - b) // (2 * a) + ((s + b) // (2 * a) if two_sided and b else 0)
+
+
+# The families a plan applies in place of several eta_k: the THETA_ETA rows
+# of more than one eta_k, each once up to scale (TWOSQ is SIGNED_SQ at q^2
+# and TWO_TRI4 is TRI at q^4; PENT and PENT2 are eta_1 and eta_2).
+_PLAN_FAMILIES = tuple(name for name, form in THETA_ETA.items() if len(form) > 1 and gcd(*form) == 1)
+
+# (family, s, e): theta_family(q^s)^e, one step of a plan
+_Step = tuple[str, int, int]
+# (family, s, its eta form at q^s as (position of k in `_near`, e) pairs)
+_Atom = tuple[str, int, tuple[tuple[int, int], ...]]
+
+
+# The nonzero (k, e) of prod_k eta_k^e: a key of the function store and of
+# the planner's cache.
+EtaKey = frozenset[tuple[int, int]]
+
+
+def eta_key(exponents: Mapping[int, int]) -> EtaKey:
+    """The key of prod_k eta_k^e over {k: e}: its nonzero (k, e).
+    Moebius inversion makes an eta quotient's exponents unique, so two
+    spellings of one series (pood and p2, say) get one key."""
+    return frozenset((k, e) for k, e in exponents.items() if e)
+
+
+def _near(indices: tuple[int, ...]) -> list[int]:
+    """The indices and their doubles, ascending."""
+    return sorted({*indices, *(2 * k for k in indices)})
+
+
+@lru_cache(maxsize=256)
+def _plan_atoms(indices: tuple[int, ...]) -> tuple[_Atom, ...]:
+    """Every plan family at every scale s whose eta indices at q^s all lie
+    among `indices` (ascending) and their doubles, with each index given as
+    its position in `_near(indices)`."""
+    position = {k: i for i, k in enumerate(_near(indices))}
+    atoms = []
+    for name in _PLAN_FAMILIES:
+        form = THETA_ETA[name]
+        least = min(form)
+        for s in (j // least for j in position if j % least == 0):
+            if all(s * k in position for k in form):
+                atoms.append((name, s, tuple((position[s * k], e) for k, e in form.items())))
+    return tuple(atoms)
+
+
+# One-atom plans that `_plan` tries a second atom after, cheapest first
+_BEAM = 8
+
+
+@lru_cache(maxsize=4096)
+def _plan(key: EtaKey, order: int) -> tuple[int, tuple[_Step, ...]]:
+    """(passes, steps) of the cheapest plan found for prod eta_k^e over the
+    key's (k, e) to q^order: at most two theta atoms (`_plan_atoms`), and
+    the eta_k left over as PENT at q^k, numerators first.  A step's passes
+    are |e| times its row's terms up to q^order (`_row_terms`).
+
+    An atom's power e is tried at the floor and ceiling of y / x for each
+    eta_k^x of its form whose exponent y left over is nonzero: its passes
+    are convex and piecewise linear in e, with their corners there.  A
+    second atom is tried after each of the _BEAM cheapest one-atom plans,
+    on the side of e2 = 0 where its passes fall, if they fall on either,
+    and only while both atoms' own passes stay below the best plan so far.
+    """
+    indices = tuple(sorted(k for k, _ in key))
+    near = _near(indices)
+    pent = [_row_terms(THETA_FAMILIES["PENT"], order // k) for k in near]
+    eta = [0] * len(near)
+    for k, e in key:
+        eta[near.index(k)] = e
+    atoms = sorted(
+        (t, atom)
+        for atom in _plan_atoms(indices)
+        if (t := _row_terms(THETA_FAMILIES[atom[0]], order // atom[1]))
+    )
+
+    def powers(form: tuple[tuple[int, int], ...], left: list[int]) -> set[int]:
+        """The floor and ceiling of left[i] / x for each nonzero left[i], but 0."""
+        es = {q for i, x in form if left[i] for q in (left[i] // x, -(-left[i] // x))}
+        es.discard(0)
+        return es
+
+    best = base = sum(abs(e) * w for e, w in zip(eta, pent))
+    best_steps: list[tuple[_Atom, int]] = []
+    firsts = []
+    for t, atom in atoms:
+        for e in powers(atom[2], eta):
+            own = abs(e) * t
+            left = eta[:]
+            cost = base + own
+            for i, x in atom[2]:
+                y = left[i]
+                left[i] = z = y - e * x
+                cost += (abs(z) - abs(y)) * pent[i]
+            firsts.append((cost, own, atom, e, left))
+    firsts.sort(key=lambda first: first[0])
+    for cost, own, atom, e, left in firsts[:_BEAM]:
+        if cost < best:
+            best, best_steps = cost, [(atom, e)]
+        for t2, second in atoms:
+            if own + t2 >= best:
+                break
+            if second is atom:
+                continue
+            # one step of e2 up from 0 changes the passes by t2 + zero + slope,
+            # one step down by t2 + zero - slope: a power of the atom saves
+            # passes only on a side where that is negative
+            slope = zero = 0
+            for i, x in second[2]:
+                y = left[i]
+                if y:
+                    slope -= x * pent[i] if y > 0 else -x * pent[i]
+                else:
+                    zero += abs(x) * pent[i]
+            if abs(slope) <= t2 + zero:
+                continue
+            for e2 in powers(second[2], left):
+                if (e2 > 0) != (slope < 0):
+                    continue
+                cost2 = cost + abs(e2) * t2
+                for i, x in second[2]:
+                    y = left[i]
+                    cost2 += (abs(y - e2 * x) - abs(y)) * pent[i]
+                if cost2 < best:
+                    best, best_steps = cost2, [(atom, e), (second, e2)]
+    for (_, _, form), e in best_steps:
+        for i, x in form:
+            eta[i] -= e * x
+    steps = [(name, s, e) for (name, s, _), e in best_steps]
+    steps += [("PENT", k, e) for k, e in zip(near, eta) if e]
+    return best, tuple(sorted(steps, key=lambda step: -step[2]))
+
+
+def eta_passes(exponents: Mapping[int, int], order: int) -> int:
+    """Kernel passes of expanding prod_k eta_k^e over {k: e} to q^order: the
+    passes of its plan (`_plan`), each theta atom or eta_k taking |e| times
+    its sparse terms up to q^order, counted in closed form."""
+    return _plan(eta_key(exponents), order)[0]
 
 
 def eta_quotient(exponents: Mapping[int, int], order: int) -> TruncatedSeries:
     """Expand prod_k eta_k^e over {k: e} exactly mod q^(order+1).
 
-    Numerator factors go first, while the coefficients are still small.
     Every eta_k has constant term 1, so any integer exponents are allowed.
     """
     if order < 0:
@@ -438,9 +608,11 @@ def eta_quotient(exponents: Mapping[int, int], order: int) -> TruncatedSeries:
 
 
 def _mul_eta_quotient(acc: list[int], exponents: Mapping[int, int]) -> None:
-    """acc *= prod_k eta_k^e over {k: e} in place, numerator factors first."""
-    for k, e in sorted(exponents.items(), key=lambda ke: -ke[1]):
-        _mul_eta(acc, k, e)
+    """acc *= prod_k eta_k^e over {k: e} in place, by the steps of its plan
+    (`_plan`): sparse theta factors at q^s, and eta_k = PENT at q^k for the
+    rest, numerator factors first while the coefficients are still small."""
+    for name, s, e in _plan(eta_key(exponents), len(acc) - 1)[1]:
+        _mul_theta(acc, name, s, e)
 
 
 class ProductForm:

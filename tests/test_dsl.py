@@ -707,12 +707,14 @@ def test_a_chain_of_named_functions_reads_one_table(monkeypatch):
 @pytest.mark.parametrize(
     "text, kernel_calls",
     [
-        # po_bar's 6 eta passes, then 15 dense products (9 squarings, 6 multiplies)
-        ("po_bar^1000 == 1 within 500", 21),
+        # po_bar's plan, phi(-q^2) / phi(-q) (2 calls), then 15 dense products
+        # (9 squarings, 6 multiplies)
+        ("po_bar^1000 == 1 within 500", 17),
         # one eta_1 pass, then 17 products; folding the power would take 5000 passes
         ("P(q^1; q^1)^5000 == 1 within 2000", 18),
-        # three eta_1 / eta_2 passes each way cost less than squaring
-        ("P(q^1; q^2)^3 == 1 within 50", 6),
+        # eta_1^3 / eta_2^3 folded costs less than squaring, and its plan is
+        # phi(-q) / psi(q) (SIGNED_SQ over TRI): 2 calls
+        ("P(q^1; q^2)^3 == 1 within 50", 2),
     ],
 )
 def test_powers_choose_squaring_by_cost(monkeypatch, text, kernel_calls):

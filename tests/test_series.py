@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partrec import dsl, series
+from partrec.functions import ETA_QUOTIENTS
 from partrec.oracle import (
     ConstraintSpec,
     Distinctness,
@@ -34,7 +35,9 @@ from partrec.series import (
     theta_series,
     _mul_eta,
     _mul_eta_binomials,
+    _mul_eta_quotient,
     _mul_sparse,
+    _row_terms,
 )
 
 from conftest import JACOBI_TRIPLE_PRODUCT_CASES, schoolbook_inverse, schoolbook_mul
@@ -42,6 +45,15 @@ from conftest import JACOBI_TRIPLE_PRODUCT_CASES, schoolbook_inverse, schoolbook
 
 def S(*coeffs: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
+
+
+def pentagonal(exponents: dict[int, int], order: int) -> TruncatedSeries:
+    """prod eta_k^e with no plan: one pentagonal `_mul_eta` pass per (k, e),
+    the route that eta quotients took before the planner."""
+    acc = [1] + [0] * order
+    for k, e in exponents.items():
+        _mul_eta(acc, k, e)
+    return TruncatedSeries(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +256,18 @@ def test_theta_eta_covers_the_families_that_are_eta_quotients():
 
 @pytest.mark.parametrize("name", sorted(THETA_ETA))
 def test_theta_rows_equal_their_eta_forms(name):
-    # `dsl.check` decides statements from THETA_ETA, so the table is checked
-    # here against the sparse sums themselves, to the engine's largest order
+    # `dsl.check` decides statements from THETA_ETA and `eta_quotient` plans
+    # with its rows, so the table is checked here against the sparse sums
+    # themselves, through pentagonal passes alone, to the engine's largest order
     order = dsl.MAX_ORDER
-    assert theta_series(THETA_FAMILIES[name], order) == eta_quotient(THETA_ETA[name], order)
+    assert theta_series(THETA_FAMILIES[name], order) == pentagonal(THETA_ETA[name], order)
+
+
+@pytest.mark.parametrize("name", sorted(THETA_ETA))
+def test_row_terms_counts_each_rows_terms(name):
+    row = THETA_FAMILIES[name]
+    for m in range(601):
+        assert _row_terms(row, m) == len(series._terms(theta_series(row, m).coeffs)), m
 
 
 @pytest.mark.parametrize("name, spec", JACOBI_TRIPLE_PRODUCT_CASES)
@@ -361,14 +381,58 @@ def test_eta_quotient_validation():
         eta_quotient({1: 1}, -1)
 
 
+# The nine named functions' eta quotients and that of paper.qid's `extract`
+# chain, P(-q^2; q^4)^2 * P(q^4; q^4) = eta4^5 / (eta2^2 eta8^2)
+PLANNED_KEYS = {fid.value: q for fid, q in ETA_QUOTIENTS.items()} | {"extract": {4: 5, 2: -2, 8: -2}}
+
+
 def test_eta_passes_counts_the_terms_mul_eta_applies(monkeypatch):
     applied = []
     monkeypatch.setattr(series, "_mul_sparse", lambda acc, terms, c0=1, divide=False: applied.append(len(terms)))
+    keys = [{k: 1} for k in range(1, 9)] + list(PLANNED_KEYS.values()) + [{1: 3, 2: -3}, {1: -4}, {3: 2, 6: -1, 1: 1}]
+    for exponents in keys:
+        for order in range(601):
+            applied.clear()
+            _mul_eta_quotient([1] + [0] * order, exponents)
+            assert sum(applied) == eta_passes(exponents, order), (exponents, order)
+    # a lone eta_k is its pentagonal pass
     for k in range(1, 9):
         for order in range(601):
             applied.clear()
             _mul_eta([1] + [0] * order, k, 1)
             assert sum(applied) == eta_passes({k: 1}, order), (k, order)
+
+
+@pytest.mark.parametrize(
+    "exponents, pentagonal_passes, passes",
+    [
+        ({1: -1}, 72, 72),  # p: no theta takes fewer than eta_1's own terms
+        ({2: 1, 1: -2}, 194, 44),  # op = 1 / phi(-q)
+        ({2: 3, 1: -2, 4: -1}, 330, 75),  # po_bar = phi(-q^2) / phi(-q), as cheap as phi(q) / phi(-q^2)
+        ({2: 2, 1: -1, 4: -1}, 208, 98),  # pdo = psi(q) / eta_4
+        ({2: 1, 1: -1, 4: -1}, 158, 62),  # pood and p2 = 1 / TRI_CEIL
+        ({2: 2, 1: -2}, 244, 94),  # qbar = eta_2 / phi(-q)
+        ({4: 5, 2: -2, 8: -2}, 330, 31),  # the `extract` chain = phi(q^2)
+    ],
+)
+def test_plans_at_order_2000(exponents, pentagonal_passes, passes):
+    order = 2000
+    assert sum(abs(e) * _row_terms(THETA_FAMILIES["PENT"], order // k) for k, e in exponents.items()) == pentagonal_passes
+    assert eta_passes(exponents, order) == passes
+
+
+@settings(deadline=None)
+@given(
+    st.dictionaries(st.integers(min_value=1, max_value=8), st.integers(min_value=-3, max_value=3), max_size=4),
+    st.integers(min_value=0, max_value=300),
+)
+def test_planned_eta_quotient_matches_pentagonal_passes(exponents, order):
+    assert eta_quotient(exponents, order) == pentagonal(exponents, order)
+
+
+@pytest.mark.parametrize("name", PLANNED_KEYS)
+def test_planned_eta_quotient_matches_pentagonal_passes_at_2001(name):
+    assert eta_quotient(PLANNED_KEYS[name], 2001) == pentagonal(PLANNED_KEYS[name], 2001)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +479,50 @@ def test_mul_and_division_match_schoolbook(xyu, data):
         _mul_sparse(quotient, [(g, -1)], divide=True)
         assert quotient == schoolbook_mul(x, schoolbook_inverse(binomial))
         assert list((TruncatedSeries(x) / TruncatedSeries(binomial)).coeffs) == quotient
+
+
+def per_term(acc: list[int], terms: list[tuple[int, int]], c0: int, divide: bool) -> list[int]:
+    """acc times or over c0 + sum c*q^g, one term and one multiply at a time."""
+    out = list(acc)
+    for n in range(len(acc)):
+        if divide:
+            t = acc[n]
+            for g, c in terms:
+                if g <= n:
+                    t -= c * out[n - g]
+            out[n] = c0 * t  # c0 = +-1 is its own inverse
+        else:
+            out[n] = c0 * acc[n] + sum(c * acc[n - g] for g, c in terms if g <= n)
+    return out
+
+
+# past the 4300 digits that int <-> str conversion allows; drawn as a code
+# (|c| >= 4 stands for c * HUGE) so that Hypothesis never prints it
+HUGE = 7**5200
+
+
+def huge(c: int) -> int:
+    return c * HUGE if abs(c) >= 4 else c
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=30),
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=32), st.sampled_from((1, -1, 2, -2, 3, -3, 4, -4))),
+        max_size=3,
+        unique_by=lambda term: term[0],
+    ),
+    st.sampled_from((1, -1)),
+)
+def test_grouped_kernel_matches_per_term_reference(codes, term_codes, c0):
+    # terms sharing a coefficient (a theta's 2s) are grouped, one multiply per group
+    acc = [huge(c) for c in codes]
+    terms = sorted((g, huge(c)) for g, c in term_codes)
+    for divide in (False, True):
+        out = list(acc)
+        _mul_sparse(out, terms, c0, divide=divide)
+        assert out == per_term(acc, terms, c0, divide)
 
 
 @settings(deadline=None)
