@@ -124,7 +124,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print("no statements", file=sys.stderr)
         return EXIT_OK
 
-    # grow each named table once, to its largest read by a statement that expands
+    # grow each named table once, to the largest order at which a statement that expands names it
     for fid, n in dsl.read_orders(filter(dsl.expands, statements), args.order).items():
         function_value(fid, n)
 

@@ -576,7 +576,7 @@ def _split(factors: _Factors, eta: _Eta, order: int) -> tuple[_Eta, dict[int, in
     eta = dict(eta)
     binomials: dict[int, int] = {}
     if factors:
-        form = ProductForm.of(1, [(sign, a, b, e) for (sign, a, b), e in factors.items()], order)
+        form = ProductForm.of([(sign, a, b, e) for (sign, a, b), e in factors.items()], order)
         form_eta, binomials = form.eta_split()
         for k, e in form_eta.items():
             eta[k] = eta.get(k, 0) + e
@@ -686,61 +686,26 @@ def _fold(expr: ExprNode, order: int, values: Optional[Values], decide: bool = F
     return evaluate(expr, order, values), 1, {}, {}
 
 
-def _chain(expr: ExprNode, e: int, factors: _Factors, eta: _Eta, opaque: list[ExprNode]) -> None:
-    """Add the Pochhammer factors and eta exponents of a Mul/Div/Pow chain,
-    times e, as `_fold` folds them (every power folded); the factors it
-    evaluates on their own are appended to `opaque`."""
-    if isinstance(expr, (Mul, Div)):
-        _chain(expr.left, e, factors, eta, opaque)
-        _chain(expr.right, -e if isinstance(expr, Div) else e, factors, eta, opaque)
-    elif isinstance(expr, Pow):
-        _chain(expr.base, e * expr.exponent, factors, eta, opaque)
-    elif isinstance(expr, Pochhammer):
-        if expr.sign == 1 and expr.a == expr.b:
-            eta[expr.a] = eta.get(expr.a, 0) + e * expr.power
-        else:
-            key = (expr.sign, expr.a, expr.b)
-            factors[key] = factors.get(key, 0) + e * expr.power
-    elif isinstance(expr, NamedFunction):
-        for k, x in ETA_QUOTIENTS[expr.fid].items():
-            eta[k] = eta.get(k, 0) + e * x
-    elif not isinstance(expr, IntLiteral):
-        opaque.append(expr)
-
-
 def read_orders(
     statements: Iterable[IdentityStatement], order: Optional[int] = None
 ) -> dict[PartitionFunctionId, int]:
-    """The largest order to which evaluating the statements at `order` (each
-    at its own order for None) reads each named function's table, so a
-    caller can grow every table once beforehand.  A chain reads one table,
-    that of its eta quotient: a named function in a chain counts only when
-    the chain's quotient is a named function's, and the chain has at most
-    one opaque factor (the product of two is dense, and `_expand` applies
-    the quotient to it in place).  An extract past MAX_ORDER raises before
-    it reads anything."""
-    named = {key: fid for fid, key in KEYS.items()}
+    """The largest order at which the statements, evaluated at `order` (each
+    at its own order for None), name each function, so a caller can grow
+    every named table once beforehand.  As in `evaluate`, an extract's
+    argument is at m*n + r, a subs's at n // d and every other operand at n;
+    an extract past MAX_ORDER raises before it reads anything."""
     reads: dict[PartitionFunctionId, int] = {}
     todo = [(e, s.order if order is None else order) for s in statements for e in (s.lhs, s.rhs)]
     while todo:
         expr, n = todo.pop()
-        if isinstance(expr, (IntLiteral, Pochhammer, Mul, Div, Pow)):
-            factors: _Factors = {}
-            eta: _Eta = {}
-            opaque: list[ExprNode] = []
-            _chain(expr, 1, factors, eta, opaque)
-            fid = named.get(eta_key(_split(factors, eta, n)[0]))
-            if fid is not None and len(opaque) < 2:
-                reads[fid] = max(reads.get(fid, 0), n)
-            todo += [(child, n) for child in opaque]
-        elif isinstance(expr, NamedFunction):
+        if isinstance(expr, NamedFunction):
             reads[expr.fid] = max(reads.get(expr.fid, 0), n)
         elif isinstance(expr, Extract):
             if expr.m * n + expr.r <= MAX_ORDER:
                 todo.append((expr.child, expr.m * n + expr.r))
         elif isinstance(expr, Subs):
             todo.append((expr.child, n // expr.d))
-        else:  # the sums read their operands at n
+        else:  # every other node reads its operands at n
             todo += [(child, n) for child in vars(expr).values() if isinstance(child, get_args(ExprNode))]
     # pood and p2 read one table, so they take one order
     return {fid: max(m for f, m in reads.items() if KEYS[f] == KEYS[fid]) for fid in reads}
@@ -826,12 +791,16 @@ def residuals(stmt: IdentityStatement, order: int, values: Optional[Values] = No
 
 
 def _is_product(expr: ExprNode) -> bool:
-    """Whether expr is a product with no opaque factor: a chain (or atom)
-    whose only factors besides literals, Pochhammer atoms and named
-    functions are thetas with an eta form."""
-    opaque: list[ExprNode] = []
-    _chain(expr, 1, {}, {}, opaque)
-    return all(isinstance(x, Theta) and x.family in THETA_ETA for x in opaque)
+    """Whether expr is a product with no opaque factor: integer literals,
+    Pochhammer atoms, named functions and the thetas with an eta form
+    (`THETA_ETA`), under *, / and ^."""
+    if isinstance(expr, (Mul, Div)):
+        return _is_product(expr.left) and _is_product(expr.right)
+    if isinstance(expr, Pow):
+        return _is_product(expr.base)
+    if isinstance(expr, Theta):
+        return expr.family in THETA_ETA
+    return isinstance(expr, (IntLiteral, Pochhammer, NamedFunction))
 
 
 def expands(stmt: IdentityStatement) -> bool:
@@ -858,7 +827,7 @@ def _exponents(fold: _Fold, n: int) -> list[int]:
     (that is, P(q^k; q^k)) with no expansion."""
     _, _, factors, eta = fold
     atoms = [(sign, a, b, e) for (sign, a, b), e in factors.items()] + [(1, k, k, e) for k, e in eta.items()]
-    form = ProductForm.of(1, atoms, n)
+    form = ProductForm.of(atoms, n)
     seq = [0] * (n + 1)
     period = form.period
     for r, c in enumerate(form.classes):

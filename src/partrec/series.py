@@ -616,7 +616,7 @@ def _mul_eta_quotient(acc: list[int], exponents: Mapping[int, int]) -> None:
 
 
 class ProductForm:
-    """scalar * prod_{n >= 1} (1 - q^n)^(a_n), truncated at q^order.
+    """prod_{n >= 1} (1 - q^n)^(a_n), truncated at q^order.
 
     a_n is classes[n % period] + head.get(n, 0): one exponent per residue
     class mod the period, plus a finite head of corrections at n <= order.
@@ -626,20 +626,17 @@ class ProductForm:
     """
 
     # a plain class: building a dataclass costs about 1 ms of every CLI run's import
-    __slots__ = ("scalar", "order", "period", "classes", "head")
+    __slots__ = ("order", "period", "classes", "head")
 
-    def __init__(self, scalar: int, order: int, period: int, classes: tuple[int, ...], head: Mapping[int, int]):
-        self.scalar = scalar
+    def __init__(self, order: int, period: int, classes: tuple[int, ...], head: Mapping[int, int]):
         self.order = order
         self.period = period
         self.classes = classes
         self.head = head
 
     @classmethod
-    def of(
-        cls, scalar: int, factors: Iterable[tuple[int, int, int, int]], order: int
-    ) -> "ProductForm":
-        """The form of scalar * prod (sign*q^a; q^b)_inf^e over factors.
+    def of(cls, factors: Iterable[tuple[int, int, int, int]], order: int) -> "ProductForm":
+        """The form of prod (sign*q^a; q^b)_inf^e over factors.
 
         (q^a; q^b) adds e on every n = a (mod b), and its missing n < a go
         into the head; (-q^a; q^b) is (q^2a; q^2b) / (q^a; q^b).  A factor
@@ -675,10 +672,10 @@ class ProductForm:
         for a, b, e in periodic:
             for r in range(a % b, period, b):
                 classes[r] += e
-        return cls(scalar, order, period, tuple(classes), {n: e for n, e in head.items() if e})
+        return cls(order, period, tuple(classes), {n: e for n, e in head.items() if e})
 
     def eta_split(self) -> tuple[dict[int, int], dict[int, int]]:
-        """({k: e}, {n: e}) with the form == scalar * prod eta_k^e *
+        """({k: e}, {n: e}) with the form == prod eta_k^e *
         prod (1 - q^n)^e up to q^order.
 
         Each class takes the low median of its gcd(n, period) group as the

@@ -499,6 +499,39 @@ def test_read_orders():
     )
     assert read_orders(statements, 10) == {F.PO_ODD: 21, F.OP: 10, F.PDO: 10, F.P: 10}
     assert read_orders(statements[1:], 9) == {F.PDO: 8, F.P: 9}
+    # every named function counts at the order its subtree is evaluated,
+    # also in a chain whose eta quotient is another function's (po_bar's here)
+    assert read_orders(parse("pd * pdo == 1 within 7")) == {F.PD: 7, F.PDO: 7}
+    assert read_orders(parse("P(-q^1; q^2) / P(q^1; q^2)^2 == P(q^3; q^3) within 7")) == {}
+    # an extract past MAX_ORDER raises before it reads anything
+    assert read_orders(parse("extract(p, 5000, 0) + op == 1 within 3")) == {F.OP: 3}
+    # pood and p2 share one table, so both report its larger order
+    assert read_orders(parse("pood == 1 within 5\np2 == 1 within 9")) == {F.POOD: 9, F.P2MOD4: 9}
+
+
+@pytest.mark.parametrize(
+    "text, product",
+    [
+        ("7", True),
+        ("P(-q^1; q^3)", True),
+        ("po_bar", True),
+        ("theta(PENT)", True),
+        ("theta(GPENT_HALF)", False),  # no eta form
+        ("(p / P(-q^1; q^3))^2 * 3", True),
+        ("subs(p, q^2)", False),
+        ("extract(p, 2, 1)", False),
+        ("lebesgue(3)", False),
+        ("p + op", False),
+        ("p - op", False),
+    ],
+)
+def test_is_product_per_node_kind(text, product):
+    # bare and inside a chain; under `mod M` every statement expands
+    for side in (text, f"pd * ({text})^2 / op"):
+        stmt = parse(f"{side} == 1 within 5")[0]
+        assert dsl._is_product(stmt.lhs) is product
+        assert dsl.expands(stmt) is not product
+        assert dsl.expands(parse(f"{side} == 1 mod 3 within 5")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -656,9 +689,8 @@ def test_theta_eta_qid_spells_the_theta_eta_table():
     for stmt in parse(THETA_ETA_QID.read_text(encoding="utf-8")):
         if isinstance(stmt.rhs, Theta):
             continue
-        factors, eta, opaque = {}, {}, []
-        dsl._chain(stmt.rhs, 1, factors, eta, opaque)
-        assert not factors and not opaque
+        dense, scalar, factors, eta = dsl._fold(stmt.rhs, 0, None, decide=True)
+        assert dense is None and scalar == 1 and not factors
         forms[stmt.lhs.family] = {k: e for k, e in eta.items() if e}
     assert forms == series.THETA_ETA
 

@@ -554,7 +554,7 @@ form_factor = st.tuples(
 
 
 def expand(form: ProductForm) -> TruncatedSeries:
-    acc = [form.scalar] + [0] * form.order
+    acc = [1] + [0] * form.order
     _mul_eta_binomials(acc, *form.eta_split())
     return TruncatedSeries(acc)
 
@@ -564,31 +564,31 @@ def expand(form: ProductForm) -> TruncatedSeries:
 def test_product_form_matches_pochhammer(factors, scalar, order):
     # small orders put factors whose b would take the period past the order into the head
     expected = pochhammer_expand(ProductSpec(tuple(factors)), order) * scalar
-    assert expand(ProductForm.of(scalar, factors, order)) == expected
+    assert expand(ProductForm.of(factors, order)) * scalar == expected
 
 
 def test_product_form_of_po_bar_is_its_eta_quotient():
-    form = ProductForm.of(1, [(-1, 1, 2, 1), (1, 1, 2, -1)], 50)
+    form = ProductForm.of([(-1, 1, 2, 1), (1, 1, 2, -1)], 50)
     assert (form.period, form.classes, form.head) == (4, (0, -2, 1, -2), {})
     assert form.eta_split() == ({1: -2, 2: 3, 4: -1}, {})
 
 
 def test_product_form_head_and_off_gcd_classes():
     # (q^3; q^2) misses n = 1, which the head puts back
-    assert ProductForm.of(1, [(1, 3, 2, 1)], 10).eta_split() == ({1: 1, 2: -1}, {1: -1})
+    assert ProductForm.of([(1, 3, 2, 1)], 10).eta_split() == ({1: 1, 2: -1}, {1: -1})
     # a lone (q; q^3) is not a function of gcd(n, 3): its class becomes binomials
-    assert ProductForm.of(1, [(1, 1, 3, 1)], 10).eta_split() == ({}, {1: 1, 4: 1, 7: 1, 10: 1})
+    assert ProductForm.of([(1, 1, 3, 1)], 10).eta_split() == ({}, {1: 1, 4: 1, 7: 1, 10: 1})
 
 
 def test_product_form_period_stays_within_the_order():
-    form = ProductForm.of(1, [(1, 1, 4999, 1), (1, 1, 4998, 1), (1, 1, 4997, 1)], 5000)
+    form = ProductForm.of([(1, 1, 4999, 1), (1, 1, 4998, 1), (1, 1, 4997, 1)], 5000)
     assert form.period == 4997
     assert form.head == {1: 2, 4999: 1, 5000: 1}
     huge = 10**3999
-    form = ProductForm.of(1, [(-1, 1, huge, 1), (1, 7, huge, 2)], 5000)
+    form = ProductForm.of([(-1, 1, huge, 1), (1, 7, huge, 2)], 5000)
     assert (form.period, form.classes, form.head) == (1, (0,), {2: 1, 1: -1, 7: 2})
     # a binomial past the order is 1, and so is a factor starting there
-    assert expand(ProductForm.of(3, [(1, 11, 1, 1)], 10)) == TruncatedSeries([3] + [0] * 10)
+    assert expand(ProductForm.of([(1, 11, 1, 1)], 10)) == TruncatedSeries.one(10)
 
 
 # ---------------------------------------------------------------------------
