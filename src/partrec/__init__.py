@@ -2,7 +2,6 @@
 verification of the recurrences and convolution identities among them."""
 
 from .functions import PartitionFunctionId, function_value, gf_series, lebesgue_partial
-from .oracle import ConstraintSpec, constraint_for, oracle_count, oracle_table
 from .recurrences import TheoremId, fast_po_odd_table, residual, verify, verify_all
 from .report import VerificationReport
 from .series import (
@@ -19,6 +18,19 @@ from .series import (
 )
 
 __version__ = "0.1.0"
+
+# The enumeration oracle loads on first use of one of its names (PEP 562):
+# `import partrec.cli` runs this file, and only `oracle-compare` enumerates.
+_ORACLE_NAMES = frozenset({"ConstraintSpec", "constraint_for", "oracle_count", "oracle_table"})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "PartitionFunctionId",

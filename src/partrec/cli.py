@@ -14,13 +14,12 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from typing import Optional, Sequence
 
-from . import dsl, oracle
-from .functions import PartitionFunctionId, function_value, gf_series
+from . import dsl
+from .functions import ORACLE_MAX_N, PartitionFunctionId, function_value, gf_series
 from .recurrences import VERIFY_MAX_N, TheoremId, verify, verify_all
 from .report import VerificationReport, format_int
 
@@ -43,6 +42,12 @@ def _parse_function(name: str) -> Optional[PartitionFunctionId]:
         return None
 
 
+def _csv_writer():
+    import csv  # loaded on demand, like the oracle: most runs write no csv
+
+    return csv.writer(sys.stdout, lineterminator="\n")
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
     fid = _parse_function(args.function)
     if fid is None:
@@ -53,7 +58,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         return _fail_usage(f"--n must be nonnegative and at most {dsl.MAX_ORDER}")
     values = gf_series(fid, args.n).coeffs
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer = _csv_writer()
         writer.writerow(["n", "value"])
         for n, value in enumerate(values):
             writer.writerow([n, value])
@@ -73,7 +78,7 @@ def _emit_reports(reports: list[VerificationReport], fmt: str, many: bool) -> No
         json.dump(payload, sys.stdout)
         print()
     elif fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer = _csv_writer()
         writer.writerow(["theorem", "n_max", "status", "first_n", "first_residual", "millis"])
         for r in reports:
             fail = r.first_failure
@@ -147,10 +152,12 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
         return _fail_usage(
             f"unknown function {args.function!r}; known: {FUNCTION_NAMES}"
         )
-    if not 0 <= args.n <= oracle.ORACLE_MAX_N:
+    if not 0 <= args.n <= ORACLE_MAX_N:
         return _fail_usage(
-            f"--n must be within the enumeration envelope 0..{oracle.ORACLE_MAX_N}"
+            f"--n must be within the enumeration envelope 0..{ORACLE_MAX_N}"
         )
+    from . import oracle  # loaded on demand: only this command enumerates
+
     series = gf_series(fid, args.n).coeffs
     spec = oracle.constraint_for(fid)
     for n in range(args.n + 1):
@@ -203,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("function", help=f"one of: {FUNCTION_NAMES}")
     p_oracle.add_argument(
-        "--n", type=int, default=40, help=f"largest index, at most {oracle.ORACLE_MAX_N}"
+        "--n", type=int, default=40, help=f"largest index, at most {ORACLE_MAX_N}"
     )
     p_oracle.set_defaults(func=cmd_oracle_compare)
 

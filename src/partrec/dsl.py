@@ -16,9 +16,9 @@ sides are both products (integer literals, Pochhammer atoms, named
 functions and the theta families with an eta form in `THETA_ETA`, under
 *, / and ^) on their scalars and exponent sequences a_n of (1 - q^n),
 which it reads off without expanding; equal products are equal series.
-Any other statement, and every statement under `mod M` or with a zero
-scalar, is checked by expanding both sides and comparing coefficients;
-with `mod M` (M >= 2) they are compared modulo M from q^1 on.  Named
+Any other statement, and every statement under `mod M`, is checked by
+expanding both sides and comparing coefficients; with `mod M` (M >= 2)
+they are compared modulo M from q^1 on.  Named
 functions come from the memoized store, or from a caller's `values`
 source, through which the theorem suites run on corrupted tables.
 
@@ -37,9 +37,8 @@ takes fewer kernel passes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from operator import neg, sub
-from typing import Iterable, NamedTuple, Optional, Union, get_args
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .functions import (
     ETA_QUOTIENTS,
@@ -51,6 +50,7 @@ from .functions import (
     gf_series,
     lebesgue_partial,
 )
+from .record import Record
 from .report import Failure, VerificationReport, format_int
 from .series import (
     THETA_ETA,
@@ -122,76 +122,53 @@ class EvalError(ValueError):
 # AST
 
 
-@dataclass(frozen=True)
-class IntLiteral:
-    value: int
+class IntLiteral(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Pochhammer:
-    sign: int
-    a: int
-    b: int
-    power: int = 1
+class Pochhammer(Record):
+    __slots__ = ("sign", "a", "b", "power")
+    _defaults = {"power": 1}
 
 
-@dataclass(frozen=True)
-class Theta:
-    family: str
+class Theta(Record):
+    __slots__ = ("family",)
 
 
-@dataclass(frozen=True)
-class NamedFunction:
-    fid: PartitionFunctionId
+class NamedFunction(Record):
+    __slots__ = ("fid",)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "ExprNode"
-    right: "ExprNode"
+class Add(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "ExprNode"
-    right: "ExprNode"
+class Sub(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "ExprNode"
-    right: "ExprNode"
+class Mul(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "ExprNode"
-    right: "ExprNode"
+class Div(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "ExprNode"
-    exponent: int
+class Pow(Record):
+    __slots__ = ("base", "exponent")
 
 
-@dataclass(frozen=True)
-class Extract:
-    child: "ExprNode"
-    m: int
-    r: int
+class Extract(Record):
+    __slots__ = ("child", "m", "r")
 
 
-@dataclass(frozen=True)
-class Subs:  # child with q replaced by sign * q^d
-    child: "ExprNode"
-    sign: int
-    d: int
+class Subs(Record):  # child with q replaced by sign * q^d
+    __slots__ = ("child", "sign", "d")
 
 
-@dataclass(frozen=True)
-class LebesguePartial:
-    j_max: int
+class LebesguePartial(Record):
+    __slots__ = ("j_max",)
 
 
 ExprNode = Union[
@@ -210,13 +187,16 @@ ExprNode = Union[
 ]
 
 
-@dataclass(frozen=True)
-class IdentityStatement:
-    lhs: ExprNode
-    rhs: ExprNode
-    order: int
-    source: str = field(default="", compare=False)
-    modulus: Optional[int] = None  # `mod M`: compare from q^1 on, modulo M
+class IdentityStatement(Record):
+    """lhs == rhs [mod modulus] within order.  `modulus` (`mod M`) compares
+    from q^1 on, modulo M.  `source`, the statement's text as written, is
+    left out of equality and hashing."""
+
+    __slots__ = ("lhs", "rhs", "order", "source", "modulus")
+    _defaults = {"source": "", "modulus": None}
+
+    def _key(self) -> tuple:
+        return self.lhs, self.rhs, self.order, self.modulus
 
     def label(self) -> str:
         return self.source or statement_text(self)
@@ -705,8 +685,10 @@ def read_orders(
                 todo.append((expr.child, expr.m * n + expr.r))
         elif isinstance(expr, Subs):
             todo.append((expr.child, n // expr.d))
-        else:  # every other node reads its operands at n
-            todo += [(child, n) for child in vars(expr).values() if isinstance(child, get_args(ExprNode))]
+        elif isinstance(expr, Pow):
+            todo.append((expr.base, n))
+        elif isinstance(expr, (Add, Sub, Mul, Div)):
+            todo += [(expr.left, n), (expr.right, n)]
     # pood and p2 read one table, so they take one order
     return {fid: max(m for f, m in reads.items() if KEYS[f] == KEYS[fid]) for fid in reads}
 
@@ -805,20 +787,18 @@ def _is_product(expr: ExprNode) -> bool:
 
 def expands(stmt: IdentityStatement) -> bool:
     """Whether `check` compares the statement coefficient by coefficient:
-    under `mod M`, or when a side has an opaque factor.  (A product
-    statement is also expanded when folding finds a scalar of 0.)"""
+    under `mod M`, or when a side has an opaque factor."""
     return stmt.modulus is not None or not (_is_product(stmt.lhs) and _is_product(stmt.rhs))
 
 
 def _product_folds(stmt: IdentityStatement) -> Optional[tuple[_Fold, _Fold]]:
     """Both sides as deciding folds, when `check` decides the statement on
-    exponent sequences: `expands` is False for it and both scalars are
-    nonzero.  None sends it to the coefficient path.  A non-unit divisor
-    raises EvalError here, as evaluating the sides would."""
+    its scalars and exponent sequences (`expands` is False for it); None
+    sends it to the coefficient path.  A non-unit divisor raises EvalError
+    here, as evaluating the sides would."""
     if expands(stmt):
         return None
-    folds = _fold(stmt.lhs, 0, None, decide=True), _fold(stmt.rhs, 0, None, decide=True)
-    return folds if folds[0][1] and folds[1][1] else None
+    return _fold(stmt.lhs, 0, None, decide=True), _fold(stmt.rhs, 0, None, decide=True)
 
 
 def _exponents(fold: _Fold, n: int) -> list[int]:
@@ -861,12 +841,15 @@ def _coefficient(fold: _Fold, n: int) -> int:
 
 def _compare_products(left: _Fold, right: _Fold, n: int) -> Optional[tuple[int, int, int, int]]:
     """(i, residual, lhs_i, rhs_i) at the first difference of two products
-    to q^n, or None when they agree: unequal scalars differ at q^0, and
-    otherwise the sides differ first at the least i with a_i != b_i, by
-    -scalar * (a_i - b_i); only there are the sides expanded, to q^i."""
+    to q^n, or None when they agree: unequal scalars differ at q^0, two
+    zero scalars are two zero series, and otherwise the sides differ first
+    at the least i with a_i != b_i, by -scalar * (a_i - b_i); only there
+    are the sides expanded, to q^i."""
     s, t = left[1], right[1]
     if s != t:
         return 0, s - t, s, t
+    if not s:
+        return None
     a, b = _exponents(left, n), _exponents(right, n)
     if a == b:
         return None

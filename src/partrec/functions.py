@@ -60,6 +60,7 @@ __all__ = [
     "function_value",
     "lebesgue_partial",
     "Values",
+    "ORACLE_MAX_N",
 ]
 
 
@@ -90,6 +91,10 @@ class PartitionFunctionId(Enum):
 
 # A source of coefficients, called as values(fid, n) like `function_value`.
 Values = Callable[[PartitionFunctionId, int], int]
+
+# The largest n that brute-force enumeration (`oracle`) counts.  It is kept
+# here, not in `oracle`, so that the CLI's help text imports no oracle.
+ORACLE_MAX_N = 60
 
 
 PRODUCTS: dict[PartitionFunctionId, ProductSpec] = {

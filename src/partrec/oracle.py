@@ -11,11 +11,11 @@ to cross-check series coefficients for small n, not to compute tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
-from .functions import PartitionFunctionId
+from .functions import ORACLE_MAX_N, PartitionFunctionId
+from .record import Record
 
 __all__ = [
     "Parity",
@@ -29,8 +29,6 @@ __all__ = [
     "oracle_table",
     "generate_partitions",
 ]
-
-ORACLE_MAX_N = 60
 
 
 class Parity(Enum):
@@ -56,12 +54,16 @@ class Copies(Enum):
     BIPARTITION_DISTINCT = "bipartition-distinct"
 
 
-@dataclass(frozen=True)
-class ConstraintSpec:
-    parity: Parity = Parity.ANY
-    distinctness: Distinctness = Distinctness.NONE
-    overline: Overline = Overline.NONE
-    copies: Copies = Copies.SINGLE
+class ConstraintSpec(Record):
+    """Which partitions a counting function counts: every field has a default."""
+
+    __slots__ = ("parity", "distinctness", "overline", "copies")
+    _defaults = {
+        "parity": Parity.ANY,
+        "distinctness": Distinctness.NONE,
+        "overline": Overline.NONE,
+        "copies": Copies.SINGLE,
+    }
 
     def part_allowed(self) -> Callable[[int], bool]:
         if self.parity is Parity.ODD_ONLY:

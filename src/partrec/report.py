@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
+
+from .record import Record
 
 __all__ = ["Failure", "VerificationReport", "format_int"]
 
@@ -15,31 +16,31 @@ def format_int(value: int) -> str:
         return str(value)
     except ValueError:
         size = abs(value)
-        digits = int(size.bit_length() * 0.30102999566398120)  # log10(2): one short at most
+        # 1 + (bit_length - 1) * log10(2) rounded down, through a fraction just
+        # below log10(2): the digit count or one short (below 10^10 digits)
+        digits = (size.bit_length() - 1) * 30102999566 // 10**11 + 1
         digits += 10**digits <= size
         return f"{'-' if value < 0 else ''}{size // 10 ** (digits - 20)}...({digits} digits)"
 
 
-@dataclass(frozen=True)
-class Failure:
-    n: int
-    residual: int
+class Failure(Record):
+    """The first n at which an identity fails, and its residual there."""
+
+    __slots__ = ("n", "residual")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of checking one identity for all 0 <= n <= n_max.
+class VerificationReport(Record):
+    """Outcome of checking one identity for all 0 <= n <= n_max: its
+    theorem (or statement label), n_max, whether it passed, the first
+    `Failure` (None for none) and the milliseconds it took.
 
-    `detail` carries extra human-readable context (both coefficients of a
-    failed identity check, say) and is not part of the JSON contract.
+    `detail` (None by default) carries extra human-readable context (both
+    coefficients of a failed identity check, say) and is not part of the
+    JSON contract.
     """
 
-    theorem: str
-    n_max: int
-    passed: bool
-    first_failure: Optional[Failure]
-    millis: int
-    detail: Optional[str] = None
+    __slots__ = ("theorem", "n_max", "passed", "first_failure", "millis", "detail")
+    _defaults = {"detail": None}
 
     @property
     def status(self) -> str:

@@ -29,12 +29,13 @@ after construction, so they are safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence, Union
+
+from .record import Record
 
 __all__ = [
     "TruncatedSeries",
@@ -294,25 +295,26 @@ def _mul_sparse(
             acc[g:] = map(sub if c == -1 else add, acc[g:], scaled)
 
 
-@dataclass(frozen=True)
-class ProductSpec:
-    """A finite product of factors (sign*q^a; q^b)_inf^e.
+class ProductSpec(Record):
+    """A finite product of factors (sign*q^a; q^b)_inf^e, held as a tuple
+    `factors` of (sign, a, b, e).
 
     Every factor needs a >= 1 and b >= 1 so its expansion has constant
     term 1 and the whole product is invertible; e may be any nonzero
     integer (negative e puts the factor in the denominator).
     """
 
-    factors: tuple[tuple[int, int, int, int], ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self) -> None:
-        for sign, a, b, e in self.factors:
+    def __init__(self, factors: tuple[tuple[int, int, int, int], ...]) -> None:
+        for sign, a, b, e in factors:
             if sign not in (1, -1):
                 raise ValueError(f"factor sign must be +-1, got {sign}")
             if a < 1 or b < 1:
                 raise ValueError(f"factor needs a >= 1 and b >= 1, got a={a}, b={b}")
             if e == 0:
                 raise ValueError("factor exponent must be nonzero")
+        super().__init__(factors)
 
     @classmethod
     def of(cls, *factors: tuple[int, int, int, int]) -> "ProductSpec":
@@ -625,7 +627,8 @@ class ProductForm:
     `_mul_eta_binomials` expands.
     """
 
-    # a plain class: building a dataclass costs about 1 ms of every CLI run's import
+    # a plain class, not a `Record`: a form is built for each chain with a
+    # Pochhammer atom, and never compared, hashed or printed
     __slots__ = ("order", "period", "classes", "head")
 
     def __init__(self, order: int, period: int, classes: tuple[int, ...], head: Mapping[int, int]):

@@ -482,17 +482,38 @@ def test_usage_error_exit_code_subprocess():
     assert proc.returncode == 2  # argparse usage errors share the contract
 
 
-def test_cli_import_leaves_out_fractions():
-    # fractions would also pull in decimal: start-up cost on every CLI run
+# Prints which of the modules a CLI run should not load are loaded: after the
+# import, after a check, and after importing the oracle's names from partrec.
+LAZY_IMPORTS = """
+import sys
+import partrec.cli
+lazy = ("fractions", "dataclasses", "inspect", "csv", "partrec.oracle")
+loaded = lambda: [m for m in lazy if m in sys.modules]
+after_import = loaded()
+code = partrec.cli.main(["check", "identities/paper.qid"])
+after_check = loaded()
+from partrec import ConstraintSpec, constraint_for, oracle_count, oracle_table
+print(after_import, code, after_check, loaded(), oracle_count(ConstraintSpec(), 5))
+"""
+
+
+def test_cli_import_leaves_out_fractions(capsys):
+    # fractions would also pull in decimal, dataclasses pulls in inspect, and
+    # csv and the oracle serve only csv output and oracle-compare: start-up cost
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, partrec.cli; print('fractions' in sys.modules)"],
+        [sys.executable, "-c", LAZY_IMPORTS],
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "[] 0 [] ['partrec.oracle'] 7"
+    # the oracle's bound still reaches the help text
+    with pytest.raises(SystemExit):
+        main(["oracle-compare", "--help"])
+    assert f"at most {ORACLE_MAX_N}" in capsys.readouterr().out
+    assert ORACLE_MAX_N == 60
 
 
 # Installs the benchmark's tracer (bench/spans.py), runs a verify and a check,
@@ -545,6 +566,20 @@ def test_check_oversized_coefficient_fails_without_traceback(tmp_path):
     head = "67211119598656178118...(14998 digits)"
     assert f"residual={head} [q^0: lhs={head}, rhs=0]" in line
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("k", [*range(4295, 4311), 50000])
+def test_format_int_counts_digits_exactly(k):
+    limit = sys.get_int_max_str_digits()
+    for value in (10**k - 1, 10**k, -(10**k - 1), -(10**k)):
+        sys.set_int_max_str_digits(0)
+        try:
+            text = str(abs(value))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        sign = "-" if value < 0 else ""
+        expected = f"{sign}{text[:20]}...({len(text)} digits)" if 0 < limit < len(text) else sign + text
+        assert format_int(value) == expected
 
 
 def test_format_int_past_the_digit_limit():

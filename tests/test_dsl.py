@@ -574,7 +574,10 @@ def _value(expr, order):
 def test_random_statements_survive_print_and_parse(lhs, rhs, modulus, order):
     stmt = IdentityStatement(lhs, rhs, order, modulus=modulus)
     [parsed] = parse(statement_text(stmt))
-    assert parsed == stmt
+    # parsed carries its text as its source and stmt has none: neither compares or hashes it
+    assert parsed.source and not stmt.source
+    assert parsed == stmt and hash(parsed) == hash(stmt)
+    assert hash(parsed.lhs) == hash(lhs) and hash(parsed.rhs) == hash(rhs)
     assert _value(parsed.lhs, order) == _value(lhs, order)
     assert _value(parsed.rhs, order) == _value(rhs, order)
 
@@ -871,6 +874,27 @@ def test_a_decided_failure_expands_only_to_its_index(monkeypatch):
     assert (report.first_failure.n, report.first_failure.residual) == (1, -5000)
     assert report.detail == "q^1: lhs=-5000, rhs=0"
     assert not functions._cache
+
+
+@pytest.mark.parametrize(
+    "text, first_failure, detail",
+    [
+        ("0 * P(q^1; q^1) == 7 * po_bar within 50", (0, -7), "q^0: lhs=0, rhs=7"),
+        ("(3^5)^4 == 0 * pd within 50", (0, 3**20), f"q^0: lhs={3**20}, rhs=0"),
+        ("0 * p == P(q^2; q^3) * 0 / pd within 50", None, None),
+        ("2 * 0 == 0 within 1", None, None),
+    ],
+)
+def test_a_zero_scalar_is_decided_on_the_product_path(monkeypatch, text, first_failure, detail):
+    # unequal scalars fail at q^0, and two zero scalars are two zero series
+    monkeypatch.setattr(dsl, "_compare_coefficients", lambda stmt, n: pytest.fail("expanded"))
+    [stmt] = parse(text)
+    assert not dsl.expands(stmt)
+    report = check(stmt)
+    assert report.passed is (first_failure is None)
+    if first_failure is not None:
+        assert (report.first_failure.n, report.first_failure.residual) == first_failure
+    assert report.detail == detail
 
 
 def test_a_derived_true_statement_expands_nothing(monkeypatch):
