@@ -3,7 +3,7 @@
 Subcommands:
 
     compute         print a value table for a counting function
-    verify          run one theorem suite (or all) as residual scans
+    verify          run one theorem suite (or all) through the checker
     check           parse and check a .qid identity file
     oracle-compare  series coefficients vs brute-force enumeration
 
@@ -19,7 +19,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import dsl
-from .functions import ORACLE_MAX_N, PartitionFunctionId, function_value, gf_series
+from .functions import ORACLE_MAX_N, PartitionFunctionId, gf_series
 from .recurrences import VERIFY_MAX_N, TheoremId, verify, verify_all
 from .report import VerificationReport, format_int
 
@@ -35,13 +35,6 @@ def _fail_usage(message: str) -> int:
     return EXIT_USAGE
 
 
-def _parse_function(name: str) -> Optional[PartitionFunctionId]:
-    try:
-        return PartitionFunctionId.from_name(name)
-    except KeyError:
-        return None
-
-
 def _csv_writer():
     import csv  # loaded on demand, like the oracle: most runs write no csv
 
@@ -49,11 +42,10 @@ def _csv_writer():
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    fid = _parse_function(args.function)
-    if fid is None:
-        return _fail_usage(
-            f"unknown function {args.function!r}; known: {FUNCTION_NAMES}"
-        )
+    try:
+        fid = PartitionFunctionId(args.function)
+    except ValueError:
+        return _fail_usage(f"unknown function {args.function!r}; known: {FUNCTION_NAMES}")
     if not 0 <= args.n <= dsl.MAX_ORDER:
         return _fail_usage(f"--n must be nonnegative and at most {dsl.MAX_ORDER}")
     values = gf_series(fid, args.n).coeffs
@@ -129,9 +121,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print("no statements", file=sys.stderr)
         return EXIT_OK
 
-    # grow each named table once, to the largest order at which a statement that expands names it
-    for fid, n in dsl.read_orders(filter(dsl.expands, statements), args.order).items():
-        function_value(fid, n)
+    dsl.grow(statements, args.order)
 
     def run(stmt: dsl.IdentityStatement) -> VerificationReport:
         try:
@@ -147,15 +137,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_compare(args: argparse.Namespace) -> int:
-    fid = _parse_function(args.function)
-    if fid is None:
-        return _fail_usage(
-            f"unknown function {args.function!r}; known: {FUNCTION_NAMES}"
-        )
+    try:
+        fid = PartitionFunctionId(args.function)
+    except ValueError:
+        return _fail_usage(f"unknown function {args.function!r}; known: {FUNCTION_NAMES}")
     if not 0 <= args.n <= ORACLE_MAX_N:
-        return _fail_usage(
-            f"--n must be within the enumeration envelope 0..{ORACLE_MAX_N}"
-        )
+        return _fail_usage(f"--n must be within the enumeration envelope 0..{ORACLE_MAX_N}")
     from . import oracle  # loaded on demand: only this command enumerates
 
     series = gf_series(fid, args.n).coeffs
@@ -163,9 +150,7 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
     for n in range(args.n + 1):
         counted = oracle.oracle_count(spec, n)
         if counted != series[n]:
-            print(
-                f"mismatch at n={n}: series={series[n]}, enumeration={counted}",
-            )
+            print(f"mismatch at n={n}: series={series[n]}, enumeration={counted}")
             return EXIT_FAILURE
         print(f"ok n={n} value={series[n]}")
     print(f"{fid.value}: series and enumeration agree for 0 <= n <= {args.n}")

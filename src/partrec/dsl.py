@@ -18,9 +18,9 @@ functions and the theta families with an eta form in `THETA_ETA`, under
 which it reads off without expanding; equal products are equal series.
 Any other statement, and every statement under `mod M`, is checked by
 expanding both sides and comparing coefficients; with `mod M` (M >= 2)
-they are compared modulo M from q^1 on.  Named
-functions come from the memoized store, or from a caller's `values`
-source, through which the theorem suites run on corrupted tables.
+they are compared modulo M from q^1 on.  Named functions come from the
+memoized store, or from a caller's `values` source (the theorem suites'
+corrupted tables), which has no eta form, so `check` compares coefficients.
 
 Every maximal chain of *, / and ^ is folded into a scalar (its integer
 literals), eta exponents (its named functions, under the store, and its
@@ -47,6 +47,7 @@ from .functions import (
     Values,
     eta_key,
     eta_series,
+    function_value,
     gf_series,
     lebesgue_partial,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "print_expr",
     "statement_text",
     "expands",
+    "grow",
     "check",
 ]
 
@@ -791,6 +793,13 @@ def expands(stmt: IdentityStatement) -> bool:
     return stmt.modulus is not None or not (_is_product(stmt.lhs) and _is_product(stmt.rhs))
 
 
+def grow(statements: Iterable[IdentityStatement], order: Optional[int] = None) -> None:
+    """Grow each named table once, to the largest order at which a statement
+    that `check` expands (`expands`) names it; a decided one reads none."""
+    for fid, n in read_orders(filter(expands, statements), order).items():
+        function_value(fid, n)
+
+
 def _product_folds(stmt: IdentityStatement) -> Optional[tuple[_Fold, _Fold]]:
     """Both sides as deciding folds, when `check` decides the statement on
     its scalars and exponent sequences (`expands` is False for it); None
@@ -857,29 +866,33 @@ def _compare_products(left: _Fold, right: _Fold, n: int) -> Optional[tuple[int, 
     return i, -s * (a[i] - b[i]), _coefficient(left, i), _coefficient(right, i)
 
 
-def _compare_coefficients(stmt: IdentityStatement, n: int) -> Optional[tuple[int, int, int, int]]:
+def _compare_coefficients(
+    stmt: IdentityStatement, n: int, values: Optional[Values]
+) -> Optional[tuple[int, int, int, int]]:
     """(i, residual, lhs_i, rhs_i) at the first nonzero entry of the
     statement's residuals to q^n, or None when there is none."""
-    lhs = evaluate(stmt.lhs, n)
-    rhs = evaluate(stmt.rhs, n)
+    lhs = evaluate(stmt.lhs, n, values)
+    rhs = evaluate(stmt.rhs, n, values)
     diff = _difference(stmt, lhs, rhs)
     i = next((i for i, r in enumerate(diff) if r), None)
     return None if i is None else (i, diff[i], lhs[i], rhs[i])
 
 
-def check(stmt: IdentityStatement, order: Optional[int] = None) -> VerificationReport:
+def check(
+    stmt: IdentityStatement, order: Optional[int] = None, values: Optional[Values] = None
+) -> VerificationReport:
     """Check the statement to q^order (its own order for None).
 
     When both sides fold to products (`_product_folds`), the statement is
     decided on their scalars and exponent sequences with no expansion;
-    otherwise both sides are evaluated and compared coefficientwise.  A
-    failure records the first differing exponent, the residual there, and
-    both coefficients in the detail text.
+    otherwise, and always with a `values` source (as in `evaluate`), both
+    sides are evaluated and compared coefficientwise.  A failure records
+    the first differing exponent, the residual there and both coefficients.
     """
     n = order if order is not None else stmt.order
     start = time.perf_counter()
-    folds = _product_folds(stmt)
-    failure = _compare_coefficients(stmt, n) if folds is None else _compare_products(*folds, n)
+    folds = None if values is not None else _product_folds(stmt)
+    failure = _compare_coefficients(stmt, n, values) if folds is None else _compare_products(*folds, n)
     first = detail = None
     if failure is not None:
         i, residual, lhs_i, rhs_i = failure

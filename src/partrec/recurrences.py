@@ -7,27 +7,26 @@ tables easy to diagnose.
 
 Every suite is one statement of the identity language in `_SUITES`, most
 of them a product identity between a generating function and a theta
-series, such as T1, `po_bar * theta(PENT) == theta(PENT_CEIL)`.  The
-residuals are lhs - rhs as `dsl.residuals` computes them: `verify` scans
-0..n_max, and `residual(tid, n)` reads one index of a residual table that
-grows like the function store (with the memoized source).
+series, such as T1, `po_bar * theta(PENT) == theta(PENT_CEIL)`.  `verify`
+runs it through `dsl.check`, which decides such a product on its eta
+exponents.  `residual(tid, n)` is lhs - rhs at n by `dsl.residuals`, read
+(with the memoized source) from a table that grows like the function store.
 
-All residuals read partition-function values through a `values` callable
+All suites read partition-function values through a `values` callable
 (defaulting to the memoized `function_value`), so a test can swap in a
-corrupted source and watch the suites catch it.
+corrupted source and watch the suites catch it, coefficient by coefficient.
 """
 
 from __future__ import annotations
 
-import time
 from enum import Enum
 from functools import cache
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .dsl import MAX_ORDER, EvalError, IdentityStatement, parse, read_orders, residuals
+from .dsl import MAX_ORDER, EvalError, IdentityStatement, check, grow, parse, residuals
 from .functions import Values, function_value, grown
 from .functions import gf_series, lebesgue_partial  # noqa: F401  (bench/spans.py wraps these names)
-from .report import Failure, VerificationReport
+from .report import VerificationReport
 from .series import THETA_FAMILIES, theta_series
 
 __all__ = [
@@ -144,12 +143,17 @@ def _statement(tid: TheoremId) -> IdentityStatement:
     return parse(f"{_SUITES[TheoremId(tid)]} within {VERIFY_MAX_N}")[0]
 
 
-def _residuals(tid: TheoremId, n_max: int, values: Values) -> list[int]:
-    """Residuals of the suite at n = 0..n_max."""
+def _bounded(tid: TheoremId, n_max: int, values: Values) -> tuple[IdentityStatement, int, Optional[Values]]:
+    """(statement, n_max, source) as `dsl` takes them, once n_max is within the suite's order."""
     stmt = _statement(tid)
     if n_max > stmt.order:
         raise EvalError(f"n_max {n_max} is above the suite's order {stmt.order}", stmt.label())
-    return residuals(stmt, n_max, None if values is function_value else values)
+    return stmt, n_max, None if values is function_value else values
+
+
+def _residuals(tid: TheoremId, n_max: int, values: Values) -> list[int]:
+    """Residuals of the suite at n = 0..n_max."""
+    return residuals(*_bounded(tid, n_max, values))
 
 
 _tables: dict[TheoremId, Sequence[int]] = {}  # residuals of the memoized source
@@ -182,23 +186,19 @@ def fast_po_odd_table(n_max: int) -> list[int]:
 
 
 def verify(tid: TheoremId, n_max: int, values: Values = function_value) -> VerificationReport:
-    """Scan the residual for all 0 <= n <= n_max and report the outcome."""
+    """The suite checked by `dsl.check` for all 0 <= n <= n_max, reported under its id."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    start = time.perf_counter()
-    scan = enumerate(_residuals(tid, n_max, values))
-    first = next((Failure(n, r) for n, r in scan if r), None)
-    millis = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(tid.value, n_max, first is None, first, millis)
+    report = check(*_bounded(tid, n_max, values))
+    return VerificationReport(tid.value, n_max, report.passed, report.first_failure, report.millis)
 
 
 def verify_all(n_max: int, values: Values = function_value) -> list[VerificationReport]:
     """Run every theorem suite; reports come back in declaration order.
 
-    With the memoized source, each function is first grown once, to its
-    largest read over every suite, so no suite grows it piecemeal.
+    With the memoized source, each table that a suite left to the
+    coefficient path reads is first grown once (`dsl.grow`).
     """
     if values is function_value and n_max <= VERIFY_MAX_N:  # above it, verify raises
-        for f, n in read_orders(map(_statement, TheoremId), n_max).items():
-            function_value(f, n)
+        grow(map(_statement, TheoremId), n_max)
     return [verify(tid, n_max, values) for tid in TheoremId]

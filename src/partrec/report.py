@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from typing import Any
 
 from .record import Record
@@ -15,12 +16,18 @@ def format_int(value: int) -> str:
     try:
         return str(value)
     except ValueError:
-        size = abs(value)
-        # 1 + (bit_length - 1) * log10(2) rounded down, through a fraction just
-        # below log10(2): the digit count or one short (below 10^10 digits)
-        digits = (size.bit_length() - 1) * 30102999566 // 10**11 + 1
-        digits += 10**digits <= size
-        return f"{'-' if value < 0 else ''}{size // 10 ** (digits - 20)}...({digits} digits)"
+        return ("-" if value < 0 else "") + _abbreviate(abs(value))
+
+
+@functools.lru_cache(maxsize=1)  # a failure's residual is often the side just printed
+def _abbreviate(size: int) -> str:
+    # 1 + (bit_length - 1) * log10(2) rounded down, through a fraction just
+    # below log10(2): the digit count or one short (below 10^10 digits)
+    digits = (size.bit_length() - 1) * 30102999566 // 10**11 + 1
+    power = 10 ** (digits - 20)  # the costly step, taken once
+    if power * 10**20 <= size:
+        digits, power = digits + 1, power * 10
+    return f"{size // power}...({digits} digits)"
 
 
 class Failure(Record):

@@ -43,7 +43,6 @@ __all__ = [
     "THETA_FAMILIES",
     "THETA_ETA",
     "series_add",
-    "series_sub",
     "series_mul",
     "series_inverse",
     "pochhammer_expand",
@@ -197,10 +196,6 @@ class TruncatedSeries:
 
 def series_add(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     return x + y
-
-
-def series_sub(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
-    return x - y
 
 
 def series_mul(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:

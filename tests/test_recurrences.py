@@ -502,9 +502,30 @@ def test_verify_all_expands_each_function_once(monkeypatch):
     monkeypatch.setattr(functions, "_expand_key", counting)
     functions._cache_clear()
     assert all(r.passed for r in verify_all(300))
-    # one store expansion per key: pood and p2 are one eta quotient, so 8 keys
-    assert len(expanded) == len(set(expanded)) == 8
-    assert set(expanded) == {functions.eta_key(ETA_QUOTIENTS[f]) for f in F}
+    # at most one store expansion per key, and only of the tables read by the
+    # suites left to the coefficient path; the decided suites read none, so
+    # qbar's table (read only by T_QBAR) is not grown
+    suites = map(recurrences._statement, TheoremId)
+    read = {functions.eta_key(ETA_QUOTIENTS[f]) for f in dsl.read_orders(filter(dsl.expands, suites))}
+    assert len(expanded) == len(set(expanded))
+    assert set(expanded) == read
+    assert functions.eta_key(ETA_QUOTIENTS[F.QBAR]) not in read
+
+
+@pytest.mark.parametrize("tid", list(TheoremId))
+def test_every_suite_holds_on_the_coefficient_route_to_2000(tid):
+    # verify decides most suites on eta exponents; the residual scan still
+    # runs every table through its recurrence
+    assert not any(_residuals(tid, 2000, function_value))
+
+
+@pytest.mark.parametrize("tid", list(TheoremId))
+def test_verify_agrees_with_the_coefficient_route(tid):
+    # a caller's source sends every suite to the coefficient path
+    for n in (0, 1, 150):
+        decided = verify(tid, n)
+        scanned = verify(tid, n, values=lambda f, k: function_value(f, k))
+        assert (decided.passed, decided.first_failure) == (scanned.passed, scanned.first_failure)
 
 
 def test_residual_unknown_id():
