@@ -14,35 +14,45 @@ there are no variables or binding forms, so every statement is a closed
 identity checked to the stated order.  `check` decides a statement whose
 sides are both products (integer literals, Pochhammer atoms, named
 functions and the theta families with an eta form in `THETA_ETA`, under
-*, / and ^) on their scalars and exponent sequences a_n of (1 - q^n),
-which it reads off without expanding; equal products are equal series.
-Any other statement, and every statement under `mod M`, is checked by
-expanding both sides and comparing coefficients; with `mod M` (M >= 2)
-they are compared modulo M from q^1 on.  Named functions come from the
+*, / and ^ and inside subs) on their scalars and exponent sequences a_n
+of (1 - q^n), which it reads off without expanding; equal products are
+equal series.  Any other statement with no `mod M` is compared on its
+sides less their common exponent part: each side's top-level chain is a
+scalar times an exponent part times an opaque rest, and the quotient of
+the two exponent parts goes to one side only.  A statement under
+`mod M` (M >= 2) is checked by expanding both sides and comparing their
+coefficients modulo M from q^1 on.  Named functions come from the
 memoized store, or from a caller's `values` source (the theorem suites'
-corrupted tables), which has no eta form, so `check` compares coefficients.
+corrupted tables), which has no eta form, so `check` compares
+coefficients.  Every route finds the same first failure, residual and
+coefficients.
 
 Every maximal chain of *, / and ^ is folded into a scalar (its integer
 literals), eta exponents (its named functions, under the store, and its
 P(q^k; q^k) atoms), the Pochhammer factors of a `series.ProductForm` (its
 other atoms) and the dense product of its other, opaque factors.  The
 form's eta part joins the eta exponents, whose quotient is read from the
-function store by key and multiplied by the dense product; what is left of
-the form, (1 - q^n) binomials, is applied in place.  A chain with no
-Pochhammer atom (every theorem suite's) builds no form.  A power is
-folded into the exponents, or its chain expanded and squared, whichever
-takes fewer kernel passes.
+function store by key and multiplied by the dense product, or applied to
+it in place; what is left of the form, (1 - q^n) binomials, is applied in
+place.  A chain with no Pochhammer atom (every theorem suite's) builds no
+form.  A power is folded into the exponents, or its chain expanded and
+squared, whichever takes fewer kernel passes.  An extract takes the subs
+factors of its argument's chain out (`_fold`'s `pull`).  `grow` walks the
+statements as `check` evaluates them (`_read`) and grows each store table
+they read once, to the largest order they read it at.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from operator import neg, sub
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .functions import (
     ETA_QUOTIENTS,
     KEYS,
+    MAX_DERIVED_KEYS,
     PartitionFunctionId,
     Values,
     eta_key,
@@ -50,12 +60,14 @@ from .functions import (
     function_value,
     gf_series,
     lebesgue_partial,
+    stored,
 )
 from .record import Record
 from .report import Failure, VerificationReport, format_int
 from .series import (
     THETA_ETA,
     THETA_FAMILIES,
+    EtaKey,
     ProductForm,
     TruncatedSeries,
     _mul_eta_binomials,
@@ -87,7 +99,6 @@ __all__ = [
     "IdentityStatement",
     "parse",
     "evaluate",
-    "read_orders",
     "residuals",
     "print_expr",
     "statement_text",
@@ -506,10 +517,11 @@ def evaluate(expr: ExprNode, order: int, values: Optional[Values] = None) -> Tru
     coefficients; everything else evaluates its children at the same
     order, which keeps evaluation order-monotone.  An extract whose child
     order would pass MAX_ORDER raises EvalError before anything is
-    expanded.  Named functions come from the store, or from `values` for
-    every index 0..order when it is given.  Integer literals, Pochhammer
-    atoms and every Mul/Div/Pow chain are folded by `_fold` and expanded by
-    `_expand`.
+    expanded; a subs(A, +-q^(k*m)) factor of its chain is taken out as
+    subs(A, +-q^k) at this order (`_fold`'s `pull`).  Named functions come
+    from the store, or from `values` for every index 0..order when it is
+    given.  Integer literals, Pochhammer atoms and every Mul/Div/Pow chain
+    are folded by `_fold` and expanded by `_expand`.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -532,8 +544,14 @@ def evaluate(expr: ExprNode, order: int, values: Optional[Values] = None) -> Tru
                 f"extract needs its argument to order {inner_order}, above {MAX_ORDER}",
                 print_expr(expr),
             )
-        inner = evaluate(expr.child, inner_order, values)
-        return inner.extract(expr.m, expr.r)
+        if not isinstance(expr.child, (Mul, Div, Subs)):
+            return evaluate(expr.child, inner_order, values).extract(expr.m, expr.r)
+        pulled: list[TruncatedSeries] = []  # its subs factors, at this order (see `_fold`)
+        inner = _expand(*_fold(expr.child, inner_order, values, pull=(expr.m, pulled)), inner_order)
+        out = inner.extract(expr.m, expr.r)
+        for factor in pulled:
+            out = out * factor
+        return out
     if isinstance(expr, Subs):
         out = [0] * (order + 1)
         out[:: expr.d] = evaluate(expr.child, order // expr.d, values).coeffs
@@ -549,6 +567,8 @@ def evaluate(expr: ExprNode, order: int, values: Optional[Values] = None) -> Tru
 _Factors = dict[tuple[int, int, int], int]
 _Eta = dict[int, int]
 _Fold = tuple[Optional[TruncatedSeries], int, _Factors, _Eta]
+# (m, pulled) of an extract's argument: see `_fold`
+_Pull = tuple[int, list[TruncatedSeries]]
 
 
 def _split(factors: _Factors, eta: _Eta, order: int) -> tuple[_Eta, dict[int, int]]:
@@ -565,31 +585,56 @@ def _split(factors: _Factors, eta: _Eta, order: int) -> tuple[_Eta, dict[int, in
     return {k: e for k, e in eta.items() if e and k <= order}, binomials
 
 
+def _nonzero(series: TruncatedSeries) -> int:
+    return len(series) - series.coeffs.count(0)
+
+
+def _reads_table(nonzero: Optional[int], eta: _Eta, order: int) -> bool:
+    """Whether `_expand` reads an eta quotient's table from the store and
+    multiplies a dense part with `nonzero` nonzero terms (None for no
+    dense part) by it, rather than applying the quotient to the dense part
+    in place: when the dense part has no more terms than the quotient's
+    plan takes kernel passes."""
+    return nonzero is None or nonzero <= eta_passes(eta, order)
+
+
 def _expand(
     dense: Optional[TruncatedSeries], scalar: int, factors: _Factors, eta: _Eta, order: int
 ) -> TruncatedSeries:
     """dense (1 for None) times scalar times prod eta_k^e times the factors'
     product form.  The eta quotient (the form's included) is read from the
-    store (`eta_series`) and multiplied by dense, unless dense has more
-    nonzero terms than the quotient takes kernel passes: then it is applied
-    to dense in place.  The form's (1 - q^n) binomials are applied in place
-    last."""
+    store (`eta_series`) and multiplied by dense when `_reads_table` says
+    so; otherwise it is applied to dense in place.  The form's (1 - q^n)
+    binomials are applied in place last."""
     if not scalar:
         return TruncatedSeries.zero(order)
     eta, binomials = _split(factors, eta, order)
-    if eta and (dense is None or len(dense) - dense.coeffs.count(0) <= eta_passes(eta, order)):
+    if eta and _reads_table(None if dense is None else _nonzero(dense), eta, order):
         table = eta_series(eta_key(eta), order)
         dense, eta = (table if dense is None else table * dense), {}
-    acc = [1] + [0] * order if dense is None else list(dense.coeffs)
-    _mul_eta_binomials(acc, eta, binomials)
-    series = TruncatedSeries(acc)
-    return series if scalar == 1 else series * scalar
+    if dense is None or eta or binomials:
+        acc = [1] + [0] * order if dense is None else list(dense.coeffs)
+        _mul_eta_binomials(acc, eta, binomials)
+        dense = TruncatedSeries(acc)
+    return dense if scalar == 1 else dense * scalar
 
 
 def _squarings(n: int) -> int:
     """Dense products that raising to the n-th power by squaring takes:
     about bit_length + popcount of |n|."""
     return abs(n).bit_length() + bin(n).count("1")
+
+
+def _squares(factors: _Factors, eta: _Eta, n: int, order: int) -> bool:
+    """Whether `_power` expands a chain and squares it for its n-th power:
+    when n times the chain's kernel passes (its eta quotient's plan,
+    `eta_passes`, and one per binomial) exceed what squaring the expanded
+    chain costs, `_squarings(n)` dense products of `order` passes each."""
+    if n <= 1:
+        return False
+    split_eta, binomials = _split(factors, eta, order)
+    passes = eta_passes(split_eta, order) + sum(map(abs, binomials.values()))
+    return n * passes > _squarings(n) * order
 
 
 def _power(
@@ -602,15 +647,10 @@ def _power(
     decide: bool = False,
 ) -> _Fold:
     """The fold of a chain raised to the n-th power: every exponent times n,
-    unless n times the chain's kernel passes (its eta quotient's plan,
-    `eta_passes`, and one per binomial) exceed what squaring the expanded
-    chain costs, `_squarings(n)` dense products of `order` passes each.  A
-    deciding fold never squares."""
-    if n > 1 and not decide:
-        split_eta, binomials = _split(factors, eta, order)
-        passes = eta_passes(split_eta, order) + sum(map(abs, binomials.values()))
-        if n * passes > _squarings(n) * order:
-            return _expand(dense, scalar, factors, eta, order) ** n, 1, {}, {}
+    unless `_squares` says to expand the chain and square it.  A deciding
+    fold never squares."""
+    if not decide and _squares(factors, eta, n, order):
+        return _expand(dense, scalar, factors, eta, order) ** n, 1, {}, {}
     return (
         None if dense is None else dense**n,
         scalar**n,
@@ -619,7 +659,65 @@ def _power(
     )
 
 
-def _fold(expr: ExprNode, order: int, values: Optional[Values], decide: bool = False) -> _Fold:
+def _combine(factors: _Factors, eta: _Eta, other_factors: _Factors, other_eta: _Eta, sign: int) -> None:
+    """Add sign times the other exponents to factors and eta, in place."""
+    for exps, other_exps in ((factors, other_factors), (eta, other_eta)):
+        for key, e in other_exps.items():
+            exps[key] = exps.get(key, 0) + sign * e
+
+
+def _table_key(factors: _Factors, eta: _Eta, order: int) -> EtaKey:
+    """The store key that `_expand` reads for a chain with these exponents
+    and no dense part: its eta quotient's, binomials aside."""
+    return eta_key(_split(factors, eta, order)[0])
+
+
+def _over(num: _Fold, den: _Fold) -> _Fold:
+    """num with den's exponent part divided out; num's dense part and scalar stay."""
+    factors, eta = dict(num[2]), dict(num[3])
+    _combine(factors, eta, den[2], den[3], -1)
+    return num[0], num[1], factors, eta
+
+
+def _subs_atoms(factors: _Factors, eta: _Eta, sign: int, d: int) -> tuple[_Factors, _Eta]:
+    """The factors and eta exponents of a product with q replaced by sign*q^d.
+
+    P(s*q^a; q^b) becomes P(s*sign^a*q^(ad); sign^b*q^(bd)), and a base
+    -Q = -q^(bd) splits by (x; -Q)_inf = (x; Q^2)_inf (-x*Q; Q^2)_inf.  So
+    eta_k is eta_(kd), or, for odd k under -q^d, (-Q; -Q)_inf with Q = q^(kd),
+    which is eta_(2kd)^3 / (eta_(kd) eta_(4kd)).
+    """
+    new_factors: _Factors = {}
+    new_eta: _Eta = {}
+
+    def add(exps: dict, key, e: int) -> None:
+        exps[key] = exps.get(key, 0) + e
+
+    for (s, a, b), e in factors.items():
+        s *= sign ** (a % 2)
+        if sign == 1 or b % 2 == 0:
+            add(new_factors, (s, a * d, b * d), e)
+        else:
+            add(new_factors, (s, a * d, 2 * b * d), e)
+            add(new_factors, (-s, (a + b) * d, 2 * b * d), e)
+    for k, e in eta.items():
+        if sign == 1 or k % 2 == 0:
+            add(new_eta, k * d, e)
+        else:
+            add(new_eta, 2 * k * d, 3 * e)
+            add(new_eta, k * d, -e)
+            add(new_eta, 4 * k * d, -e)
+    return new_factors, new_eta
+
+
+def _fold(
+    expr: ExprNode,
+    order: int,
+    values: Optional[Values],
+    decide: bool = False,
+    thetas: bool = False,
+    pull: Optional[_Pull] = None,
+) -> _Fold:
     """A Mul/Div/Pow chain as (dense, scalar, factors, eta): the product of
     its opaque factors (None for none), and the scalar, Pochhammer factors
     and eta exponents that `_expand` multiplies it by.  A P(q^k; q^k) atom is
@@ -630,8 +728,17 @@ def _fold(expr: ExprNode, order: int, values: Optional[Values], decide: bool = F
     EvalError once both are folded.
 
     A deciding fold (`decide`, for `check`, of a side `_is_product`
-    accepts) expands nothing: powers fold into the exponents, and a theta
-    is its eta form (`THETA_ETA`)."""
+    accepts) expands nothing: powers fold into the exponents, a theta is
+    its eta form (`THETA_ETA`), and a subs of a product is its product at
+    +-q^d (`_subs_atoms`).  With `thetas` (`check`'s top-level chains), a
+    theta with an eta form folds into the exponents too.
+
+    `pull` = (m, pulled) folds an extract's argument: a factor
+    subs(A, +-q^(k*m)) that is neither a divisor nor under a power is
+    evaluated as subs(A, +-q^k) to order // m, appended to `pulled` and
+    folds as 1, since extract(subs(A, +-q^(k*m)) * B, m, r) is
+    subs(A, +-q^k) * extract(B, m, r).  A is evaluated to the same order
+    either way, so it reads and raises as before."""
     if isinstance(expr, IntLiteral):
         return None, expr.value, {}, {}
     if isinstance(expr, Pochhammer):
@@ -641,58 +748,122 @@ def _fold(expr: ExprNode, order: int, values: Optional[Values], decide: bool = F
     if isinstance(expr, NamedFunction) and values is None:
         return None, 1, {}, dict(ETA_QUOTIENTS[expr.fid])
     if isinstance(expr, Mul):
-        left, left_scalar, factors, eta = _fold(expr.left, order, values, decide)
-        right, right_scalar, right_factors, right_eta = _fold(expr.right, order, values, decide)
-        for exps, right_exps in ((factors, right_factors), (eta, right_eta)):
-            for key, e in right_exps.items():
-                exps[key] = exps.get(key, 0) + e
+        left, left_scalar, factors, eta = _fold(expr.left, order, values, decide, thetas, pull)
+        right, right_scalar, right_factors, right_eta = _fold(expr.right, order, values, decide, thetas, pull)
+        _combine(factors, eta, right_factors, right_eta, 1)
         dense = right if left is None else left if right is None else left * right
         return dense, left_scalar * right_scalar, factors, eta
     if isinstance(expr, Div):
-        right, right_scalar, right_factors, right_eta = _fold(expr.right, order, values, decide)
-        left, left_scalar, factors, eta = _fold(expr.left, order, values, decide)
+        right, right_scalar, right_factors, right_eta = _fold(expr.right, order, values, decide, thetas)
+        left, left_scalar, factors, eta = _fold(expr.left, order, values, decide, thetas, pull)
         c0 = right_scalar * (1 if right is None else right[0])  # every form and eta quotient has constant term 1
         if c0 not in (1, -1):
             message = f"cannot invert series with constant term {format_int(c0)}"
             raise EvalError(message, print_expr(expr.right))
-        for exps, right_exps in ((factors, right_factors), (eta, right_eta)):
-            for key, e in right_exps.items():
-                exps[key] = exps.get(key, 0) - e
+        _combine(factors, eta, right_factors, right_eta, -1)
         if right is not None:
             left = (TruncatedSeries.one(order) if left is None else left) / right
         return left, left_scalar * right_scalar, factors, eta
     if isinstance(expr, Pow):
-        return _power(*_fold(expr.base, order, values, decide), expr.exponent, order, decide)
-    if decide and isinstance(expr, Theta):
+        return _power(*_fold(expr.base, order, values, decide, thetas), expr.exponent, order, decide)
+    if isinstance(expr, Theta) and (decide or thetas) and expr.family in THETA_ETA:
         return None, 1, {}, dict(THETA_ETA[expr.family])
+    if isinstance(expr, Subs):
+        if decide:
+            _, scalar, factors, eta = _fold(expr.child, order, values, decide=True)
+            return (None, scalar, *_subs_atoms(factors, eta, expr.sign, expr.d))
+        if pull is not None and expr.d % pull[0] == 0:
+            m, pulled = pull
+            pulled.append(evaluate(Subs(expr.child, expr.sign, expr.d // m), order // m, values))
+            return None, 1, {}, {}
     return evaluate(expr, order, values), 1, {}, {}
 
 
-def read_orders(
-    statements: Iterable[IdentityStatement], order: Optional[int] = None
-) -> dict[PartitionFunctionId, int]:
-    """The largest order at which the statements, evaluated at `order` (each
-    at its own order for None), name each function, so a caller can grow
-    every named table once beforehand.  As in `evaluate`, an extract's
-    argument is at m*n + r, a subs's at n // d and every other operand at n;
-    an extract past MAX_ORDER raises before it reads anything."""
-    reads: dict[PartitionFunctionId, int] = {}
-    todo = [(e, s.order if order is None else order) for s in statements for e in (s.lhs, s.rhs)]
-    while todo:
-        expr, n = todo.pop()
-        if isinstance(expr, NamedFunction):
-            reads[expr.fid] = max(reads.get(expr.fid, 0), n)
-        elif isinstance(expr, Extract):
-            if expr.m * n + expr.r <= MAX_ORDER:
-                todo.append((expr.child, expr.m * n + expr.r))
-        elif isinstance(expr, Subs):
-            todo.append((expr.child, n // expr.d))
-        elif isinstance(expr, Pow):
-            todo.append((expr.base, n))
-        elif isinstance(expr, (Add, Sub, Mul, Div)):
-            todo += [(expr.left, n), (expr.right, n)]
-    # pood and p2 read one table, so they take one order
-    return {fid: max(m for f, m in reads.items() if KEYS[f] == KEYS[fid]) for fid in reads}
+# A chain as `_read_fold` sees it: (opaque, factors, eta), where opaque holds
+# the factors that `_fold` evaluates, the product of which is its dense part.
+_ReadFold = tuple[tuple[ExprNode, ...], _Factors, _Eta]
+
+
+def _read(expr: ExprNode, n: int, reads: dict[EtaKey, int]) -> None:
+    """Record in `reads` each store key that `evaluate(expr, n)` reads, at
+    the largest order it is read at, walking expr as `evaluate` does
+    without expanding anything."""
+    if isinstance(expr, NamedFunction):
+        key = KEYS[expr.fid]
+        reads[key] = max(reads.get(key, 0), n)
+    elif isinstance(expr, (Add, Sub)):
+        _read(expr.left, n, reads)
+        _read(expr.right, n, reads)
+    elif isinstance(expr, Subs):
+        _read(expr.child, n // expr.d, reads)
+    elif isinstance(expr, Extract):
+        inner = expr.m * n + expr.r
+        if inner > MAX_ORDER:  # evaluate raises before it reads anything
+            return
+        if isinstance(expr.child, (Mul, Div, Subs)):
+            _read_expand(_read_fold(expr.child, inner, reads, pull=expr.m), inner, reads)
+        else:
+            _read(expr.child, inner, reads)
+    elif isinstance(expr, (IntLiteral, Pochhammer, Mul, Div, Pow)):
+        _read_expand(_read_fold(expr, n, reads), n, reads)
+
+
+def _read_fold(
+    expr: ExprNode, n: int, reads: dict[EtaKey, int], thetas: bool = False, pull: Optional[int] = None
+) -> _ReadFold:
+    """`_fold` of a chain to q^n (with its `thetas` and an extract's modulus
+    as `pull`), without evaluating it: each opaque factor and pulled subs is
+    walked by `_read` instead.  A quotient by an opaque factor, and a power
+    of one other than the first, stands in the opaque part as its own node,
+    as does a power that `_power` expands and squares."""
+    if isinstance(expr, IntLiteral):
+        return (), {}, {}
+    if isinstance(expr, NamedFunction):
+        return (), {}, dict(ETA_QUOTIENTS[expr.fid])
+    if isinstance(expr, (Mul, Div)):
+        sign = 1 if isinstance(expr, Mul) else -1
+        left, factors, eta = _read_fold(expr.left, n, reads, thetas, pull)
+        right, right_factors, right_eta = _read_fold(expr.right, n, reads, thetas, pull if sign == 1 else None)
+        _combine(factors, eta, right_factors, right_eta, sign)
+        return (left + right if sign == 1 or not right else (expr,)), factors, eta
+    if isinstance(expr, (Pochhammer, Pow)):
+        if isinstance(expr, Pow):
+            base, k = _read_fold(expr.base, n, reads, thetas), expr.exponent
+        elif expr.sign == 1 and expr.a == expr.b:
+            base, k = ((), {}, {expr.a: 1}), expr.power
+        else:
+            base, k = ((), {(expr.sign, expr.a, expr.b): 1}, {}), expr.power
+        opaque, factors, eta = base
+        if _squares(factors, eta, k, n):
+            _read_expand(base, n, reads)
+            return (expr,), {}, {}
+        opaque = opaque if k == 1 or not opaque else (expr,)
+        return opaque, {key: e * k for key, e in factors.items()}, {i: e * k for i, e in eta.items()}
+    if isinstance(expr, Theta) and thetas and expr.family in THETA_ETA:
+        return (), {}, dict(THETA_ETA[expr.family])
+    if isinstance(expr, Subs) and pull is not None and expr.d % pull == 0:
+        _read(Subs(expr.child, expr.sign, expr.d // pull), n // pull, reads)
+        return (), {}, {}
+    _read(expr, n, reads)
+    return (expr,), {}, {}
+
+
+def _read_expand(fold: _ReadFold, n: int, reads: dict[EtaKey, int]) -> None:
+    """Record the key of the chain's eta quotient when `_expand` reads it
+    from the store (`_reads_table`).  A dense part is taken as dense unless
+    it is one theta, whose terms are counted."""
+    opaque, factors, eta = fold
+    eta, _ = _split(factors, eta, n)
+    if not eta:
+        return
+    nonzero = None
+    if opaque:
+        if len(opaque) > 1 or not isinstance(opaque[0], Theta):
+            return
+        nonzero = _nonzero(theta_series(THETA_FAMILIES[opaque[0].family], n))
+    if _reads_table(nonzero, eta, n):
+        key = eta_key(eta)
+        reads[key] = max(reads.get(key, 0), n)
 
 
 # ---------------------------------------------------------------------------
@@ -777,27 +948,71 @@ def residuals(stmt: IdentityStatement, order: int, values: Optional[Values] = No
 def _is_product(expr: ExprNode) -> bool:
     """Whether expr is a product with no opaque factor: integer literals,
     Pochhammer atoms, named functions and the thetas with an eta form
-    (`THETA_ETA`), under *, / and ^."""
+    (`THETA_ETA`), under *, / and ^ and inside subs."""
     if isinstance(expr, (Mul, Div)):
         return _is_product(expr.left) and _is_product(expr.right)
     if isinstance(expr, Pow):
         return _is_product(expr.base)
+    if isinstance(expr, Subs):
+        return _is_product(expr.child)
     if isinstance(expr, Theta):
         return expr.family in THETA_ETA
     return isinstance(expr, (IntLiteral, Pochhammer, NamedFunction))
 
 
 def expands(stmt: IdentityStatement) -> bool:
-    """Whether `check` compares the statement coefficient by coefficient:
-    under `mod M`, or when a side has an opaque factor."""
+    """Whether `check` expands the statement rather than deciding it: under
+    `mod M`, or when a side has an opaque factor."""
     return stmt.modulus is not None or not (_is_product(stmt.lhs) and _is_product(stmt.rhs))
 
 
+# the function that names each store key (pood and p2 share one)
+_NAMES = {key: fid for fid, key in KEYS.items()}
+
+
 def grow(statements: Iterable[IdentityStatement], order: Optional[int] = None) -> None:
-    """Grow each named table once, to the largest order at which a statement
-    that `check` expands (`expands`) names it; a decided one reads none."""
-    for fid, n in read_orders(filter(expands, statements), order).items():
-        function_value(fid, n)
+    """Grow each store table that `check` reads for the statements, at
+    `order` (each at its own for None), once, to the largest order at which
+    it is read.  The walk (`_read`) follows the form that `check` evaluates:
+    a decided statement reads nothing, and a cancelled one
+    (`_compare_cancelled`) reads what its opaque rests read, and its
+    quotient's table only where `_expand` would.  A product side's table
+    is grown when two statements want it or another read grows it anyway;
+    then `check` reads it there.  Derived keys (a chain's eta quotient)
+    are grown only when the store keeps them all (MAX_DERIVED_KEYS)."""
+    reads: dict[EtaKey, int] = {}
+    wanted: list[tuple[EtaKey, int, _ReadFold]] = []  # a product side's quotient, and the fold of the other side
+    for stmt in statements:
+        n = stmt.order if order is None else order
+        if stmt.modulus is not None:
+            _read(stmt.lhs, n, reads)
+            _read(stmt.rhs, n, reads)
+        elif expands(stmt):
+            left = _read_fold(stmt.lhs, n, reads, thetas=True)
+            right = _read_fold(stmt.rhs, n, reads, thetas=True)
+            (opaque, factors, eta), (other_opaque, other_factors, other_eta) = (
+                (right, left) if left[0] and not right[0] else (left, right)
+            )
+            _combine(factors, eta, other_factors, other_eta, -1)
+            if opaque:  # neither side is a product
+                _read_expand((opaque, factors, eta), n, reads)
+            else:
+                dense_side = (other_opaque, {key: -e for key, e in factors.items()}, {k: -e for k, e in eta.items()})
+                wanted.append((_table_key(factors, eta, n), n, dense_side))
+    # a product side's table is grown when two statements want it or another
+    # read grows it anyway; otherwise its quotient goes to the other side
+    wants = Counter(key for key, _, _ in wanted)
+    for key, n, dense_side in wanted:
+        if key and (wants[key] > 1 or reads.get(key, -1) >= n):
+            reads[key] = max(reads.get(key, 0), n)
+        else:
+            _read_expand(dense_side, n, reads)
+    derived = len([key for key in reads if key not in _NAMES])
+    for key, n in reads.items():
+        if key in _NAMES:
+            function_value(_NAMES[key], n)
+        elif derived <= MAX_DERIVED_KEYS:
+            eta_series(key, n)
 
 
 def _product_folds(stmt: IdentityStatement) -> Optional[tuple[_Fold, _Fold]]:
@@ -828,15 +1043,15 @@ def _exponents(fold: _Fold, n: int) -> list[int]:
 
 
 def _coefficient(fold: _Fold, n: int) -> int:
-    """[q^n] of a deciding fold's product, expanded to q^n alone and with no
-    store read.  An eta_k^e is raised to its power by squaring when that
-    takes fewer kernel passes than its plan (`eta_passes`), and a
-    (1 - q^m)^e when that takes fewer than |e|; the rest are applied in
-    place, the eta_k by their joint plan."""
-    _, scalar, factors, eta = fold
+    """[q^n] of a fold's product (its dense part cut at q^n), expanded to
+    q^n alone and with no store read.  An eta_k^e is raised to its power by
+    squaring when that takes fewer kernel passes than its plan
+    (`eta_passes`), and a (1 - q^m)^e when that takes fewer than |e|; the
+    rest are applied in place, the eta_k by their joint plan."""
+    dense, scalar, factors, eta = fold
     eta, binomials = _split(factors, eta, n)
     one = TruncatedSeries.one(n)
-    squared = one
+    squared = one if dense is None else dense.truncate(n)
     for k, e in list(eta.items()):
         if eta_passes({k: e}, n) > _squarings(e) * n:
             squared = squared * eta_quotient({k: 1}, n) ** eta.pop(k)
@@ -866,6 +1081,36 @@ def _compare_products(left: _Fold, right: _Fold, n: int) -> Optional[tuple[int, 
     return i, -s * (a[i] - b[i]), _coefficient(left, i), _coefficient(right, i)
 
 
+def _compare_cancelled(stmt: IdentityStatement, n: int) -> Optional[tuple[int, int, int, int]]:
+    """(i, residual, lhs_i, rhs_i) at the first difference to q^n of a
+    statement with no `mod M` that is not decided, or None when there is
+    none.  Each side folds (`_fold` with `thetas`) to s*Q*O: a scalar, an
+    exponent part Q (named functions, Pochhammer atoms and eta-form
+    thetas) and the opaque rest O.  The quotient Q_L/Q_R goes to one side
+    and the other keeps s*O alone.  A side that is a product (O is 1)
+    takes it when the store holds its table already, which it then reads;
+    otherwise a side with an opaque rest takes it, the left if it has one,
+    and `_expand` applies it there in place (or by its table when the rest
+    is sparse).  So no table is built that a product side alone would read.
+    Q_L and Q_R are 1 + O(q), so the first difference and the residual
+    there are the statement's own; only there are the sides' folds
+    expanded in full (`_coefficient`), to q^i."""
+    left = _fold(stmt.lhs, n, None, thetas=True)
+    right = _fold(stmt.rhs, n, None, thetas=True)
+    to_right = left[0] is None
+    if left[0] is None or right[0] is None:
+        product, dense = (left, right) if to_right else (right, left)
+        quotient = _over(product, dense)
+        to_right ^= stored(_table_key(quotient[2], quotient[3], n), n)
+    if to_right:
+        lhs, rhs = _expand(left[0], left[1], {}, {}, n), _expand(*_over(right, left), n)
+    else:
+        lhs, rhs = _expand(*_over(left, right), n), _expand(right[0], right[1], {}, {}, n)
+    diff = list(map(sub, lhs.coeffs, rhs.coeffs))
+    i = next((i for i, r in enumerate(diff) if r), None)
+    return None if i is None else (i, diff[i], _coefficient(left, i), _coefficient(right, i))
+
+
 def _compare_coefficients(
     stmt: IdentityStatement, n: int, values: Optional[Values]
 ) -> Optional[tuple[int, int, int, int]]:
@@ -884,15 +1129,22 @@ def check(
     """Check the statement to q^order (its own order for None).
 
     When both sides fold to products (`_product_folds`), the statement is
-    decided on their scalars and exponent sequences with no expansion;
-    otherwise, and always with a `values` source (as in `evaluate`), both
-    sides are evaluated and compared coefficientwise.  A failure records
-    the first differing exponent, the residual there and both coefficients.
+    decided on their scalars and exponent sequences with no expansion.
+    Any other statement with no `mod M` is compared on its sides less their
+    common exponent part (`_compare_cancelled`).  Under `mod M`, and always
+    with a `values` source (as in `evaluate`), both sides are evaluated and
+    compared coefficientwise.  A failure records the first differing
+    exponent, the residual there and both coefficients; every route finds
+    the same ones.
     """
     n = order if order is not None else stmt.order
     start = time.perf_counter()
-    folds = None if values is not None else _product_folds(stmt)
-    failure = _compare_coefficients(stmt, n, values) if folds is None else _compare_products(*folds, n)
+    if values is not None or stmt.modulus is not None:
+        failure = _compare_coefficients(stmt, n, values)
+    elif (folds := _product_folds(stmt)) is not None:
+        failure = _compare_products(*folds, n)
+    else:
+        failure = _compare_cancelled(stmt, n)
     first = detail = None
     if failure is not None:
         i, residual, lhs_i, rhs_i = failure

@@ -8,8 +8,12 @@ tables easy to diagnose.
 Every suite is one statement of the identity language in `_SUITES`, most
 of them a product identity between a generating function and a theta
 series, such as T1, `po_bar * theta(PENT) == theta(PENT_CEIL)`.  `verify`
-runs it through `dsl.check`, which decides such a product on its eta
-exponents.  `residual(tid, n)` is lhs - rhs at n by `dsl.residuals`, read
+runs it through `dsl.check`, which decides 17 suites, the products and
+the three with a subs of a product, on their eta exponents.  Of the other
+8, the `mod 2` parities compare coefficients, and the rest compare their
+sides less their common exponent part, so that T7 and T8 divide their
+extract by op's quotient in place rather than grow op's table.
+`residual(tid, n)` is lhs - rhs at n by `dsl.residuals`, read
 (with the memoized source) from a table that grows like the function store.
 
 All suites read partition-function values through a `values` callable
@@ -196,8 +200,9 @@ def verify(tid: TheoremId, n_max: int, values: Values = function_value) -> Verif
 def verify_all(n_max: int, values: Values = function_value) -> list[VerificationReport]:
     """Run every theorem suite; reports come back in declaration order.
 
-    With the memoized source, each table that a suite left to the
-    coefficient path reads is first grown once (`dsl.grow`).
+    With the memoized source, each store table that the suites read is
+    first grown once (`dsl.grow`); at n_max = 2000, that is p and pdo to
+    q^2000 and po_bar to q^4001.
     """
     if values is function_value and n_max <= VERIFY_MAX_N:  # above it, verify raises
         grow(map(_statement, TheoremId), n_max)

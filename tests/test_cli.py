@@ -533,7 +533,7 @@ print(json.dumps({"codes": codes, "names": sorted({s["name"] for s in tracer.spa
 def test_benchmark_tracer_still_installs(tmp_path):
     path = tmp_path / "one.qid"
     # the first statement is decided on exponent sequences; the second reads po_bar's table
-    path.write_text("po_bar == P(-q^1; q^2) / P(q^1; q^2) within 20\nlebesgue(20) == po_bar within 20\n")
+    path.write_text("po_bar == P(-q^1; q^2) / P(q^1; q^2) within 20\nextract(po_bar, 2, 1) == 2 * op * theta(TWO_TRI4) within 20\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT / "bench")]))
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_RUN, str(path)],

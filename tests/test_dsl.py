@@ -29,7 +29,6 @@ from partrec.dsl import (
     evaluate,
     parse,
     print_expr,
-    read_orders,
     residuals,
     statement_text,
 )
@@ -492,21 +491,32 @@ def test_evaluate_reads_a_values_source():
     assert list(evaluate(product, 6, doubled)) == [4 * c for c in evaluate(product, 6)]
 
 
-def test_read_orders():
-    statements = parse(
-        "extract(po_bar, 2, 1) == 2 * op * theta(TWO_TRI4) within 5\n"
-        "subs(extract(pdo, 2, 0), q^2) == p * subs(p, q^4) within 5\n"
-    )
-    assert read_orders(statements, 10) == {F.PO_ODD: 21, F.OP: 10, F.PDO: 10, F.P: 10}
-    assert read_orders(statements[1:], 9) == {F.PDO: 8, F.P: 9}
-    # every named function counts at the order its subtree is evaluated,
-    # also in a chain whose eta quotient is another function's (po_bar's here)
-    assert read_orders(parse("pd * pdo == 1 within 7")) == {F.PD: 7, F.PDO: 7}
-    assert read_orders(parse("P(-q^1; q^2) / P(q^1; q^2)^2 == P(q^3; q^3) within 7")) == {}
-    # an extract past MAX_ORDER raises before it reads anything
-    assert read_orders(parse("extract(p, 5000, 0) + op == 1 within 3")) == {F.OP: 3}
-    # pood and p2 share one table, so both report its larger order
-    assert read_orders(parse("pood == 1 within 5\np2 == 1 within 9")) == {F.POOD: 9, F.P2MOD4: 9}
+def test_grow_reads_each_table_at_its_largest_order(monkeypatch):
+    grown = {}
+    eta_series = functions.eta_series
+
+    def recording(key, order):
+        grown[key] = max(grown.get(key, 0), order)
+        return eta_series(key, order)
+
+    for module in (functions, dsl):
+        monkeypatch.setattr(module, "eta_series", recording)
+    functions._cache_clear()
+    dsl.grow(parse(
+        # an extract's argument is read at m*n + r, a subs's at n // d
+        "extract(po_bar, 2, 1) + 0 == 1 within 5\n"
+        "subs(extract(pdo, 2, 0), q^2) + 0 == 1 within 5\n"
+        # an extract past MAX_ORDER raises before it reads anything
+        "extract(p, 5000, 0) + op == 1 within 3\n"
+        # pood and p2 read one table
+        "pood + 0 == 1 within 5\np2 + 0 == 1 within 9\n"
+        # a chain reads its eta quotient, here po_bar's, not pd's and pdo's
+        "pd * pdo + 0 == 1 within 7\n"
+        # a decided statement reads nothing
+        "P(-q^1; q^2) / P(q^1; q^2)^2 == P(q^3; q^3) within 7\n"
+    ))
+    expected = {F.PO_ODD: 11, F.PDO: 4, F.OP: 3, F.POOD: 9}
+    assert grown == {functions.KEYS[f]: n for f, n in expected.items()}
 
 
 @pytest.mark.parametrize(
@@ -518,7 +528,8 @@ def test_read_orders():
         ("theta(PENT)", True),
         ("theta(GPENT_HALF)", False),  # no eta form
         ("(p / P(-q^1; q^3))^2 * 3", True),
-        ("subs(p, q^2)", False),
+        ("subs(p, q^2)", True),
+        ("subs(lebesgue(3), -q^2)", False),
         ("extract(p, 2, 1)", False),
         ("lebesgue(3)", False),
         ("p + op", False),
@@ -729,9 +740,86 @@ def test_checking_paper_qid_expands_each_key_once_per_order(monkeypatch):
     functions._cache_clear()
     assert all(check(stmt).passed for stmt in parse(PAPER_QID.read_text(encoding="utf-8")))
     # the statements decided on exponent sequences expand nothing; what is left
-    # (extract and lebesgue) reads po_bar, op and three chains' eta quotients
-    assert len(set(expanded)) == len(expanded) == 5
-    assert len({key for key, _ in expanded}) == 5
+    # (extract and lebesgue) cancels its sides' exponent parts, so it reads
+    # only po_bar under extract and the eta quotient of the one product chain
+    # under extract, P(-q^2; q^4)^2 * P(q^4; q^4) = eta4^5 / (eta2^2 eta8^2)
+    po_bar = functions.KEYS[F.PO_ODD]
+    assert sorted(expanded, key=lambda e: e[1]) == [(series.eta_key({4: 5, 2: -2, 8: -2}), 400), (po_bar, 401)]
+
+
+def _reads_by_phase(monkeypatch, run):
+    """The store keys read while `dsl.grow` runs and while the rest of run() does."""
+    reads = {"grow": set(), "check": set()}
+    phase = ["check"]
+    eta_series, grow = functions.eta_series, dsl.grow
+
+    def recording(key, order):
+        reads[phase[0]].add(key)
+        return eta_series(key, order)
+
+    def growing(*args):
+        phase[0] = "grow"
+        try:
+            grow(*args)
+        finally:
+            phase[0] = "check"
+
+    for module in (functions, dsl):
+        monkeypatch.setattr(module, "eta_series", recording)
+    for module in (dsl, recurrences):
+        monkeypatch.setattr(module, "grow", growing)
+    functions._cache_clear()
+    run()
+    return reads
+
+
+@pytest.mark.parametrize("path", [PAPER_QID, THETA_ETA_QID])
+def test_grow_expands_the_keys_that_check_reads(monkeypatch, path):
+    def run():
+        statements = parse(path.read_text(encoding="utf-8"))
+        dsl.grow(statements)
+        assert all(check(stmt).passed for stmt in statements)
+
+    reads = _reads_by_phase(monkeypatch, run)
+    assert reads["grow"] == reads["check"]
+    # theta_eta.qid is all products: decided, so it reads nothing
+    assert bool(reads["check"]) is (path == PAPER_QID)
+
+
+def test_grow_expands_the_keys_that_verify_reads(monkeypatch):
+    reads = _reads_by_phase(monkeypatch, lambda: recurrences.verify_all(300))
+    assert reads["grow"] == reads["check"] == {functions.KEYS[f] for f in (F.P, F.PDO, F.PO_ODD)}
+
+
+@pytest.mark.parametrize(
+    "text, keys",
+    [
+        # the common exponent part cancels, so neither op nor po_bar is read
+        ("po_bar * theta(GPENT_HALF) == op * theta(TWOSQ) * theta(GPENT_HALF) within 1000", set()),
+        # p2's quotient is applied to theta(TRI)'s 45 terms in place (44 passes)
+        ("po_bar == p2 * theta(TRI) + 3 within 1000", set()),
+        # under `mod M` nothing cancels: pood's quotient (24 passes) is applied
+        # to theta(TRI)'s 25 terms in place, but theta(TWOSQ)'s 13 terms are
+        # multiplied by op's table (17 passes)
+        ("pood * theta(TRI) == 0 mod 2 within 300", set()),
+        ("op * theta(TWOSQ) == 0 mod 2 within 300", {F.OP}),
+        # a product side reads its table only when the store holds it: one
+        # statement applies po_bar's quotient to lebesgue(45) in place, two
+        # grow po_bar's table once and read it
+        ("lebesgue(45) == po_bar within 200", set()),
+        ("lebesgue(45) == po_bar within 200\nlebesgue(45) + 1 == P(-q^1; q^2) / P(q^1; q^2) within 200", {F.PO_ODD}),
+        # a pulled subs reads its argument at its own order, here p at 300 and 150
+        ("extract(subs(p, q^2) * theta(GPENT), 2, 0) == extract(subs(p, q^4) * theta(TRI), 2, 0) within 300", {F.P}),
+    ],
+)
+def test_grow_reads_what_check_reads(monkeypatch, text, keys):
+    def run():
+        statements = parse(text)
+        dsl.grow(statements)
+        [check(stmt) for stmt in statements]
+
+    reads = _reads_by_phase(monkeypatch, run)
+    assert reads["grow"] == reads["check"] == {functions.KEYS[f] for f in keys}
 
 
 def test_a_chain_of_named_functions_reads_one_table(monkeypatch):
@@ -843,9 +931,9 @@ _sides = st.one_of(
 )
 
 
-def _report(stmt, order):
+def _report(stmt, order, values=None):
     try:
-        r = check(stmt, order)
+        r = check(stmt, order, values)
     except EvalError as exc:
         return str(exc)
     return r.theorem, r.n_max, r.passed, r.first_failure, r.detail
@@ -855,10 +943,130 @@ def _report(stmt, order):
 @given(_sides, st.integers(0, 30))
 def test_deciding_on_exponents_matches_the_coefficient_path(sides, order):
     stmt = IdentityStatement(*sides, order)
-    decided = _report(stmt, order)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dsl, "_product_folds", lambda stmt: None)
-        assert decided == _report(stmt, order)
+    # a `values` source sends every statement to the coefficient path
+    assert _report(stmt, order) == _report(stmt, order, function_value)
+
+
+# The normal-form routes against the coefficient path (a `values` source):
+# subs of a product (decided), sides sharing product atoms around an opaque
+# rest (cancelled), and subs factors pulled out of an extract, each also with
+# `+ k` on its left side, which makes most of them false
+_signs = st.sampled_from([1, -1])
+_opaque_rests = st.one_of(
+    st.just(Theta("GPENT_HALF")),
+    st.integers(0, 4).map(LebesguePartial),
+    st.builds(Extract, _products, st.just(2), st.integers(0, 1)),
+    st.just(Extract(NamedFunction(F.P), MAX_ORDER + 1, 0)),
+)
+_subs_sides = st.one_of(
+    st.builds(lambda x, s, d: (Subs(x, s, d), Subs(_respell(x), s, d)), _products, _signs, st.integers(1, 3)),
+    st.builds(
+        lambda x, y, s, d: (Subs(Mul(x, y), s, d), Mul(Subs(x, s, d), Subs(_respell(y), s, d))),
+        _products, _products, _signs, st.integers(1, 3),
+    ),
+    st.builds(lambda x, s, d, y: (Subs(x, s, d), y), _products, _signs, st.integers(1, 3), _products),
+)
+_shared_sides = st.one_of(
+    st.builds(lambda o, x, a: (Mul(Mul(o, x), a), Mul(Mul(o, _respell(x)), a)), _opaque_rests, _products, _product_atoms),
+    st.builds(lambda o, x, a: (Div(Mul(x, a), o), Div(Mul(a, _respell(x)), o)), _opaque_rests, _products, _product_atoms),
+    st.builds(lambda o, x, y: (x, Mul(o, y)), _opaque_rests, _products, _products),
+    st.builds(lambda o, p, x: (Mul(o, x), Mul(p, x)), _opaque_rests, _opaque_rests, _products),
+)
+
+
+def _pulled(a, b, c, s, k, m, r):
+    # extract(subs(a, s*q^(k*m)) * b / c, m, r) == subs(a, s*q^k) * extract(b / c, m, r)
+    return Extract(Div(Mul(Subs(a, s, k * m), b), c), m, r), Mul(Subs(a, s, k), Extract(Div(b, c), m, r))
+
+
+# unit scalars, so that divisors invert and most statements get compared
+_unit_atoms = st.one_of(st.sampled_from([IntLiteral(1), IntLiteral(-1)]), _product_atoms.filter(lambda x: not isinstance(x, IntLiteral)))
+_units = _product_chains(_unit_atoms)
+_unit_mixed = _product_chains(st.one_of(_unit_atoms, _unit_atoms, st.just(Theta("GPENT_HALF")), st.integers(0, 3).map(LebesguePartial)))
+_moduli = st.integers(1, 3)
+_pulled_sides = st.one_of(
+    st.builds(_pulled, _units, _unit_mixed, _units, _signs, st.integers(1, 2), _moduli, st.integers(0, 2)),
+    st.builds(_pulled, _mixed, _mixed, _products, _signs, st.integers(1, 2), _moduli, st.integers(0, 2)),
+    st.builds(
+        lambda a, b, s, k, m: (Extract(Mul(b, Subs(a, s, k * m)), m, 0), Mul(Extract(b, m, 0), Subs(a, s, k))),
+        _units, _unit_mixed, _signs, st.integers(1, 2), _moduli,
+    ),
+    # a subs divisor is not pulled
+    st.builds(
+        lambda a, b, s, k, m: (Extract(Div(b, Subs(a, s, k * m)), m, 0), Div(Extract(b, m, 0), Subs(a, s, k))),
+        _units, _unit_mixed, _signs, st.integers(1, 2), _moduli,
+    ),
+).filter(lambda sides: sides[0].r < sides[0].m)
+
+
+def _plus(sides, k):
+    lhs, rhs = sides
+    return (Add(lhs, IntLiteral(k)) if k else lhs), rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_subs_sides, _shared_sides, _pulled_sides), st.integers(0, 2), st.integers(0, 20))
+def test_normal_form_routes_match_the_coefficient_path(sides, k, order):
+    stmt = IdentityStatement(*_plus(sides, k), order)
+    assert _report(stmt, order) == _report(stmt, order, function_value)
+
+
+def _evaluated(expr, order):
+    try:
+        return list(evaluate(expr, order))
+    except EvalError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pulled_sides, st.integers(0, 20))
+def test_a_pulled_extract_matches_the_extract_of_its_argument(sides, order):
+    # evaluating the argument whole pulls nothing: the reference for the pull
+    lhs, rhs = sides
+    inner = lhs.m * order + lhs.r
+    reference = _evaluated(lhs.child, inner)
+    pulled = _evaluated(lhs, order)
+    assert pulled == (reference if isinstance(reference, str) else reference[lhs.r :: lhs.m])
+    if not isinstance(pulled, str):  # each pair is an identity
+        assert pulled == _evaluated(rhs, order)
+
+
+def test_subs_of_a_product_is_decided(monkeypatch):
+    # odd a and b under -q^d: P(-q^1; q^3) at -q^2 is (q^2; -q^6), that is
+    # (q^2; q^12) (-q^8; q^12), and p = 1/eta_1 at -q^2 is
+    # 1/(-q^2; -q^2) = 1/((q^4; q^4) (-q^2; q^4))
+    monkeypatch.setattr(dsl, "_compare_coefficients", lambda stmt, n, values: pytest.fail("expanded"))
+    monkeypatch.setattr(dsl, "_compare_cancelled", lambda stmt, n: pytest.fail("expanded"))
+    lhs = "subs(P(-q^1; q^3) * p, -q^2)"
+    [stmt] = parse(f"{lhs} == P(q^2; q^12) * P(-q^8; q^12) / (P(q^4; q^4) * P(-q^2; q^4)) within 300")
+    assert not dsl.expands(stmt)
+    assert check(stmt).passed
+    [wrong] = parse(f"{lhs} == P(q^2; q^12) * P(-q^8; q^12) / P(-q^2; q^2) within 300")
+    report = check(wrong)
+    assert (report.first_failure.n, report.first_failure.residual, report.detail) == (4, 2, "q^4: lhs=3, rhs=1")
+
+
+def test_a_cancelled_failure_reports_the_statement_detail():
+    # the shared atom cancels; the residual and both coefficients at q^231
+    # are those of the statement itself
+    [stmt] = parse("lebesgue(20) * P(-q^5; q^3) == po_bar * P(-q^5; q^3) within 2000")
+    report = check(stmt)
+    assert (report.first_failure.n, report.first_failure.residual) == (231, -2)
+    assert report.detail == "q^231: lhs=28694699193096, rhs=28694699193098"
+    assert _report(stmt, 2000) == _report(stmt, 2000, function_value)
+
+
+def test_a_pulled_extract_builds_no_product_at_the_inner_order(monkeypatch):
+    # MERCA_GK: subs(p, q^2) and subs(p, q^4) come out of the extracts as p
+    # and subs(p, q^2), so no product reaches q^(2n)
+    mul = series.TruncatedSeries.__mul__
+
+    def short(self, other):
+        assert isinstance(other, int) or len(self) <= 301, f"a product to q^{len(self) - 1}"
+        return mul(self, other)
+
+    monkeypatch.setattr(series.TruncatedSeries, "__mul__", short)
+    assert recurrences.verify(TheoremId.CLASSICAL_MERCA_GK, 300).passed
 
 
 def test_a_decided_failure_expands_only_to_its_index(monkeypatch):

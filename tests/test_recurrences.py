@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from partrec import dsl, functions, recurrences
-from partrec.functions import ETA_QUOTIENTS, PartitionFunctionId as F, function_value, gf_series
+from partrec.functions import PartitionFunctionId as F, function_value, gf_series
 from partrec.recurrences import (
     VERIFY_MAX_N,
     TheoremId,
@@ -500,16 +500,26 @@ def test_verify_all_expands_each_function_once(monkeypatch):
         return expand(key, order)
 
     monkeypatch.setattr(functions, "_expand_key", counting)
-    functions._cache_clear()
-    assert all(r.passed for r in verify_all(300))
-    # at most one store expansion per key, and only of the tables read by the
-    # suites left to the coefficient path; the decided suites read none, so
-    # qbar's table (read only by T_QBAR) is not grown
-    suites = map(recurrences._statement, TheoremId)
-    read = {functions.eta_key(ETA_QUOTIENTS[f]) for f in dsl.read_orders(filter(dsl.expands, suites))}
-    assert len(expanded) == len(set(expanded))
-    assert set(expanded) == read
-    assert functions.eta_key(ETA_QUOTIENTS[F.QBAR]) not in read
+    keys = {functions.KEYS[f] for f in (F.P, F.PDO, F.PO_ODD)}
+    for n in (300, 2000):
+        functions._cache_clear()
+        expanded.clear()
+        assert all(r.passed for r in verify_all(n))
+        # at most one store expansion per key, and only of the tables that
+        # the 8 undecided suites read: po_bar under extract (T7, T8; LEBESGUE
+        # reads it too), pdo under extract (CKS_SQ) and p in MERCA_GK's
+        # pulled subs.  T7 and T8 divide by op's quotient in place, pd and
+        # peed appear only in decided suites, and the parity suites apply
+        # pood's and p's quotients to their thetas in place
+        assert len(expanded) == len(set(expanded))
+        assert set(expanded) == keys
+
+
+def test_seventeen_suites_are_decided():
+    # the 14 product suites and the three whose subs is of a product
+    decided = {tid for tid in TheoremId if not dsl.expands(recurrences._statement(tid))}
+    assert len(decided) == 17
+    assert {TheoremId.CLASSICAL_EWELL, TheoremId.CLASSICAL_CKS_SIGNED, TheoremId.CLASSICAL_MERCA_PEED_TRI} <= decided
 
 
 @pytest.mark.parametrize("tid", list(TheoremId))
