@@ -11,43 +11,48 @@ arithmetic-progression dissection, subs(expr, [-]q^d) for expr with q
 replaced by +-q^d, and lebesgue(j) for partial sums of the Lebesgue
 series.  Operators are ^ over * and / over + and -, all left-associative;
 there are no variables or binding forms, so every statement is a closed
-identity checked to the stated order.  `check` decides a statement whose
-sides are both products (integer literals, Pochhammer atoms, named
-functions and the theta families with an eta form in `THETA_ETA`, under
-*, / and ^ and inside subs) on their scalars and exponent sequences a_n
-of (1 - q^n), which it reads off without expanding; equal products are
-equal series.  Any other statement with no `mod M` is compared on its
-sides less their common exponent part: each side's top-level chain is a
-scalar times an exponent part times an opaque rest, and the quotient of
-the two exponent parts goes to one side only.  A statement under
-`mod M` (M >= 2) is checked by expanding both sides and comparing their
-coefficients modulo M from q^1 on.  Named functions come from the
-memoized store, or from a caller's `values` source (the theorem suites'
-corrupted tables), which has no eta form, so `check` compares
-coefficients.  Every route finds the same first failure, residual and
-coefficients.
+identity checked to the stated order.
 
-Every maximal chain of *, / and ^ is folded into a scalar (its integer
+A side is evaluated in two steps.  The symbolic fold (`_fold`) evaluates
+nothing: each maximal chain of *, / and ^ goes into a scalar (its integer
 literals), eta exponents (its named functions, under the store, and its
-P(q^k; q^k) atoms), the Pochhammer factors of a `series.ProductForm` (its
-other atoms) and the dense product of its other, opaque factors.  The
-form's eta part joins the eta exponents, whose quotient is read from the
-function store by key and multiplied by the dense product, or applied to
-it in place; what is left of the form, (1 - q^n) binomials, is applied in
-place.  A chain with no Pochhammer atom (every theorem suite's) builds no
-form.  A power is folded into the exponents, or its chain expanded and
-squared, whichever takes fewer kernel passes.  An extract takes the subs
-factors of its argument's chain out (`_fold`'s `pull`).  `grow` walks the
-statements as `check` evaluates them (`_read`) and grows each store table
-they read once, to the largest order they read it at.
+P(q^k; q^k) atoms) and the Pochhammer factors of a `series.ProductForm`
+(its other atoms), and every other node into a tree of dense nodes that
+hold the folds of their children at the orders they are evaluated at.  A
+power is folded into the exponents, or its base expanded and squared,
+whichever takes fewer kernel passes; an extract takes the subs factors
+of its argument's chain out.  The run step (`_run`) evaluates the dense
+nodes, checks each divisor's constant term and expands each fold
+(`_expand`): its eta quotient is read from the function store by key
+and multiplied by the dense part, or applied to it in place, by a term
+count that needs no values (`_route`), and the form's (1 - q^n)
+binomials are applied in place.  `evaluate`, every route of `check` and
+`grow` read the same folds.
+
+`check` decides a statement with no `mod M` whose sides are both
+products (`_form`: integer literals, Pochhammer atoms, named functions
+and the theta families with an eta form in `THETA_ETA`, under *, / and ^
+and inside subs) on their scalars and exponent sequences a_n of
+(1 - q^n), which it reads off without expanding; equal products are
+equal series.  Any other statement with no `mod M` is compared on its
+sides less their common exponent part: each side's chain, its eta-form
+thetas lifted (`_lifted`), is a scalar times an exponent part times a
+dense part, and the quotient of the exponent parts goes to one side only
+(`_placed`).  Under `mod M` (M >= 2), or with a caller's `values` source
+for the named functions (the theorem suites' corrupted tables, which
+have no eta form), both sides are run and compared coefficientwise,
+modulo M from q^1 on.  Every route finds the same first failure,
+residual and coefficients.  `grow` reads the store keys off the folds
+that `check` runs (`_reads`) and grows each table once, to the largest
+order it is read at.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from operator import neg, sub
-from typing import Iterable, NamedTuple, Optional, Union
+from operator import add, neg, sub
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .functions import (
     ETA_QUOTIENTS,
@@ -58,7 +63,7 @@ from .functions import (
     eta_key,
     eta_series,
     function_value,
-    gf_series,
+    gf_series,  # noqa: F401  (bench/spans.py wraps this name)
     lebesgue_partial,
     stored,
 )
@@ -71,6 +76,7 @@ from .series import (
     ProductForm,
     TruncatedSeries,
     _mul_eta_binomials,
+    _row_terms,
     eta_passes,
     eta_quotient,
     pochhammer_expand,  # noqa: F401  (the reference route; bench/spans.py wraps this name)
@@ -81,6 +87,7 @@ __all__ = [
     "MAX_ORDER",
     "MAX_DEPTH",
     "MAX_DIGITS",
+    "MAX_SCALAR_BITS",
     "ParseError",
     "EvalError",
     "ExprNode",
@@ -112,6 +119,8 @@ MAX_ORDER = 5000
 MAX_DEPTH = 100
 # Longest integer literal, CPython's default limit for converting a digit string.
 MAX_DIGITS = 4300
+# Largest scalar power, in bits (as |s|.bit_length() * n): 999^5000 takes 50 000.
+MAX_SCALAR_BITS = 2**16
 
 
 class ParseError(ValueError):
@@ -506,117 +515,78 @@ def parse(text: str, max_order: int = MAX_ORDER) -> list[IdentityStatement]:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: a symbolic fold (`_fold`), then a run step (`_run`)
 
 
 def evaluate(expr: ExprNode, order: int, values: Optional[Values] = None) -> TruncatedSeries:
-    """Exact series value of expr mod q^(order+1).
+    """Exact series value of expr mod q^(order+1): its fold, run.
 
     extract() children are evaluated at order m*order + r and subs()
     children at order // d, so the result carries a full `order`
     coefficients; everything else evaluates its children at the same
-    order, which keeps evaluation order-monotone.  An extract whose child
-    order would pass MAX_ORDER raises EvalError before anything is
-    expanded; a subs(A, +-q^(k*m)) factor of its chain is taken out as
-    subs(A, +-q^k) at this order (`_fold`'s `pull`).  Named functions come
+    order, which keeps evaluation order-monotone.  Named functions come
     from the store, or from `values` for every index 0..order when it is
-    given.  Integer literals, Pochhammer atoms and every Mul/Div/Pow chain
-    are folded by `_fold` and expanded by `_expand`.
+    given.  An extract whose child order would pass MAX_ORDER raises
+    EvalError before its argument is read, and a divisor whose constant
+    term is not +-1 once its dividend has run (see `_run`).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if isinstance(expr, (IntLiteral, Pochhammer, Mul, Div, Pow)):
-        return _expand(*_fold(expr, order, values), order)
-    if isinstance(expr, Theta):
-        return theta_series(THETA_FAMILIES[expr.family], order)
-    if isinstance(expr, NamedFunction):
-        if values is None:
-            return gf_series(expr.fid, order)
-        return TruncatedSeries(values(expr.fid, n) for n in range(order + 1))
-    if isinstance(expr, Add):
-        return evaluate(expr.left, order, values) + evaluate(expr.right, order, values)
-    if isinstance(expr, Sub):
-        return evaluate(expr.left, order, values) - evaluate(expr.right, order, values)
-    if isinstance(expr, Extract):
-        inner_order = expr.m * order + expr.r
-        if inner_order > MAX_ORDER:
-            raise EvalError(
-                f"extract needs its argument to order {inner_order}, above {MAX_ORDER}",
-                print_expr(expr),
-            )
-        if not isinstance(expr.child, (Mul, Div, Subs)):
-            return evaluate(expr.child, inner_order, values).extract(expr.m, expr.r)
-        pulled: list[TruncatedSeries] = []  # its subs factors, at this order (see `_fold`)
-        inner = _expand(*_fold(expr.child, inner_order, values, pull=(expr.m, pulled)), inner_order)
-        out = inner.extract(expr.m, expr.r)
-        for factor in pulled:
-            out = out * factor
-        return out
-    if isinstance(expr, Subs):
-        out = [0] * (order + 1)
-        out[:: expr.d] = evaluate(expr.child, order // expr.d, values).coeffs
-        if expr.sign == -1:  # (-q^d)^i = (-1)^i q^(d*i): negate the odd i
-            out[expr.d :: 2 * expr.d] = map(neg, out[expr.d :: 2 * expr.d])
-        return TruncatedSeries(out)
-    if isinstance(expr, LebesguePartial):
-        return lebesgue_partial(expr.j_max, order)
-    raise TypeError(f"not an expression node: {expr!r}")
+    return _run(_fold(expr, order, values))
 
 
 # {(sign, a, b): e} for prod (sign*q^a; q^b)_inf^e, and {k: e} for prod eta_k^e
 _Factors = dict[tuple[int, int, int], int]
 _Eta = dict[int, int]
-_Fold = tuple[Optional[TruncatedSeries], int, _Factors, _Eta]
-# (m, pulled) of an extract's argument: see `_fold`
-_Pull = tuple[int, list[TruncatedSeries]]
+# A node of a fold's dense part: a tuple that starts with its kind (see `_fold`)
+_Dense = tuple
+# A product as (scalar, factors, eta): see `_form`
+_Form = tuple[int, _Factors, _Eta]
+
+
+class _Fold(NamedTuple):
+    """scalar * prod factors * prod eta_k^e * dense to q^order, where dense
+    (None for 1) is a tree of the nodes that are not folded."""
+
+    scalar: int
+    factors: _Factors
+    eta: _Eta
+    dense: Optional[_Dense]
+    order: int
+
+
+def _node(dense: _Dense, order: int) -> _Fold:
+    return _Fold(1, {}, {}, dense, order)
+
+
+def _add(exps: dict, other: dict, sign: int) -> dict:
+    """exps times other^sign, as a new dict of exponents."""
+    out = dict(exps)
+    for key, e in other.items():
+        out[key] = out.get(key, 0) + sign * e
+    return out
+
+
+def _mul(a: Optional[_Dense], b: Optional[_Dense]) -> Optional[_Dense]:
+    return b if a is None else a if b is None else ("mul", a, b)
+
+
+def _unscaled(fold: _Fold) -> _Fold:
+    """fold with its scalar taken out (to go into the fold that holds it),
+    unless it is 0, with which `_expand` expands nothing."""
+    return fold._replace(scalar=1) if fold.scalar else fold
 
 
 def _split(factors: _Factors, eta: _Eta, order: int) -> tuple[_Eta, dict[int, int]]:
     """({k: e}, {n: e}): eta times the factors' product form as eta_k and
     (1 - q^n) exponents, with the eta_k past the order (1 there) dropped.
     No form is built when there are no factors."""
-    eta = dict(eta)
     binomials: dict[int, int] = {}
     if factors:
         form = ProductForm.of([(sign, a, b, e) for (sign, a, b), e in factors.items()], order)
         form_eta, binomials = form.eta_split()
-        for k, e in form_eta.items():
-            eta[k] = eta.get(k, 0) + e
+        eta = _add(eta, form_eta, 1)
     return {k: e for k, e in eta.items() if e and k <= order}, binomials
-
-
-def _nonzero(series: TruncatedSeries) -> int:
-    return len(series) - series.coeffs.count(0)
-
-
-def _reads_table(nonzero: Optional[int], eta: _Eta, order: int) -> bool:
-    """Whether `_expand` reads an eta quotient's table from the store and
-    multiplies a dense part with `nonzero` nonzero terms (None for no
-    dense part) by it, rather than applying the quotient to the dense part
-    in place: when the dense part has no more terms than the quotient's
-    plan takes kernel passes."""
-    return nonzero is None or nonzero <= eta_passes(eta, order)
-
-
-def _expand(
-    dense: Optional[TruncatedSeries], scalar: int, factors: _Factors, eta: _Eta, order: int
-) -> TruncatedSeries:
-    """dense (1 for None) times scalar times prod eta_k^e times the factors'
-    product form.  The eta quotient (the form's included) is read from the
-    store (`eta_series`) and multiplied by dense when `_reads_table` says
-    so; otherwise it is applied to dense in place.  The form's (1 - q^n)
-    binomials are applied in place last."""
-    if not scalar:
-        return TruncatedSeries.zero(order)
-    eta, binomials = _split(factors, eta, order)
-    if eta and _reads_table(None if dense is None else _nonzero(dense), eta, order):
-        table = eta_series(eta_key(eta), order)
-        dense, eta = (table if dense is None else table * dense), {}
-    if dense is None or eta or binomials:
-        acc = [1] + [0] * order if dense is None else list(dense.coeffs)
-        _mul_eta_binomials(acc, eta, binomials)
-        dense = TruncatedSeries(acc)
-    return dense if scalar == 1 else dense * scalar
 
 
 def _squarings(n: int) -> int:
@@ -625,58 +595,22 @@ def _squarings(n: int) -> int:
     return abs(n).bit_length() + bin(n).count("1")
 
 
-def _squares(factors: _Factors, eta: _Eta, n: int, order: int) -> bool:
-    """Whether `_power` expands a chain and squares it for its n-th power:
-    when n times the chain's kernel passes (its eta quotient's plan,
-    `eta_passes`, and one per binomial) exceed what squaring the expanded
-    chain costs, `_squarings(n)` dense products of `order` passes each."""
-    if n <= 1:
-        return False
-    split_eta, binomials = _split(factors, eta, order)
-    passes = eta_passes(split_eta, order) + sum(map(abs, binomials.values()))
-    return n * passes > _squarings(n) * order
-
-
-def _power(
-    dense: Optional[TruncatedSeries],
-    scalar: int,
-    factors: _Factors,
-    eta: _Eta,
-    n: int,
-    order: int,
-    decide: bool = False,
-) -> _Fold:
-    """The fold of a chain raised to the n-th power: every exponent times n,
-    unless `_squares` says to expand the chain and square it.  A deciding
-    fold never squares."""
-    if not decide and _squares(factors, eta, n, order):
-        return _expand(dense, scalar, factors, eta, order) ** n, 1, {}, {}
-    return (
-        None if dense is None else dense**n,
-        scalar**n,
-        {key: e * n for key, e in factors.items()},
-        {k: e * n for k, e in eta.items()},
-    )
-
-
-def _combine(factors: _Factors, eta: _Eta, other_factors: _Factors, other_eta: _Eta, sign: int) -> None:
-    """Add sign times the other exponents to factors and eta, in place."""
-    for exps, other_exps in ((factors, other_factors), (eta, other_eta)):
-        for key, e in other_exps.items():
-            exps[key] = exps.get(key, 0) + sign * e
-
-
-def _table_key(factors: _Factors, eta: _Eta, order: int) -> EtaKey:
-    """The store key that `_expand` reads for a chain with these exponents
-    and no dense part: its eta quotient's, binomials aside."""
-    return eta_key(_split(factors, eta, order)[0])
-
-
-def _over(num: _Fold, den: _Fold) -> _Fold:
-    """num with den's exponent part divided out; num's dense part and scalar stay."""
-    factors, eta = dict(num[2]), dict(num[3])
-    _combine(factors, eta, den[2], den[3], -1)
-    return num[0], num[1], factors, eta
+def _power(base: _Fold, n: int, expr: ExprNode) -> _Fold:
+    """base^n: every exponent times n, unless n times base's kernel passes
+    (its eta quotient's plan, `eta_passes`, with its thetas that `_lift`
+    takes out, and one per binomial) exceed what expanding base and
+    squaring it costs, `_squarings(n)` dense products of `order` passes
+    each.  A scalar power (n >= 2) whose |s|.bit_length() * n would pass
+    MAX_SCALAR_BITS fails instead, once base's dense part has run."""
+    order = base.order
+    if n > 1:
+        if abs(base.scalar).bit_length() * n > MAX_SCALAR_BITS:
+            return _node(_mul(base.dense, ("fail", f"scalar power past {MAX_SCALAR_BITS} bits", expr)), order)
+        eta, binomials = _split(base.factors, _add(base.eta, _lift(base.dense)[0], 1), order)
+        if n * (eta_passes(eta, order) + sum(map(abs, binomials.values()))) > _squarings(n) * order:
+            return _Fold(base.scalar**n, {}, {}, ("pow", _unscaled(base), n), order)
+    times = [{key: e * n for key, e in exps.items()} for exps in base[1:3]]
+    return _Fold(base.scalar**n, *times, None if base.dense is None else ("pow", base.dense, n), order)
 
 
 def _subs_atoms(factors: _Factors, eta: _Eta, sign: int, d: int) -> tuple[_Factors, _Eta]:
@@ -687,183 +621,240 @@ def _subs_atoms(factors: _Factors, eta: _Eta, sign: int, d: int) -> tuple[_Facto
     eta_k is eta_(kd), or, for odd k under -q^d, (-Q; -Q)_inf with Q = q^(kd),
     which is eta_(2kd)^3 / (eta_(kd) eta_(4kd)).
     """
-    new_factors: _Factors = {}
-    new_eta: _Eta = {}
-
-    def add(exps: dict, key, e: int) -> None:
-        exps[key] = exps.get(key, 0) + e
-
+    new_factors: _Factors = Counter()
+    new_eta: _Eta = Counter()
     for (s, a, b), e in factors.items():
         s *= sign ** (a % 2)
         if sign == 1 or b % 2 == 0:
-            add(new_factors, (s, a * d, b * d), e)
+            new_factors[s, a * d, b * d] += e
         else:
-            add(new_factors, (s, a * d, 2 * b * d), e)
-            add(new_factors, (-s, (a + b) * d, 2 * b * d), e)
+            new_factors[s, a * d, 2 * b * d] += e
+            new_factors[-s, (a + b) * d, 2 * b * d] += e
     for k, e in eta.items():
         if sign == 1 or k % 2 == 0:
-            add(new_eta, k * d, e)
+            new_eta[k * d] += e
         else:
-            add(new_eta, 2 * k * d, 3 * e)
-            add(new_eta, k * d, -e)
-            add(new_eta, 4 * k * d, -e)
+            new_eta[2 * k * d] += 3 * e
+            new_eta[k * d] -= e
+            new_eta[4 * k * d] -= e
     return new_factors, new_eta
 
 
-def _fold(
-    expr: ExprNode,
-    order: int,
-    values: Optional[Values],
-    decide: bool = False,
-    thetas: bool = False,
-    pull: Optional[_Pull] = None,
-) -> _Fold:
-    """A Mul/Div/Pow chain as (dense, scalar, factors, eta): the product of
-    its opaque factors (None for none), and the scalar, Pochhammer factors
-    and eta exponents that `_expand` multiplies it by.  A P(q^k; q^k) atom is
-    eta_k, and under the store (values None) a named function is its eta
-    quotient; under a caller's `values` source it stays opaque.  Each opaque
-    factor is evaluated once, left to right except that a divisor comes
-    before its dividend; a divisor whose constant term is not +-1 raises
-    EvalError once both are folded.
+def _fold(expr: ExprNode, order: int, values: Optional[Values], pull: Optional[int] = None) -> _Fold:
+    """expr to q^order as a fold, with nothing evaluated.
 
-    A deciding fold (`decide`, for `check`, of a side `_is_product`
-    accepts) expands nothing: powers fold into the exponents, a theta is
-    its eta form (`THETA_ETA`), and a subs of a product is its product at
-    +-q^d (`_subs_atoms`).  With `thetas` (`check`'s top-level chains), a
-    theta with an eta form folds into the exponents too.
+    Integer literals go into the scalar, Pochhammer atoms into the factors
+    (P(q^k; q^k) is eta_k) and named functions under the store into the
+    eta exponents, combined by *, / and ^ (`_power`).  Every other node is
+    dense: ("mul", a, b); ("div", a, b, scalar, divisor), b and scalar
+    being the divisor's; ("pow", a, n) of a dense node, or of a fold that
+    is expanded and squared; ("theta", family); ("subs", f, sign, d) and
+    ("extract", f, m, r), with the folds f at their own orders;
+    ("sum", f, g, sign) for + and -; ("leaf", thunk) for lebesgue() and a
+    `values` source; and ("fail", message, node) for an extract past
+    MAX_ORDER and a scalar power past MAX_SCALAR_BITS.  A subs or a
+    squared power takes its fold's scalar out (`_unscaled`).
 
-    `pull` = (m, pulled) folds an extract's argument: a factor
-    subs(A, +-q^(k*m)) that is neither a divisor nor under a power is
-    evaluated as subs(A, +-q^k) to order // m, appended to `pulled` and
-    folds as 1, since extract(subs(A, +-q^(k*m)) * B, m, r) is
-    subs(A, +-q^k) * extract(B, m, r).  A is evaluated to the same order
-    either way, so it reads and raises as before."""
+    `pull` = m folds an extract's argument: a factor subs(A, +-q^(k*m))
+    that is neither a divisor nor under a power is ("pulled", f), f being
+    subs(A, +-q^k) to order // m, which runs in its place but is multiplied
+    in after the extract: extract(subs(A, +-q^(k*m)) * B, m, r) is
+    subs(A, +-q^k) * extract(B, m, r)."""
     if isinstance(expr, IntLiteral):
-        return None, expr.value, {}, {}
+        return _Fold(expr.value, {}, {}, None, order)
     if isinstance(expr, Pochhammer):
-        if expr.sign == 1 and expr.a == expr.b:
-            return _power(None, 1, {}, {expr.a: 1}, expr.power, order, decide)
-        return _power(None, 1, {(expr.sign, expr.a, expr.b): 1}, {}, expr.power, order, decide)
+        atom = ({}, {expr.a: 1}) if expr.sign == 1 and expr.a == expr.b else ({(expr.sign, expr.a, expr.b): 1}, {})
+        return _power(_Fold(1, *atom, None, order), expr.power, expr)
     if isinstance(expr, NamedFunction) and values is None:
-        return None, 1, {}, dict(ETA_QUOTIENTS[expr.fid])
-    if isinstance(expr, Mul):
-        left, left_scalar, factors, eta = _fold(expr.left, order, values, decide, thetas, pull)
-        right, right_scalar, right_factors, right_eta = _fold(expr.right, order, values, decide, thetas, pull)
-        _combine(factors, eta, right_factors, right_eta, 1)
-        dense = right if left is None else left if right is None else left * right
-        return dense, left_scalar * right_scalar, factors, eta
-    if isinstance(expr, Div):
-        right, right_scalar, right_factors, right_eta = _fold(expr.right, order, values, decide, thetas)
-        left, left_scalar, factors, eta = _fold(expr.left, order, values, decide, thetas, pull)
-        c0 = right_scalar * (1 if right is None else right[0])  # every form and eta quotient has constant term 1
-        if c0 not in (1, -1):
-            message = f"cannot invert series with constant term {format_int(c0)}"
-            raise EvalError(message, print_expr(expr.right))
-        _combine(factors, eta, right_factors, right_eta, -1)
-        if right is not None:
-            left = (TruncatedSeries.one(order) if left is None else left) / right
-        return left, left_scalar * right_scalar, factors, eta
-    if isinstance(expr, Pow):
-        return _power(*_fold(expr.base, order, values, decide, thetas), expr.exponent, order, decide)
-    if isinstance(expr, Theta) and (decide or thetas) and expr.family in THETA_ETA:
-        return None, 1, {}, dict(THETA_ETA[expr.family])
-    if isinstance(expr, Subs):
-        if decide:
-            _, scalar, factors, eta = _fold(expr.child, order, values, decide=True)
-            return (None, scalar, *_subs_atoms(factors, eta, expr.sign, expr.d))
-        if pull is not None and expr.d % pull[0] == 0:
-            m, pulled = pull
-            pulled.append(evaluate(Subs(expr.child, expr.sign, expr.d // m), order // m, values))
-            return None, 1, {}, {}
-    return evaluate(expr, order, values), 1, {}, {}
-
-
-# A chain as `_read_fold` sees it: (opaque, factors, eta), where opaque holds
-# the factors that `_fold` evaluates, the product of which is its dense part.
-_ReadFold = tuple[tuple[ExprNode, ...], _Factors, _Eta]
-
-
-def _read(expr: ExprNode, n: int, reads: dict[EtaKey, int]) -> None:
-    """Record in `reads` each store key that `evaluate(expr, n)` reads, at
-    the largest order it is read at, walking expr as `evaluate` does
-    without expanding anything."""
-    if isinstance(expr, NamedFunction):
-        key = KEYS[expr.fid]
-        reads[key] = max(reads.get(key, 0), n)
-    elif isinstance(expr, (Add, Sub)):
-        _read(expr.left, n, reads)
-        _read(expr.right, n, reads)
-    elif isinstance(expr, Subs):
-        _read(expr.child, n // expr.d, reads)
-    elif isinstance(expr, Extract):
-        inner = expr.m * n + expr.r
-        if inner > MAX_ORDER:  # evaluate raises before it reads anything
-            return
-        if isinstance(expr.child, (Mul, Div, Subs)):
-            _read_expand(_read_fold(expr.child, inner, reads, pull=expr.m), inner, reads)
-        else:
-            _read(expr.child, inner, reads)
-    elif isinstance(expr, (IntLiteral, Pochhammer, Mul, Div, Pow)):
-        _read_expand(_read_fold(expr, n, reads), n, reads)
-
-
-def _read_fold(
-    expr: ExprNode, n: int, reads: dict[EtaKey, int], thetas: bool = False, pull: Optional[int] = None
-) -> _ReadFold:
-    """`_fold` of a chain to q^n (with its `thetas` and an extract's modulus
-    as `pull`), without evaluating it: each opaque factor and pulled subs is
-    walked by `_read` instead.  A quotient by an opaque factor, and a power
-    of one other than the first, stands in the opaque part as its own node,
-    as does a power that `_power` expands and squares."""
-    if isinstance(expr, IntLiteral):
-        return (), {}, {}
-    if isinstance(expr, NamedFunction):
-        return (), {}, dict(ETA_QUOTIENTS[expr.fid])
+        return _Fold(1, {}, ETA_QUOTIENTS[expr.fid], None, order)
     if isinstance(expr, (Mul, Div)):
         sign = 1 if isinstance(expr, Mul) else -1
-        left, factors, eta = _read_fold(expr.left, n, reads, thetas, pull)
-        right, right_factors, right_eta = _read_fold(expr.right, n, reads, thetas, pull if sign == 1 else None)
-        _combine(factors, eta, right_factors, right_eta, sign)
-        return (left + right if sign == 1 or not right else (expr,)), factors, eta
-    if isinstance(expr, (Pochhammer, Pow)):
-        if isinstance(expr, Pow):
-            base, k = _read_fold(expr.base, n, reads, thetas), expr.exponent
-        elif expr.sign == 1 and expr.a == expr.b:
-            base, k = ((), {}, {expr.a: 1}), expr.power
-        else:
-            base, k = ((), {(expr.sign, expr.a, expr.b): 1}, {}), expr.power
-        opaque, factors, eta = base
-        if _squares(factors, eta, k, n):
-            _read_expand(base, n, reads)
-            return (expr,), {}, {}
-        opaque = opaque if k == 1 or not opaque else (expr,)
-        return opaque, {key: e * k for key, e in factors.items()}, {i: e * k for i, e in eta.items()}
-    if isinstance(expr, Theta) and thetas and expr.family in THETA_ETA:
-        return (), {}, dict(THETA_ETA[expr.family])
-    if isinstance(expr, Subs) and pull is not None and expr.d % pull == 0:
-        _read(Subs(expr.child, expr.sign, expr.d // pull), n // pull, reads)
-        return (), {}, {}
-    _read(expr, n, reads)
-    return (expr,), {}, {}
+        left = _fold(expr.left, order, values, pull)
+        right = _fold(expr.right, order, values, pull if sign == 1 else None)
+        dense = _mul(left.dense, right.dense)
+        if sign == -1 and (right.dense is not None or right.scalar not in (1, -1)):
+            dense = ("div", left.dense, right.dense, right.scalar, expr.right)
+        exps = _add(left.factors, right.factors, sign), _add(left.eta, right.eta, sign)
+        return _Fold(left.scalar * right.scalar, *exps, dense, order)
+    if isinstance(expr, Pow):
+        return _power(_fold(expr.base, order, values), expr.exponent, expr)
+    if isinstance(expr, Subs):
+        if pull is not None and expr.d % pull == 0:
+            pulled = Subs(expr.child, expr.sign, expr.d // pull)
+            return _node(("pulled", _fold(pulled, order // pull, values)), order)
+        child = _fold(expr.child, order // expr.d, values)
+        return _Fold(child.scalar, {}, {}, ("subs", _unscaled(child), expr.sign, expr.d), order)
+    if isinstance(expr, Extract):
+        inner = expr.m * order + expr.r
+        if inner > MAX_ORDER:
+            return _node(("fail", f"extract needs its argument to order {inner}, above {MAX_ORDER}", expr), order)
+        return _node(("extract", _fold(expr.child, inner, values, expr.m), expr.m, expr.r), order)
+    if isinstance(expr, (Add, Sub)):
+        sign = 1 if isinstance(expr, Add) else -1
+        return _node(("sum", _fold(expr.left, order, values), _fold(expr.right, order, values), sign), order)
+    if isinstance(expr, Theta):
+        return _node(("theta", expr.family), order)
+    if isinstance(expr, NamedFunction):
+        fid = expr.fid
+        return _node(("leaf", lambda: TruncatedSeries(values(fid, n) for n in range(order + 1))), order)
+    if isinstance(expr, LebesguePartial):
+        j_max = expr.j_max
+        return _node(("leaf", lambda: lebesgue_partial(j_max, order)), order)
+    raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _read_expand(fold: _ReadFold, n: int, reads: dict[EtaKey, int]) -> None:
-    """Record the key of the chain's eta quotient when `_expand` reads it
-    from the store (`_reads_table`).  A dense part is taken as dense unless
-    it is one theta, whose terms are counted."""
-    opaque, factors, eta = fold
-    eta, _ = _split(factors, eta, n)
-    if not eta:
-        return
-    nonzero = None
-    if opaque:
-        if len(opaque) > 1 or not isinstance(opaque[0], Theta):
-            return
-        nonzero = _nonzero(theta_series(THETA_FAMILIES[opaque[0].family], n))
-    if _reads_table(nonzero, eta, n):
-        key = eta_key(eta)
-        reads[key] = max(reads.get(key, 0), n)
+def _valued(node: Optional[_Dense]) -> bool:
+    """Whether a dense node runs to a series rather than to None, as a
+    pulled factor does, and a product or quotient of nothing else."""
+    if node is None or node[0] == "pulled":
+        return False
+    return node[0] not in ("mul", "div") or _valued(node[1]) or _valued(node[2])
+
+
+def _route(fold: _Fold) -> tuple[_Eta, dict[int, int], bool]:
+    """(eta, binomials, read): the fold's eta quotient and (1 - q^n)
+    exponents (`_split`), and whether `_expand` reads the quotient's table
+    from the store and multiplies the dense part by it, rather than
+    applying it to the dense part in place.  It reads the table when the
+    dense part has no more terms than the quotient's plan takes kernel
+    passes, counted without values: a lone theta's own (`_row_terms`, and
+    its constant term) and order + 1 for any other."""
+    eta, binomials = _split(fold.factors, fold.eta, fold.order)
+    dense, terms = fold.dense, 0
+    if _valued(dense):
+        terms = 1 + (_row_terms(THETA_FAMILIES[dense[1]], fold.order) if dense[0] == "theta" else fold.order)
+    return eta, binomials, bool(fold.scalar and eta) and terms <= eta_passes(eta, fold.order)
+
+
+def _run(x: Union[_Fold, _Dense, None], order: int = 0, pulled: Optional[list] = None) -> Optional[TruncatedSeries]:
+    """The value of a fold, its dense part's then `_expand`'s, or of a
+    dense node to q^order (None for 1).  A node's parts run left to right,
+    except that a divisor runs before its dividend and its constant term
+    is checked after both; a pulled factor's value goes to `pulled`, and a
+    failed node raises its EvalError where it runs."""
+    if isinstance(x, _Fold):
+        return _expand(_run(x.dense, x.order, pulled), x)
+    if x is None:
+        return None
+    kind = x[0]
+    if kind == "mul":
+        a, b = _run(x[1], order, pulled), _run(x[2], order, pulled)
+        return b if a is None else a if b is None else a * b
+    if kind == "div":
+        b = _run(x[2], order)
+        a = _run(x[1], order, pulled)
+        c0 = x[3] * (1 if b is None else b[0])
+        if c0 not in (1, -1):
+            raise _non_unit(c0, x[4])
+        return a if b is None else (TruncatedSeries.one(order) if a is None else a) / b
+    if kind == "pow":
+        return _run(x[1], order) ** x[2]
+    if kind == "theta":
+        return theta_series(THETA_FAMILIES[x[1]], order)
+    if kind == "subs":
+        _, child, sign, d = x
+        out = [0] * (order + 1)
+        out[::d] = _run(child).coeffs
+        if sign == -1:  # (-q^d)^i = (-1)^i q^(d*i): negate the odd i
+            out[d :: 2 * d] = map(neg, out[d :: 2 * d])
+        return TruncatedSeries(out)
+    if kind == "extract":
+        factors: list[TruncatedSeries] = []
+        out = _run(x[1], pulled=factors).extract(x[2], x[3])
+        for factor in factors:
+            out = out * factor
+        return out
+    if kind == "sum":
+        return (add if x[3] == 1 else sub)(_run(x[1]), _run(x[2]))
+    if kind == "pulled":
+        pulled.append(_run(x[1]))
+        return None
+    if kind == "leaf":
+        return x[1]()
+    raise EvalError(x[1], print_expr(x[2]))  # "fail"
+
+
+def _non_unit(c0: int, divisor: ExprNode) -> EvalError:
+    return EvalError(f"cannot invert series with constant term {format_int(c0)}", print_expr(divisor))
+
+
+def _expand(value: Optional[TruncatedSeries], fold: _Fold) -> TruncatedSeries:
+    """The fold's value, given its dense part's (None for 1).  The eta
+    quotient (the factors' product form's included) is read from the store
+    (`eta_series`) and multiplied by the dense part when `_route` says so,
+    and otherwise applied to it in place.  The form's (1 - q^n) binomials
+    are applied in place last."""
+    order = fold.order
+    if not fold.scalar:
+        return TruncatedSeries.zero(order)
+    eta, binomials, read = _route(fold)
+    if read:
+        table = eta_series(eta_key(eta), order)
+        value, eta = (table if value is None else table * value), {}
+    if value is None or eta or binomials:
+        acc = [1] + [0] * order if value is None else list(value.coeffs)
+        _mul_eta_binomials(acc, eta, binomials)
+        value = TruncatedSeries(acc)
+    return value if fold.scalar == 1 else value * fold.scalar
+
+
+def _lifted(fold: _Fold) -> _Fold:
+    """The fold with the thetas of its chain that have an eta form
+    (`THETA_ETA`) moved from its dense part into its eta exponents."""
+    eta, dense = _lift(fold.dense)
+    return fold._replace(eta=_add(fold.eta, eta, 1), dense=dense)
+
+
+def _lift(node: Optional[_Dense]) -> tuple[_Eta, Optional[_Dense]]:
+    """(eta, rest): the eta exponents of the thetas with an eta form in a
+    dense node, outside its folds and sums, and the node without them."""
+    kind = node and node[0]
+    if kind == "theta" and node[1] in THETA_ETA:
+        return THETA_ETA[node[1]], None
+    if kind in ("mul", "div"):
+        (a_eta, a), (b_eta, b) = _lift(node[1]), _lift(node[2])
+        if kind == "mul" or b is None and node[3] in (1, -1):
+            return _add(a_eta, b_eta, 1 if kind == "mul" else -1), _mul(a, b)
+        return _add(a_eta, b_eta, -1), ("div", a, b, *node[3:])
+    if kind == "pow" and not isinstance(node[1], _Fold):
+        eta, rest = _lift(node[1])
+        return {k: e * node[2] for k, e in eta.items()}, rest and ("pow", rest, node[2])
+    return {}, node
+
+
+def _form(x: Union[_Fold, _Dense, None]) -> Optional[_Form]:
+    """A fold or dense node as one product, or None when it is not one: a
+    theta is its eta form (`THETA_ETA`), a subs of a product its product at
+    +-q^d (`_subs_atoms`) and a power, squared or not, its base's exponents
+    times n.  The nodes are read in the order `_run` runs them, and up to
+    the first that is not a product; a divisor before it whose scalar is
+    not +-1 raises EvalError, as running it would.  A dense node's scalar
+    is 1."""
+    if isinstance(x, _Fold):
+        dense = _form(x.dense)
+        return dense and (x.scalar, _add(x.factors, dense[1], 1), _add(x.eta, dense[2], 1))
+    if x is None:
+        return 1, {}, {}
+    kind = x[0]
+    if kind == "theta":
+        return (1, {}, THETA_ETA[x[1]]) if x[1] in THETA_ETA else None
+    if kind == "subs":
+        child = _form(x[1])
+        return child and (1, *_subs_atoms(child[1], child[2], x[2], x[3]))
+    if kind == "pow":
+        base = _form(x[1])
+        return base and (1, *({key: e * x[2] for key, e in exps.items()} for exps in base[1:]))
+    if kind == "mul":
+        a = _form(x[1])
+        b = a and _form(x[2])
+        return b and (1, _add(a[1], b[1], 1), _add(a[2], b[2], 1))
+    if kind == "div":
+        b = _form(x[2])
+        a = b and _form(x[1])
+        if a and x[3] not in (1, -1):
+            raise _non_unit(x[3], x[4])
+        return a and (1, _add(a[1], b[1], -1), _add(a[2], b[2], -1))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -945,25 +936,51 @@ def residuals(stmt: IdentityStatement, order: int, values: Optional[Values] = No
     return _difference(stmt, evaluate(stmt.lhs, order, values), evaluate(stmt.rhs, order, values))
 
 
-def _is_product(expr: ExprNode) -> bool:
-    """Whether expr is a product with no opaque factor: integer literals,
-    Pochhammer atoms, named functions and the thetas with an eta form
-    (`THETA_ETA`), under *, / and ^ and inside subs."""
-    if isinstance(expr, (Mul, Div)):
-        return _is_product(expr.left) and _is_product(expr.right)
-    if isinstance(expr, Pow):
-        return _is_product(expr.base)
-    if isinstance(expr, Subs):
-        return _is_product(expr.child)
-    if isinstance(expr, Theta):
-        return expr.family in THETA_ETA
-    return isinstance(expr, (IntLiteral, Pochhammer, NamedFunction))
+def _forms(left: _Fold, right: _Fold) -> Optional[tuple[_Form, _Form]]:
+    """Both sides as products (`_form`), when `check` decides on them; a
+    non-unit divisor of a product raises EvalError here."""
+    lhs = _form(left)
+    rhs = lhs and _form(right)
+    return rhs and (lhs, rhs)
 
 
 def expands(stmt: IdentityStatement) -> bool:
     """Whether `check` expands the statement rather than deciding it: under
-    `mod M`, or when a side has an opaque factor."""
-    return stmt.modulus is not None or not (_is_product(stmt.lhs) and _is_product(stmt.rhs))
+    `mod M`, or when a side is not a product (`_form`)."""
+    sides = (_fold(side, stmt.order, None) for side in (stmt.lhs, stmt.rhs))
+    try:
+        return stmt.modulus is not None or not _forms(*sides)
+    except EvalError:  # decided, and raised
+        return False
+
+
+def _placed(left: _Fold, right: _Fold, held: Callable[[EtaKey], bool]) -> tuple[_Fold, _Fold]:
+    """The sides of a statement with no `mod M`, their thetas lifted
+    (`_lifted`), as `_compare_cancelled` expands them.  Each is a scalar
+    times an exponent part Q times its dense part O; the quotient Q_L/Q_R
+    goes to one side and the other keeps s*O alone.  It goes to a side that
+    is a product (O is 1) when `held` says that the store holds its table,
+    which that side then reads, and otherwise to the other side: the left
+    when both have an O."""
+    over = [a._replace(factors=_add(a.factors, b.factors, -1), eta=_add(a.eta, b.eta, -1))
+            for a, b in ((left, right), (right, left))]
+    to_left, to_right = (over[0], right._replace(factors={}, eta={})), (left._replace(factors={}, eta={}), over[1])
+    if not _valued(left.dense):
+        return to_left if held(eta_key(_route(to_left[0])[0])) else to_right
+    if not _valued(right.dense):
+        return to_right if held(eta_key(_route(to_right[1])[0])) else to_left
+    return to_left
+
+
+def _reads(x: Union[_Fold, _Dense, None], reads: dict[EtaKey, int]) -> None:
+    """Record in `reads` each table that running a fold or dense node
+    reads (`_route` of each fold in it), at the largest order it is read at."""
+    for part in (x.dense,) if isinstance(x, _Fold) else x or ():
+        if isinstance(part, tuple):
+            _reads(part, reads)
+    if isinstance(x, _Fold) and (route := _route(x))[2]:
+        key = eta_key(route[0])
+        reads[key] = max(reads.get(key, 0), x.order)
 
 
 # the function that names each store key (pood and p2 share one)
@@ -973,40 +990,38 @@ _NAMES = {key: fid for fid, key in KEYS.items()}
 def grow(statements: Iterable[IdentityStatement], order: Optional[int] = None) -> None:
     """Grow each store table that `check` reads for the statements, at
     `order` (each at its own for None), once, to the largest order at which
-    it is read.  The walk (`_read`) follows the form that `check` evaluates:
-    a decided statement reads nothing, and a cancelled one
-    (`_compare_cancelled`) reads what its opaque rests read, and its
-    quotient's table only where `_expand` would.  A product side's table
-    is grown when two statements want it or another read grows it anyway;
-    then `check` reads it there.  Derived keys (a chain's eta quotient)
-    are grown only when the store keeps them all (MAX_DERIVED_KEYS)."""
+    it is read.  The keys are read off the folds that `check` runs
+    (`_reads`): a decided statement reads nothing, and a cancelled one its
+    quotient's table only where `_expand` would (`_placed`).  A product
+    side's table is grown when two statements want it or another read
+    grows it anyway; then `check` reads it there.  Derived keys (a chain's
+    eta quotient) are grown only when the store keeps them all
+    (MAX_DERIVED_KEYS)."""
     reads: dict[EtaKey, int] = {}
-    wanted: list[tuple[EtaKey, int, _ReadFold]] = []  # a product side's quotient, and the fold of the other side
+    wanted = []  # (key, order, left, right) for each product side's quotient
     for stmt in statements:
         n = stmt.order if order is None else order
-        if stmt.modulus is not None:
-            _read(stmt.lhs, n, reads)
-            _read(stmt.rhs, n, reads)
-        elif expands(stmt):
-            left = _read_fold(stmt.lhs, n, reads, thetas=True)
-            right = _read_fold(stmt.rhs, n, reads, thetas=True)
-            (opaque, factors, eta), (other_opaque, other_factors, other_eta) = (
-                (right, left) if left[0] and not right[0] else (left, right)
-            )
-            _combine(factors, eta, other_factors, other_eta, -1)
-            if opaque:  # neither side is a product
-                _read_expand((opaque, factors, eta), n, reads)
-            else:
-                dense_side = (other_opaque, {key: -e for key, e in factors.items()}, {k: -e for k, e in eta.items()})
-                wanted.append((_table_key(factors, eta, n), n, dense_side))
-    # a product side's table is grown when two statements want it or another
-    # read grows it anyway; otherwise its quotient goes to the other side
-    wants = Counter(key for key, _, _ in wanted)
-    for key, n, dense_side in wanted:
-        if key and (wants[key] > 1 or reads.get(key, -1) >= n):
-            reads[key] = max(reads.get(key, 0), n)
-        else:
-            _read_expand(dense_side, n, reads)
+        sides = left, right = _fold(stmt.lhs, n, None), _fold(stmt.rhs, n, None)
+        if stmt.modulus is None:
+            try:
+                if _forms(left, right):
+                    continue
+            except EvalError:  # `check` raises before it reads anything
+                continue
+            left, right = _lifted(left), _lifted(right)
+            _reads(left.dense, reads)  # the dense parts first, as `_compare_cancelled` runs them
+            _reads(right.dense, reads)
+            keys: list[EtaKey] = []
+            sides = _placed(left, right, keys.append)
+            if any(keys):  # a product side: its table, if grown, or its quotient applied to the other
+                wanted.append((keys[0], n, left, right))
+                continue
+        for fold in sides:
+            _reads(fold, reads)
+    wants = Counter(key for key, *_ in wanted)
+    for key, n, left, right in wanted:
+        for fold in _placed(left, right, lambda k: wants[k] > 1 or reads.get(k, -1) >= n):
+            _reads(fold, reads)
     derived = len([key for key in reads if key not in _NAMES])
     for key, n in reads.items():
         if key in _NAMES:
@@ -1015,21 +1030,11 @@ def grow(statements: Iterable[IdentityStatement], order: Optional[int] = None) -
             eta_series(key, n)
 
 
-def _product_folds(stmt: IdentityStatement) -> Optional[tuple[_Fold, _Fold]]:
-    """Both sides as deciding folds, when `check` decides the statement on
-    its scalars and exponent sequences (`expands` is False for it); None
-    sends it to the coefficient path.  A non-unit divisor raises EvalError
-    here, as evaluating the sides would."""
-    if expands(stmt):
-        return None
-    return _fold(stmt.lhs, 0, None, decide=True), _fold(stmt.rhs, 0, None, decide=True)
-
-
-def _exponents(fold: _Fold, n: int) -> list[int]:
-    """[0, a_1, ..., a_n]: the exponent a_m of (1 - q^m) in a deciding
-    fold's product, read off the product form of its factors and eta_k
-    (that is, P(q^k; q^k)) with no expansion."""
-    _, _, factors, eta = fold
+def _exponents(form: _Form, n: int) -> list[int]:
+    """[0, a_1, ..., a_n]: the exponent a_m of (1 - q^m) in a product, read
+    off the product form of its factors and eta_k (that is, P(q^k; q^k))
+    with no expansion."""
+    _, factors, eta = form
     atoms = [(sign, a, b, e) for (sign, a, b), e in factors.items()] + [(1, k, k, e) for k, e in eta.items()]
     form = ProductForm.of(atoms, n)
     seq = [0] * (n + 1)
@@ -1042,13 +1047,13 @@ def _exponents(fold: _Fold, n: int) -> list[int]:
     return seq
 
 
-def _coefficient(fold: _Fold, n: int) -> int:
-    """[q^n] of a fold's product (its dense part cut at q^n), expanded to
-    q^n alone and with no store read.  An eta_k^e is raised to its power by
-    squaring when that takes fewer kernel passes than its plan
+def _coefficient(dense: Optional[TruncatedSeries], form: _Form, n: int) -> int:
+    """[q^n] of dense (1 for None, cut at q^n) times a product, expanded
+    to q^n alone and with no store read.  An eta_k^e is raised to its power
+    by squaring when that takes fewer kernel passes than its plan
     (`eta_passes`), and a (1 - q^m)^e when that takes fewer than |e|; the
     rest are applied in place, the eta_k by their joint plan."""
-    dense, scalar, factors, eta = fold
+    scalar, factors, eta = form
     eta, binomials = _split(factors, eta, n)
     one = TruncatedSeries.one(n)
     squared = one if dense is None else dense.truncate(n)
@@ -1063,13 +1068,13 @@ def _coefficient(fold: _Fold, n: int) -> int:
     return scalar * acc[n]
 
 
-def _compare_products(left: _Fold, right: _Fold, n: int) -> Optional[tuple[int, int, int, int]]:
+def _compare_products(left: _Form, right: _Form, n: int) -> Optional[tuple[int, int, int, int]]:
     """(i, residual, lhs_i, rhs_i) at the first difference of two products
     to q^n, or None when they agree: unequal scalars differ at q^0, two
     zero scalars are two zero series, and otherwise the sides differ first
     at the least i with a_i != b_i, by -scalar * (a_i - b_i); only there
     are the sides expanded, to q^i."""
-    s, t = left[1], right[1]
+    s, t = left[0], right[0]
     if s != t:
         return 0, s - t, s, t
     if not s:
@@ -1078,46 +1083,33 @@ def _compare_products(left: _Fold, right: _Fold, n: int) -> Optional[tuple[int, 
     if a == b:
         return None
     i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
-    return i, -s * (a[i] - b[i]), _coefficient(left, i), _coefficient(right, i)
+    return i, -s * (a[i] - b[i]), _coefficient(None, left, i), _coefficient(None, right, i)
 
 
-def _compare_cancelled(stmt: IdentityStatement, n: int) -> Optional[tuple[int, int, int, int]]:
+def _compare_cancelled(left: _Fold, right: _Fold, n: int) -> Optional[tuple[int, int, int, int]]:
     """(i, residual, lhs_i, rhs_i) at the first difference to q^n of a
     statement with no `mod M` that is not decided, or None when there is
-    none.  Each side folds (`_fold` with `thetas`) to s*Q*O: a scalar, an
-    exponent part Q (named functions, Pochhammer atoms and eta-form
-    thetas) and the opaque rest O.  The quotient Q_L/Q_R goes to one side
-    and the other keeps s*O alone.  A side that is a product (O is 1)
-    takes it when the store holds its table already, which it then reads;
-    otherwise a side with an opaque rest takes it, the left if it has one,
-    and `_expand` applies it there in place (or by its table when the rest
-    is sparse).  So no table is built that a product side alone would read.
-    Q_L and Q_R are 1 + O(q), so the first difference and the residual
-    there are the statement's own; only there are the sides' folds
-    expanded in full (`_coefficient`), to q^i."""
-    left = _fold(stmt.lhs, n, None, thetas=True)
-    right = _fold(stmt.rhs, n, None, thetas=True)
-    to_right = left[0] is None
-    if left[0] is None or right[0] is None:
-        product, dense = (left, right) if to_right else (right, left)
-        quotient = _over(product, dense)
-        to_right ^= stored(_table_key(quotient[2], quotient[3], n), n)
-    if to_right:
-        lhs, rhs = _expand(left[0], left[1], {}, {}, n), _expand(*_over(right, left), n)
-    else:
-        lhs, rhs = _expand(*_over(left, right), n), _expand(right[0], right[1], {}, {}, n)
-    diff = list(map(sub, lhs.coeffs, rhs.coeffs))
+    none.  The sides' dense parts run, the left's first.  The quotient of
+    their exponent parts goes to a side that is a product when the store
+    holds its table already, which that side then reads, and otherwise to
+    the other side (`_placed`), so no table is built that a product
+    side alone would read.  Q_L and Q_R are 1 + O(q), so the first
+    difference and the residual there are the statement's own; only there
+    are the sides expanded in full (`_coefficient`), to q^i."""
+    left, right = _lifted(left), _lifted(right)
+    left_dense, right_dense = _run(left.dense, n), _run(right.dense, n)
+    lhs, rhs = _placed(left, right, lambda key: stored(key, n))
+    diff = list(map(sub, _expand(left_dense, lhs).coeffs, _expand(right_dense, rhs).coeffs))
     i = next((i for i, r in enumerate(diff) if r), None)
-    return None if i is None else (i, diff[i], _coefficient(left, i), _coefficient(right, i))
+    if i is None:
+        return None
+    return i, diff[i], _coefficient(left_dense, left[:3], i), _coefficient(right_dense, right[:3], i)
 
 
-def _compare_coefficients(
-    stmt: IdentityStatement, n: int, values: Optional[Values]
-) -> Optional[tuple[int, int, int, int]]:
+def _compare_coefficients(stmt: IdentityStatement, left: _Fold, right: _Fold) -> Optional[tuple[int, int, int, int]]:
     """(i, residual, lhs_i, rhs_i) at the first nonzero entry of the
-    statement's residuals to q^n, or None when there is none."""
-    lhs = evaluate(stmt.lhs, n, values)
-    rhs = evaluate(stmt.rhs, n, values)
+    statement's residuals, both sides run, or None when there is none."""
+    lhs, rhs = _run(left), _run(right)
     diff = _difference(stmt, lhs, rhs)
     i = next((i for i, r in enumerate(diff) if r), None)
     return None if i is None else (i, diff[i], lhs[i], rhs[i])
@@ -1128,23 +1120,24 @@ def check(
 ) -> VerificationReport:
     """Check the statement to q^order (its own order for None).
 
-    When both sides fold to products (`_product_folds`), the statement is
-    decided on their scalars and exponent sequences with no expansion.
-    Any other statement with no `mod M` is compared on its sides less their
-    common exponent part (`_compare_cancelled`).  Under `mod M`, and always
-    with a `values` source (as in `evaluate`), both sides are evaluated and
-    compared coefficientwise.  A failure records the first differing
-    exponent, the residual there and both coefficients; every route finds
-    the same ones.
+    Both sides are folded (`_fold`).  With no `mod M`, a statement whose
+    sides are both products (`_forms`) is decided on their scalars and
+    exponent sequences with no expansion, and any other is compared on its
+    sides less their common exponent part (`_compare_cancelled`).  Under
+    `mod M`, and always with a `values` source (as in `evaluate`), both
+    sides are run and compared coefficientwise.  A failure records the
+    first differing exponent, the residual there and both coefficients;
+    every route finds the same ones.
     """
     n = order if order is not None else stmt.order
     start = time.perf_counter()
+    left, right = _fold(stmt.lhs, n, values), _fold(stmt.rhs, n, values)
     if values is not None or stmt.modulus is not None:
-        failure = _compare_coefficients(stmt, n, values)
-    elif (folds := _product_folds(stmt)) is not None:
-        failure = _compare_products(*folds, n)
+        failure = _compare_coefficients(stmt, left, right)
+    elif forms := _forms(left, right):
+        failure = _compare_products(*forms, n)
     else:
-        failure = _compare_cancelled(stmt, n)
+        failure = _compare_cancelled(left, right, n)
     first = detail = None
     if failure is not None:
         i, residual, lhs_i, rhs_i = failure

@@ -568,6 +568,16 @@ def test_check_oversized_coefficient_fails_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_check_scalar_power_past_the_bound_fails(tmp_path, capsys):
+    # (7^5000)^5000 would have 70 million bits: one fail line, no traceback
+    path = tmp_path / "power.qid"
+    path.write_text("(7^5000)^5000 == 0 within 1\n")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 1
+    assert out == "(7^5000)^5000 == 0 within 1: fail (n <= 1, 0 ms) [scalar power past 65536 bits (in: (7^5000)^5000)]\n"
+    assert err == ""
+
+
 @pytest.mark.parametrize("k", [*range(4295, 4311), 50000])
 def test_format_int_counts_digits_exactly(k):
     limit = sys.get_int_max_str_digits()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partrec.dsl import (
@@ -287,6 +287,22 @@ def test_division_by_a_huge_non_unit_names_its_digit_count():
 
 
 @pytest.mark.parametrize(
+    "text, where",
+    [
+        ("(7^5000)^5000", "(7^5000)^5000"),
+        ("((7^5000)^5000)^5000", "(7^5000)^5000"),  # the innermost power past the bound
+        ("subs(7^5000, q^1)^5000", "subs(7^5000, q^1)^5000"),  # a subs's scalar is its chain's
+    ],
+)
+def test_a_scalar_power_past_the_bound_fails(text, where):
+    # 7^5000 has 14037 bits; its 5000th power is refused before it is built
+    [stmt] = parse(f"{text} == 0 within 1")
+    with pytest.raises(EvalError) as info:
+        check(stmt)
+    assert str(info.value) == f"scalar power past {dsl.MAX_SCALAR_BITS} bits (in: {where})"
+
+
+@pytest.mark.parametrize(
     "text, ok",
     [
         ("extract(po_bar, 2, 0) == po_bar within 2500", True),  # child order 5000
@@ -540,7 +556,7 @@ def test_is_product_per_node_kind(text, product):
     # bare and inside a chain; under `mod M` every statement expands
     for side in (text, f"pd * ({text})^2 / op"):
         stmt = parse(f"{side} == 1 within 5")[0]
-        assert dsl._is_product(stmt.lhs) is product
+        assert (dsl._form(dsl._fold(stmt.lhs, 5, None)) is not None) is product
         assert dsl.expands(stmt) is not product
         assert dsl.expands(parse(f"{side} == 1 mod 3 within 5")[0])
 
@@ -703,8 +719,8 @@ def test_theta_eta_qid_spells_the_theta_eta_table():
     for stmt in parse(THETA_ETA_QID.read_text(encoding="utf-8")):
         if isinstance(stmt.rhs, Theta):
             continue
-        dense, scalar, factors, eta = dsl._fold(stmt.rhs, 0, None, decide=True)
-        assert dense is None and scalar == 1 and not factors
+        scalar, factors, eta = dsl._form(dsl._fold(stmt.rhs, 0, None))
+        assert scalar == 1 and not factors
         forms[stmt.lhs.family] = {k: e for k, e in eta.items() if e}
     assert forms == series.THETA_ETA
 
@@ -810,6 +826,11 @@ def test_grow_expands_the_keys_that_verify_reads(monkeypatch):
         ("lebesgue(45) == po_bar within 200\nlebesgue(45) + 1 == P(-q^1; q^2) / P(q^1; q^2) within 200", {F.PO_ODD}),
         # a pulled subs reads its argument at its own order, here p at 300 and 150
         ("extract(subs(p, q^2) * theta(GPENT), 2, 0) == extract(subs(p, q^4) * theta(TRI), 2, 0) within 300", {F.P}),
+        # a dense part other than a lone theta counts order + 1 terms, sparse or
+        # not, so p's quotient (72 passes) is applied to it in place
+        ("p * extract(theta(GPENT), 2, 0) == 0 mod 2 within 2000", set()),
+        ("p * subs(theta(TRI), q^2) == 0 mod 2 within 2000", set()),
+        ("p * extract(theta(GPENT), 2, 0) == po_bar within 2000", set()),
     ],
 )
 def test_grow_reads_what_check_reads(monkeypatch, text, keys):
@@ -820,6 +841,39 @@ def test_grow_reads_what_check_reads(monkeypatch, text, keys):
 
     reads = _reads_by_phase(monkeypatch, run)
     assert reads["grow"] == reads["check"] == {functions.KEYS[f] for f in keys}
+
+
+def _parts(text):
+    [stmt] = parse(text)
+    return stmt.lhs, stmt.rhs, stmt.modulus, stmt.order
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, _trees, st.one_of(st.none(), st.integers(2, 7)), st.integers(1, 40))
+@example(*_parts("p * extract(theta(GPENT), 2, 0) == 0 mod 2 within 2000"))
+@example(*_parts("p * subs(theta(TRI), q^2) == 0 mod 2 within 2000"))
+@example(*_parts("p * extract(theta(GPENT), 2, 0) == po_bar within 2000"))
+def test_check_reads_only_tables_that_grow_grew(lhs, rhs, modulus, order):
+    stmt = IdentityStatement(lhs, rhs, order, modulus=modulus)
+    reads = []
+    eta_series = functions.eta_series
+
+    def recording(key, n):
+        reads.append((key, n))
+        return eta_series(key, n)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(functions, "_CACHE_SEED_ORDER", 0)  # a table holds no more than grow asked for
+        functions._cache_clear()
+        dsl.grow([stmt])
+        held = {key: len(table) for key, table in functions._cache.items()}
+        for module in (functions, dsl):
+            patch.setattr(module, "eta_series", recording)
+        try:
+            check(stmt)
+        except EvalError:
+            pass
+    assert all(held.get(key, 0) > n for key, n in reads), (statement_text(stmt), reads, held)
 
 
 def test_a_chain_of_named_functions_reads_one_table(monkeypatch):
