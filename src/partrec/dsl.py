@@ -15,9 +15,9 @@ identity checked to the stated order.
 
 A side is evaluated in two steps.  The symbolic fold (`_fold`) evaluates
 nothing: each maximal chain of *, / and ^ goes into a scalar (its integer
-literals), eta exponents (its named functions, under the store, and its
-P(q^k; q^k) atoms) and the Pochhammer factors of a `series.ProductForm`
-(its other atoms), and every other node into a tree of dense nodes that
+literals) and the Pochhammer factors of a `series.ProductForm` (its atoms,
+and its named functions, under the store, as eta quotients: eta_k is the
+atom P(q^k; q^k)), and every other node into a tree of dense nodes that
 hold the folds of their children at the orders they are evaluated at.  A
 power is folded into the exponents, or its base expanded and squared,
 whichever takes fewer kernel passes; an extract takes the subs factors
@@ -119,7 +119,7 @@ MAX_ORDER = 5000
 MAX_DEPTH = 100
 # Longest integer literal, CPython's default limit for converting a digit string.
 MAX_DIGITS = 4300
-# Largest scalar power, in bits (as |s|.bit_length() * n): 999^5000 takes 50 000.
+# Largest power of a scalar or of a dense constant term c, in bits (|c|.bit_length() * n): 999^5000 takes 50 000.
 MAX_SCALAR_BITS = 2**16
 
 
@@ -535,28 +535,31 @@ def evaluate(expr: ExprNode, order: int, values: Optional[Values] = None) -> Tru
     return _run(_fold(expr, order, values))
 
 
-# {(sign, a, b): e} for prod (sign*q^a; q^b)_inf^e, and {k: e} for prod eta_k^e
+# {(sign, a, b): e} for prod (sign*q^a; q^b)_inf^e, eta_k being (1, k, k)
 _Factors = dict[tuple[int, int, int], int]
-_Eta = dict[int, int]
 # A node of a fold's dense part: a tuple that starts with its kind (see `_fold`)
 _Dense = tuple
-# A product as (scalar, factors, eta): see `_form`
-_Form = tuple[int, _Factors, _Eta]
+# A product as (scalar, factors): see `_form`
+_Form = tuple[int, _Factors]
 
 
 class _Fold(NamedTuple):
-    """scalar * prod factors * prod eta_k^e * dense to q^order, where dense
-    (None for 1) is a tree of the nodes that are not folded."""
+    """scalar * prod factors * dense to q^order, where dense (None for 1) is
+    a tree of the nodes that are not folded."""
 
     scalar: int
     factors: _Factors
-    eta: _Eta
     dense: Optional[_Dense]
     order: int
 
 
 def _node(dense: _Dense, order: int) -> _Fold:
-    return _Fold(1, {}, {}, dense, order)
+    return _Fold(1, {}, dense, order)
+
+
+def _etas(eta: dict[int, int]) -> _Factors:
+    """{k: e} of prod eta_k^e as factors: eta_k is P(q^k; q^k)."""
+    return {(1, k, k): e for k, e in eta.items()}
 
 
 def _add(exps: dict, other: dict, sign: int) -> dict:
@@ -577,16 +580,13 @@ def _unscaled(fold: _Fold) -> _Fold:
     return fold._replace(scalar=1) if fold.scalar else fold
 
 
-def _split(factors: _Factors, eta: _Eta, order: int) -> tuple[_Eta, dict[int, int]]:
-    """({k: e}, {n: e}): eta times the factors' product form as eta_k and
-    (1 - q^n) exponents, with the eta_k past the order (1 there) dropped.
-    No form is built when there are no factors."""
-    binomials: dict[int, int] = {}
-    if factors:
-        form = ProductForm.of([(sign, a, b, e) for (sign, a, b), e in factors.items()], order)
-        form_eta, binomials = form.eta_split()
-        eta = _add(eta, form_eta, 1)
-    return {k: e for k, e in eta.items() if e and k <= order}, binomials
+def _split(factors: _Factors, order: int) -> tuple[dict[int, int], dict[int, int]]:
+    """({k: e}, {n: e}): the factors' product form as eta_k and (1 - q^n)
+    exponents, with the eta_k past the order (1 there) dropped.  No form is
+    built when every factor is an eta_k: it would split back into them."""
+    if all(sign == 1 and a == b for sign, a, b in factors):
+        return {a: e for (_, a, _), e in factors.items() if e and a <= order}, {}
+    return ProductForm.of([(sign, a, b, e) for (sign, a, b), e in factors.items()], order).eta_split()
 
 
 def _squarings(n: int) -> int:
@@ -606,50 +606,42 @@ def _power(base: _Fold, n: int, expr: ExprNode) -> _Fold:
     if n > 1:
         if abs(base.scalar).bit_length() * n > MAX_SCALAR_BITS:
             return _node(_mul(base.dense, ("fail", f"scalar power past {MAX_SCALAR_BITS} bits", expr)), order)
-        eta, binomials = _split(base.factors, _add(base.eta, _lift(base.dense)[0], 1), order)
+        eta, binomials = _split(_add(base.factors, _lift(base.dense)[0], 1), order)
         if n * (eta_passes(eta, order) + sum(map(abs, binomials.values()))) > _squarings(n) * order:
-            return _Fold(base.scalar**n, {}, {}, ("pow", _unscaled(base), n), order)
-    times = [{key: e * n for key, e in exps.items()} for exps in base[1:3]]
-    return _Fold(base.scalar**n, *times, None if base.dense is None else ("pow", base.dense, n), order)
+            return _Fold(base.scalar**n, {}, ("pow", _unscaled(base), n, expr), order)
+    factors = {key: e * n for key, e in base.factors.items()}
+    return _Fold(base.scalar**n, factors, None if base.dense is None else ("pow", base.dense, n, expr), order)
 
 
-def _subs_atoms(factors: _Factors, eta: _Eta, sign: int, d: int) -> tuple[_Factors, _Eta]:
-    """The factors and eta exponents of a product with q replaced by sign*q^d.
+def _subs_atoms(factors: _Factors, sign: int, d: int) -> _Factors:
+    """The factors of a product with q replaced by sign*q^d.
 
     P(s*q^a; q^b) becomes P(s*sign^a*q^(ad); sign^b*q^(bd)), and a base
     -Q = -q^(bd) splits by (x; -Q)_inf = (x; Q^2)_inf (-x*Q; Q^2)_inf.  So
-    eta_k is eta_(kd), or, for odd k under -q^d, (-Q; -Q)_inf with Q = q^(kd),
-    which is eta_(2kd)^3 / (eta_(kd) eta_(4kd)).
+    eta_k = P(q^k; q^k) is eta_(kd), or, for odd k under -q^d, P(-Q; Q^2)
+    P(Q^2; Q^2) with Q = q^(kd), which is eta_(2kd)^3 / (eta_(kd) eta_(4kd)).
     """
-    new_factors: _Factors = Counter()
-    new_eta: _Eta = Counter()
+    new: _Factors = Counter()
     for (s, a, b), e in factors.items():
         s *= sign ** (a % 2)
         if sign == 1 or b % 2 == 0:
-            new_factors[s, a * d, b * d] += e
+            new[s, a * d, b * d] += e
         else:
-            new_factors[s, a * d, 2 * b * d] += e
-            new_factors[-s, (a + b) * d, 2 * b * d] += e
-    for k, e in eta.items():
-        if sign == 1 or k % 2 == 0:
-            new_eta[k * d] += e
-        else:
-            new_eta[2 * k * d] += 3 * e
-            new_eta[k * d] -= e
-            new_eta[4 * k * d] -= e
-    return new_factors, new_eta
+            new[s, a * d, 2 * b * d] += e
+            new[-s, (a + b) * d, 2 * b * d] += e
+    return new
 
 
 def _fold(expr: ExprNode, order: int, values: Optional[Values], pull: Optional[int] = None) -> _Fold:
     """expr to q^order as a fold, with nothing evaluated.
 
-    Integer literals go into the scalar, Pochhammer atoms into the factors
-    (P(q^k; q^k) is eta_k) and named functions under the store into the
-    eta exponents, combined by *, / and ^ (`_power`).  Every other node is
+    Integer literals go into the scalar, and Pochhammer atoms and named
+    functions under the store (as eta quotients: eta_k is P(q^k; q^k)) into
+    the factors, combined by *, / and ^ (`_power`).  Every other node is
     dense: ("mul", a, b); ("div", a, b, scalar, divisor), b and scalar
-    being the divisor's; ("pow", a, n) of a dense node, or of a fold that
-    is expanded and squared; ("theta", family); ("subs", f, sign, d) and
-    ("extract", f, m, r), with the folds f at their own orders;
+    being the divisor's; ("pow", a, n, power) of a dense node, or of a fold
+    that is expanded and squared; ("theta", family); ("subs", f, sign, d)
+    and ("extract", f, m, r), with the folds f at their own orders;
     ("sum", f, g, sign) for + and -; ("leaf", thunk) for lebesgue() and a
     `values` source; and ("fail", message, node) for an extract past
     MAX_ORDER and a scalar power past MAX_SCALAR_BITS.  A subs or a
@@ -661,12 +653,11 @@ def _fold(expr: ExprNode, order: int, values: Optional[Values], pull: Optional[i
     in after the extract: extract(subs(A, +-q^(k*m)) * B, m, r) is
     subs(A, +-q^k) * extract(B, m, r)."""
     if isinstance(expr, IntLiteral):
-        return _Fold(expr.value, {}, {}, None, order)
+        return _Fold(expr.value, {}, None, order)
     if isinstance(expr, Pochhammer):
-        atom = ({}, {expr.a: 1}) if expr.sign == 1 and expr.a == expr.b else ({(expr.sign, expr.a, expr.b): 1}, {})
-        return _power(_Fold(1, *atom, None, order), expr.power, expr)
+        return _power(_Fold(1, {(expr.sign, expr.a, expr.b): 1}, None, order), expr.power, expr)
     if isinstance(expr, NamedFunction) and values is None:
-        return _Fold(1, {}, ETA_QUOTIENTS[expr.fid], None, order)
+        return _Fold(1, _etas(ETA_QUOTIENTS[expr.fid]), None, order)
     if isinstance(expr, (Mul, Div)):
         sign = 1 if isinstance(expr, Mul) else -1
         left = _fold(expr.left, order, values, pull)
@@ -674,8 +665,7 @@ def _fold(expr: ExprNode, order: int, values: Optional[Values], pull: Optional[i
         dense = _mul(left.dense, right.dense)
         if sign == -1 and (right.dense is not None or right.scalar not in (1, -1)):
             dense = ("div", left.dense, right.dense, right.scalar, expr.right)
-        exps = _add(left.factors, right.factors, sign), _add(left.eta, right.eta, sign)
-        return _Fold(left.scalar * right.scalar, *exps, dense, order)
+        return _Fold(left.scalar * right.scalar, _add(left.factors, right.factors, sign), dense, order)
     if isinstance(expr, Pow):
         return _power(_fold(expr.base, order, values), expr.exponent, expr)
     if isinstance(expr, Subs):
@@ -683,7 +673,7 @@ def _fold(expr: ExprNode, order: int, values: Optional[Values], pull: Optional[i
             pulled = Subs(expr.child, expr.sign, expr.d // pull)
             return _node(("pulled", _fold(pulled, order // pull, values)), order)
         child = _fold(expr.child, order // expr.d, values)
-        return _Fold(child.scalar, {}, {}, ("subs", _unscaled(child), expr.sign, expr.d), order)
+        return _Fold(child.scalar, {}, ("subs", _unscaled(child), expr.sign, expr.d), order)
     if isinstance(expr, Extract):
         inner = expr.m * order + expr.r
         if inner > MAX_ORDER:
@@ -711,7 +701,7 @@ def _valued(node: Optional[_Dense]) -> bool:
     return node[0] not in ("mul", "div") or _valued(node[1]) or _valued(node[2])
 
 
-def _route(fold: _Fold) -> tuple[_Eta, dict[int, int], bool]:
+def _route(fold: _Fold) -> tuple[dict[int, int], dict[int, int], bool]:
     """(eta, binomials, read): the fold's eta quotient and (1 - q^n)
     exponents (`_split`), and whether `_expand` reads the quotient's table
     from the store and multiplies the dense part by it, rather than
@@ -719,7 +709,7 @@ def _route(fold: _Fold) -> tuple[_Eta, dict[int, int], bool]:
     dense part has no more terms than the quotient's plan takes kernel
     passes, counted without values: a lone theta's own (`_row_terms`, and
     its constant term) and order + 1 for any other."""
-    eta, binomials = _split(fold.factors, fold.eta, fold.order)
+    eta, binomials = _split(fold.factors, fold.order)
     dense, terms = fold.dense, 0
     if _valued(dense):
         terms = 1 + (_row_terms(THETA_FAMILIES[dense[1]], fold.order) if dense[0] == "theta" else fold.order)
@@ -731,7 +721,8 @@ def _run(x: Union[_Fold, _Dense, None], order: int = 0, pulled: Optional[list] =
     dense node to q^order (None for 1).  A node's parts run left to right,
     except that a divisor runs before its dividend and its constant term
     is checked after both; a pulled factor's value goes to `pulled`, and a
-    failed node raises its EvalError where it runs."""
+    failed node, or a power whose constant term passes MAX_SCALAR_BITS once
+    its base has run, raises its EvalError where it runs."""
     if isinstance(x, _Fold):
         return _expand(_run(x.dense, x.order, pulled), x)
     if x is None:
@@ -748,7 +739,10 @@ def _run(x: Union[_Fold, _Dense, None], order: int = 0, pulled: Optional[list] =
             raise _non_unit(c0, x[4])
         return a if b is None else (TruncatedSeries.one(order) if a is None else a) / b
     if kind == "pow":
-        return _run(x[1], order) ** x[2]
+        base = _run(x[1], order)
+        if x[2] > 1 and abs(base[0]).bit_length() * x[2] > MAX_SCALAR_BITS:
+            raise EvalError(f"power's constant term past {MAX_SCALAR_BITS} bits", print_expr(x[3]))
+        return base ** x[2]
     if kind == "theta":
         return theta_series(THETA_FAMILIES[x[1]], order)
     if kind == "subs":
@@ -780,7 +774,7 @@ def _non_unit(c0: int, divisor: ExprNode) -> EvalError:
 
 def _expand(value: Optional[TruncatedSeries], fold: _Fold) -> TruncatedSeries:
     """The fold's value, given its dense part's (None for 1).  The eta
-    quotient (the factors' product form's included) is read from the store
+    quotient of the factors' product form (`_split`) is read from the store
     (`eta_series`) and multiplied by the dense part when `_route` says so,
     and otherwise applied to it in place.  The form's (1 - q^n) binomials
     are applied in place last."""
@@ -800,25 +794,25 @@ def _expand(value: Optional[TruncatedSeries], fold: _Fold) -> TruncatedSeries:
 
 def _lifted(fold: _Fold) -> _Fold:
     """The fold with the thetas of its chain that have an eta form
-    (`THETA_ETA`) moved from its dense part into its eta exponents."""
-    eta, dense = _lift(fold.dense)
-    return fold._replace(eta=_add(fold.eta, eta, 1), dense=dense)
+    (`THETA_ETA`) moved from its dense part into its factors."""
+    factors, dense = _lift(fold.dense)
+    return fold._replace(factors=_add(fold.factors, factors, 1), dense=dense)
 
 
-def _lift(node: Optional[_Dense]) -> tuple[_Eta, Optional[_Dense]]:
-    """(eta, rest): the eta exponents of the thetas with an eta form in a
+def _lift(node: Optional[_Dense]) -> tuple[_Factors, Optional[_Dense]]:
+    """(factors, rest): the eta forms of the thetas that have one in a
     dense node, outside its folds and sums, and the node without them."""
     kind = node and node[0]
     if kind == "theta" and node[1] in THETA_ETA:
-        return THETA_ETA[node[1]], None
+        return _etas(THETA_ETA[node[1]]), None
     if kind in ("mul", "div"):
-        (a_eta, a), (b_eta, b) = _lift(node[1]), _lift(node[2])
+        (a_factors, a), (b_factors, b) = _lift(node[1]), _lift(node[2])
         if kind == "mul" or b is None and node[3] in (1, -1):
-            return _add(a_eta, b_eta, 1 if kind == "mul" else -1), _mul(a, b)
-        return _add(a_eta, b_eta, -1), ("div", a, b, *node[3:])
+            return _add(a_factors, b_factors, 1 if kind == "mul" else -1), _mul(a, b)
+        return _add(a_factors, b_factors, -1), ("div", a, b, *node[3:])
     if kind == "pow" and not isinstance(node[1], _Fold):
-        eta, rest = _lift(node[1])
-        return {k: e * node[2] for k, e in eta.items()}, rest and ("pow", rest, node[2])
+        factors, rest = _lift(node[1])
+        return {key: e * node[2] for key, e in factors.items()}, rest and ("pow", rest, *node[2:])
     return {}, node
 
 
@@ -832,28 +826,28 @@ def _form(x: Union[_Fold, _Dense, None]) -> Optional[_Form]:
     is 1."""
     if isinstance(x, _Fold):
         dense = _form(x.dense)
-        return dense and (x.scalar, _add(x.factors, dense[1], 1), _add(x.eta, dense[2], 1))
+        return dense and (x.scalar, _add(x.factors, dense[1], 1))
     if x is None:
-        return 1, {}, {}
+        return 1, {}
     kind = x[0]
     if kind == "theta":
-        return (1, {}, THETA_ETA[x[1]]) if x[1] in THETA_ETA else None
+        return (1, _etas(THETA_ETA[x[1]])) if x[1] in THETA_ETA else None
     if kind == "subs":
         child = _form(x[1])
-        return child and (1, *_subs_atoms(child[1], child[2], x[2], x[3]))
+        return child and (1, _subs_atoms(child[1], x[2], x[3]))
     if kind == "pow":
         base = _form(x[1])
-        return base and (1, *({key: e * x[2] for key, e in exps.items()} for exps in base[1:]))
+        return base and (1, {key: e * x[2] for key, e in base[1].items()})
     if kind == "mul":
         a = _form(x[1])
         b = a and _form(x[2])
-        return b and (1, _add(a[1], b[1], 1), _add(a[2], b[2], 1))
+        return b and (1, _add(a[1], b[1], 1))
     if kind == "div":
         b = _form(x[2])
         a = b and _form(x[1])
         if a and x[3] not in (1, -1):
             raise _non_unit(x[3], x[4])
-        return a and (1, _add(a[1], b[1], -1), _add(a[2], b[2], -1))
+        return a and (1, _add(a[1], b[1], -1))
     return None
 
 
@@ -962,9 +956,8 @@ def _placed(left: _Fold, right: _Fold, held: Callable[[EtaKey], bool]) -> tuple[
     is a product (O is 1) when `held` says that the store holds its table,
     which that side then reads, and otherwise to the other side: the left
     when both have an O."""
-    over = [a._replace(factors=_add(a.factors, b.factors, -1), eta=_add(a.eta, b.eta, -1))
-            for a, b in ((left, right), (right, left))]
-    to_left, to_right = (over[0], right._replace(factors={}, eta={})), (left._replace(factors={}, eta={}), over[1])
+    over = [a._replace(factors=_add(a.factors, b.factors, -1)) for a, b in ((left, right), (right, left))]
+    to_left, to_right = (over[0], right._replace(factors={})), (left._replace(factors={}), over[1])
     if not _valued(left.dense):
         return to_left if held(eta_key(_route(to_left[0])[0])) else to_right
     if not _valued(right.dense):
@@ -1032,11 +1025,8 @@ def grow(statements: Iterable[IdentityStatement], order: Optional[int] = None) -
 
 def _exponents(form: _Form, n: int) -> list[int]:
     """[0, a_1, ..., a_n]: the exponent a_m of (1 - q^m) in a product, read
-    off the product form of its factors and eta_k (that is, P(q^k; q^k))
-    with no expansion."""
-    _, factors, eta = form
-    atoms = [(sign, a, b, e) for (sign, a, b), e in factors.items()] + [(1, k, k, e) for k, e in eta.items()]
-    form = ProductForm.of(atoms, n)
+    off the product form of its factors with no expansion."""
+    form = ProductForm.of([(sign, a, b, e) for (sign, a, b), e in form[1].items()], n)
     seq = [0] * (n + 1)
     period = form.period
     for r, c in enumerate(form.classes):
@@ -1053,8 +1043,8 @@ def _coefficient(dense: Optional[TruncatedSeries], form: _Form, n: int) -> int:
     by squaring when that takes fewer kernel passes than its plan
     (`eta_passes`), and a (1 - q^m)^e when that takes fewer than |e|; the
     rest are applied in place, the eta_k by their joint plan."""
-    scalar, factors, eta = form
-    eta, binomials = _split(factors, eta, n)
+    scalar, factors = form
+    eta, binomials = _split(factors, n)
     one = TruncatedSeries.one(n)
     squared = one if dense is None else dense.truncate(n)
     for k, e in list(eta.items()):
@@ -1103,7 +1093,7 @@ def _compare_cancelled(left: _Fold, right: _Fold, n: int) -> Optional[tuple[int,
     i = next((i for i, r in enumerate(diff) if r), None)
     if i is None:
         return None
-    return i, diff[i], _coefficient(left_dense, left[:3], i), _coefficient(right_dense, right[:3], i)
+    return i, diff[i], _coefficient(left_dense, left[:2], i), _coefficient(right_dense, right[:2], i)
 
 
 def _compare_coefficients(stmt: IdentityStatement, left: _Fold, right: _Fold) -> Optional[tuple[int, int, int, int]]:

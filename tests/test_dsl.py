@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -300,6 +302,27 @@ def test_a_scalar_power_past_the_bound_fails(text, where):
     with pytest.raises(EvalError) as info:
         check(stmt)
     assert str(info.value) == f"scalar power past {dsl.MAX_SCALAR_BITS} bits (in: {where})"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        # 1 + 7^4000 has 11231 bits; its 5000th power is refused once the base has run
+        ("(lebesgue(0) + 7^4000)^5000", "(lebesgue(0) + 7^4000)^5000"),
+        ("((lebesgue(0) + 7^4000) * P(q^1; q^1))^5000", "((lebesgue(0) + 7^4000) * P(q^1; q^1))^5000"),  # squared
+        ("(p - 0)^5000", None),  # constant term 1
+        ("(lebesgue(0) + 2)^5000", None),  # 2 bits * 5000
+        ("((lebesgue(0) + 7^4000)^5 * (lebesgue(0) + 7^4000)^2)^1", None),  # a first power builds nothing
+    ],
+)
+def test_a_dense_power_is_bounded_by_its_constant_term(text, where):
+    [stmt] = parse(f"{text} == 0 within 1")
+    if where is None:  # run, and compared at q^0
+        assert check(stmt).first_failure.n == 0
+        return
+    with pytest.raises(EvalError) as info:
+        check(stmt)
+    assert str(info.value) == f"power's constant term past {dsl.MAX_SCALAR_BITS} bits (in: {where})"
 
 
 @pytest.mark.parametrize(
@@ -714,14 +737,17 @@ def test_theta_families_equal_their_eta_forms():
 
 
 def test_theta_eta_qid_spells_the_theta_eta_table():
-    # each `theta(X) == <eta chain>` line of the file is the table's form of X
+    # each `theta(X) == <eta chain>` line of the file is the table's form of
+    # X, every factor of it an eta_k, the atom P(q^k; q^k)
+    statements = parse(THETA_ETA_QID.read_text(encoding="utf-8"))
+    assert len(statements) == 11
     forms = {}
-    for stmt in parse(THETA_ETA_QID.read_text(encoding="utf-8")):
+    for stmt in statements:
         if isinstance(stmt.rhs, Theta):
             continue
-        scalar, factors, eta = dsl._form(dsl._fold(stmt.rhs, 0, None))
-        assert scalar == 1 and not factors
-        forms[stmt.lhs.family] = {k: e for k, e in eta.items() if e}
+        scalar, factors = dsl._form(dsl._fold(stmt.rhs, 0, None))
+        assert scalar == 1 and all(sign == 1 and a == b for sign, a, b in factors)
+        forms[stmt.lhs.family] = {k: e for (_, k, _), e in factors.items() if e}
     assert forms == series.THETA_ETA
 
 
@@ -1098,6 +1124,51 @@ def test_subs_of_a_product_is_decided(monkeypatch):
     [wrong] = parse(f"{lhs} == P(q^2; q^12) * P(-q^8; q^12) / P(-q^2; q^2) within 300")
     report = check(wrong)
     assert (report.first_failure.n, report.first_failure.residual, report.detail) == (4, 2, "q^4: lhs=3, rhs=1")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_eta_k_under_subs_is_its_pochhammer_atom_under_subs(k, d, sign):
+    # eta_k is the atom P(q^k; q^k): at +-q^d it is eta_(kd), except that for
+    # odd k at -q^d it is eta_(2kd)^3 / (eta_(kd) eta_(4kd))
+    n = 8 * k * d
+    for e in (1, -2):
+        if sign == -1 and k % 2:
+            expected = {(1, 2 * k * d, 2 * k * d): 3 * e, (1, k * d, k * d): -e, (1, 4 * k * d, 4 * k * d): -e}
+        else:
+            expected = {(1, k * d, k * d): e}
+        substituted = dsl._subs_atoms({(1, k, k): e}, sign, d)
+        assert dsl._exponents((1, substituted), n) == dsl._exponents((1, expected), n)
+
+
+def _eta_only(order):
+    ks = st.integers(1, order + 6)
+    return st.dictionaries(ks.map(lambda k: (1, k, k)), st.integers(-3, 3), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 30).flatmap(lambda order: st.tuples(st.just(order), _eta_only(order))))
+@example((5, {}))
+@example((5, {(1, 7, 7): 1}))  # past the order
+@example((5, {(1, 2, 2): 0, (1, 3, 3): 1}))  # a zero exponent
+@example((10, {(1, 3, 3): 1, (1, 4, 4): -1}))  # lcm 12 past the order
+def test_an_eta_only_split_matches_the_form_split(case):
+    # the shortcut is the form's split whenever the form's period takes in
+    # every index; otherwise the form moves an eta_k into its head, and the
+    # two are the same series
+    order, factors = case
+    split = dsl._split(factors, order)
+    form = series.ProductForm.of([(1, k, k, e) for (_, k, _), e in factors.items()], order).eta_split()
+    kept = [k for (_, k, _), e in factors.items() if e and k <= order]
+    if math.lcm(*kept) <= order:
+        assert split == form
+    values = []
+    for eta, binomials in (split, form):
+        acc = [1] + [0] * order
+        series._mul_eta_binomials(acc, eta, binomials)
+        values.append(acc)
+    assert values[0] == values[1]
 
 
 def test_a_cancelled_failure_reports_the_statement_detail():
