@@ -29,22 +29,27 @@ count that needs no values (`_route`), and the form's (1 - q^n)
 binomials are applied in place.  `evaluate`, every route of `check` and
 `grow` read the same folds.
 
-`check` decides a statement with no `mod M` whose sides are both
-products (`_form`: integer literals, Pochhammer atoms, named functions
-and the theta families with an eta form in `THETA_ETA`, under *, / and ^
-and inside subs) on their scalars and exponent sequences a_n of
-(1 - q^n), which it reads off without expanding; equal products are
-equal series.  Any other statement with no `mod M` is compared on its
-sides less their common exponent part: each side's chain, its eta-form
-thetas lifted (`_lifted`), is a scalar times an exponent part times a
-dense part, and the quotient of the exponent parts goes to one side only
-(`_placed`).  Under `mod M` (M >= 2), or with a caller's `values` source
-for the named functions (the theorem suites' corrupted tables, which
-have no eta form), both sides are run and compared coefficientwise,
-modulo M from q^1 on.  Every route finds the same first failure,
-residual and coefficients.  `grow` reads the store keys off the folds
-that `check` runs (`_reads`) and grows each table once, to the largest
-order it is read at.
+`check` runs each statement by its plan (`_plan`), the one place where
+its route is decided; `grow` and `expands` read the same plans.  The plan
+folds both sides once.  Under `mod M` (M >= 2), or with a caller's
+`values` source for the named functions (the theorem suites' corrupted
+tables, which have no eta form), the route is coefficients: both sides
+are run and compared coefficientwise, modulo M from q^1 on.  Otherwise a
+statement whose sides are both products (`_form`: integer literals,
+Pochhammer atoms, named functions and the theta families with an eta
+form in `THETA_ETA`, under *, / and ^ and inside subs) is decided on
+their scalars and exponent sequences a_n of (1 - q^n), which it reads
+off without expanding; equal products are equal series.  Any other
+statement is cancelled: compared on its sides less their common
+exponent part.  Each side's chain, its eta-form thetas lifted
+(`_lifted`), is a scalar times an exponent part times a dense part, and
+the quotient of the exponent parts goes to one side only.  The plan
+holds the lifted folds, both placements of the quotient and the key of
+a product side's quotient; `check` picks the placement when it runs, by
+whether the store holds that table then.  Every route finds the same
+first failure, residual and coefficients.  `grow` reads the store keys
+off the plans as `check` runs them (`_reads`) and grows each table once,
+to the largest order it is read at.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from operator import add, neg, sub
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .functions import (
     ETA_QUOTIENTS,
@@ -235,7 +240,6 @@ class Token(NamedTuple):
     col: int
 
 
-_OPS = ("==", "+", "-", "*", "/", "^", "(", ")", ",", ";")
 _DIGITS = "0123456789"
 
 
@@ -582,11 +586,15 @@ def _unscaled(fold: _Fold) -> _Fold:
 
 def _split(factors: _Factors, order: int) -> tuple[dict[int, int], dict[int, int]]:
     """({k: e}, {n: e}): the factors' product form as eta_k and (1 - q^n)
-    exponents, with the eta_k past the order (1 there) dropped.  No form is
-    built when every factor is an eta_k: it would split back into them."""
-    if all(sign == 1 and a == b for sign, a, b in factors):
-        return {a: e for (_, a, _), e in factors.items() if e and a <= order}, {}
-    return ProductForm.of([(sign, a, b, e) for (sign, a, b), e in factors.items()], order).eta_split()
+    exponents.  The eta_k factors are split off first, those past the order
+    (1 there) dropped, and a form is built for the other factors alone, so
+    an eta_k never goes into a form's head as binomials."""
+    eta = {a: e for (sign, a, b), e in factors.items() if sign == 1 and a == b <= order and e}
+    rest = [(sign, a, b, e) for (sign, a, b), e in factors.items() if sign != 1 or a != b]
+    if not rest:
+        return eta, {}
+    more, binomials = ProductForm.of(rest, order).eta_split()
+    return {k: e for k, e in _add(eta, more, 1).items() if e}, binomials
 
 
 def _squarings(n: int) -> int:
@@ -930,44 +938,57 @@ def residuals(stmt: IdentityStatement, order: int, values: Optional[Values] = No
     return _difference(stmt, evaluate(stmt.lhs, order, values), evaluate(stmt.rhs, order, values))
 
 
-def _forms(left: _Fold, right: _Fold) -> Optional[tuple[_Form, _Form]]:
-    """Both sides as products (`_form`), when `check` decides on them; a
-    non-unit divisor of a product raises EvalError here."""
+def _plan(stmt: IdentityStatement, order: int, values: Optional[Values]) -> tuple:
+    """The route by which `check` compares the statement's sides to q^order,
+    each folded once (`_fold`), with what that route needs:
+
+    ("coefficients", left, right) under `mod M`, and always with a `values`
+    source: both folds are run and compared coefficientwise.
+
+    ("decided", lhs, rhs) with no `mod M` when both sides are products
+    (`_form`): their scalars and exponent sequences decide the statement.
+    A non-unit divisor of a product raises EvalError here.
+
+    ("cancelled", left, right, key, held, other) otherwise: the folds, their
+    thetas lifted (`_lifted`), and two placements of their exponent parts.
+    Each side is a scalar times an exponent part Q times its dense part O;
+    a placement gives the quotient Q_L/Q_R to one side and leaves the other
+    s*O alone.  When a side is a product (O is 1), key is its quotient's
+    table, and `held` gives the quotient to it, to be read there if the
+    store holds that table when the sides run; `other` gives it to the other
+    side.  When both have an O, key is None and both placements give it to
+    the left.  Which placement runs is left to run time (`_compare_cancelled`).
+    """
+    left, right = _fold(stmt.lhs, order, values), _fold(stmt.rhs, order, values)
+    if values is not None or stmt.modulus is not None:
+        return "coefficients", left, right
     lhs = _form(left)
     rhs = lhs and _form(right)
-    return rhs and (lhs, rhs)
+    if rhs:
+        return "decided", lhs, rhs
+    left, right = _lifted(left), _lifted(right)
+    over = [a._replace(factors=_add(a.factors, b.factors, -1)) for a, b in ((left, right), (right, left))]
+    to_left, to_right = (over[0], right._replace(factors={})), (left._replace(factors={}), over[1])
+    if not _valued(left.dense):
+        return "cancelled", left, right, eta_key(_route(over[0])[0]), to_left, to_right
+    if not _valued(right.dense):
+        return "cancelled", left, right, eta_key(_route(over[1])[0]), to_right, to_left
+    return "cancelled", left, right, None, to_left, to_left
 
 
 def expands(stmt: IdentityStatement) -> bool:
-    """Whether `check` expands the statement rather than deciding it: under
-    `mod M`, or when a side is not a product (`_form`)."""
-    sides = (_fold(side, stmt.order, None) for side in (stmt.lhs, stmt.rhs))
+    """Whether `check` expands the statement rather than deciding it: its
+    plan's route (`_plan`) is not decided."""
     try:
-        return stmt.modulus is not None or not _forms(*sides)
+        return _plan(stmt, stmt.order, None)[0] != "decided"
     except EvalError:  # decided, and raised
         return False
 
 
-def _placed(left: _Fold, right: _Fold, held: Callable[[EtaKey], bool]) -> tuple[_Fold, _Fold]:
-    """The sides of a statement with no `mod M`, their thetas lifted
-    (`_lifted`), as `_compare_cancelled` expands them.  Each is a scalar
-    times an exponent part Q times its dense part O; the quotient Q_L/Q_R
-    goes to one side and the other keeps s*O alone.  It goes to a side that
-    is a product (O is 1) when `held` says that the store holds its table,
-    which that side then reads, and otherwise to the other side: the left
-    when both have an O."""
-    over = [a._replace(factors=_add(a.factors, b.factors, -1)) for a, b in ((left, right), (right, left))]
-    to_left, to_right = (over[0], right._replace(factors={})), (left._replace(factors={}), over[1])
-    if not _valued(left.dense):
-        return to_left if held(eta_key(_route(to_left[0])[0])) else to_right
-    if not _valued(right.dense):
-        return to_right if held(eta_key(_route(to_right[1])[0])) else to_left
-    return to_left
-
-
-def _reads(x: Union[_Fold, _Dense, None], reads: dict[EtaKey, int]) -> None:
-    """Record in `reads` each table that running a fold or dense node
-    reads (`_route` of each fold in it), at the largest order it is read at."""
+def _reads(x: Union[_Fold, _Dense, tuple, None], reads: dict[EtaKey, int]) -> None:
+    """Record in `reads` each table that running a fold or dense node, or
+    a tuple of them in turn, reads (`_route` of each fold in it), at the
+    largest order it is read at."""
     for part in (x.dense,) if isinstance(x, _Fold) else x or ():
         if isinstance(part, tuple):
             _reads(part, reads)
@@ -983,38 +1004,34 @@ _NAMES = {key: fid for fid, key in KEYS.items()}
 def grow(statements: Iterable[IdentityStatement], order: Optional[int] = None) -> None:
     """Grow each store table that `check` reads for the statements, at
     `order` (each at its own for None), once, to the largest order at which
-    it is read.  The keys are read off the folds that `check` runs
-    (`_reads`): a decided statement reads nothing, and a cancelled one its
-    quotient's table only where `_expand` would (`_placed`).  A product
-    side's table is grown when two statements want it or another read
+    it is read.  The keys are read off each statement's plan (`_plan`), as
+    `check` runs it (`_reads`): a decided statement reads nothing, a
+    coefficient route its two folds, and a cancelled one its dense parts
+    and then one placement.  The placement that gives the quotient to a
+    product side is taken when two statements want its key or another read
     grows it anyway; then `check` reads it there.  Derived keys (a chain's
     eta quotient) are grown only when the store keeps them all
     (MAX_DERIVED_KEYS)."""
     reads: dict[EtaKey, int] = {}
-    wanted = []  # (key, order, left, right) for each product side's quotient
+    wanted = []  # (key, order, held, other) for each product side's quotient
     for stmt in statements:
         n = stmt.order if order is None else order
-        sides = left, right = _fold(stmt.lhs, n, None), _fold(stmt.rhs, n, None)
-        if stmt.modulus is None:
-            try:
-                if _forms(left, right):
-                    continue
-            except EvalError:  # `check` raises before it reads anything
-                continue
-            left, right = _lifted(left), _lifted(right)
-            _reads(left.dense, reads)  # the dense parts first, as `_compare_cancelled` runs them
-            _reads(right.dense, reads)
-            keys: list[EtaKey] = []
-            sides = _placed(left, right, keys.append)
-            if any(keys):  # a product side: its table, if grown, or its quotient applied to the other
-                wanted.append((keys[0], n, left, right))
-                continue
-        for fold in sides:
-            _reads(fold, reads)
+        try:
+            route, left, right, *placements = _plan(stmt, n, None)
+        except EvalError:  # `check` raises before it reads anything
+            continue
+        if route == "coefficients":
+            _reads((left, right), reads)
+        elif route == "cancelled":
+            _reads((left.dense, right.dense), reads)  # the dense parts first, as `_compare_cancelled` runs them
+            key, held, other = placements
+            if key:
+                wanted.append((key, n, held, other))
+            else:
+                _reads(other, reads)
     wants = Counter(key for key, *_ in wanted)
-    for key, n, left, right in wanted:
-        for fold in _placed(left, right, lambda k: wants[k] > 1 or reads.get(k, -1) >= n):
-            _reads(fold, reads)
+    for key, n, held, other in wanted:
+        _reads(held if wants[key] > 1 or reads.get(key, -1) >= n else other, reads)
     derived = len([key for key in reads if key not in _NAMES])
     for key, n in reads.items():
         if key in _NAMES:
@@ -1076,19 +1093,18 @@ def _compare_products(left: _Form, right: _Form, n: int) -> Optional[tuple[int, 
     return i, -s * (a[i] - b[i]), _coefficient(None, left, i), _coefficient(None, right, i)
 
 
-def _compare_cancelled(left: _Fold, right: _Fold, n: int) -> Optional[tuple[int, int, int, int]]:
+def _compare_cancelled(plan: tuple, n: int) -> Optional[tuple[int, int, int, int]]:
     """(i, residual, lhs_i, rhs_i) at the first difference to q^n of a
-    statement with no `mod M` that is not decided, or None when there is
-    none.  The sides' dense parts run, the left's first.  The quotient of
-    their exponent parts goes to a side that is a product when the store
-    holds its table already, which that side then reads, and otherwise to
-    the other side (`_placed`), so no table is built that a product
-    side alone would read.  Q_L and Q_R are 1 + O(q), so the first
-    difference and the residual there are the statement's own; only there
-    are the sides expanded in full (`_coefficient`), to q^i."""
-    left, right = _lifted(left), _lifted(right)
+    cancelled plan (`_plan`), or None when there is none.  The sides' dense
+    parts run, the left's first.  Then the plan's quotient goes to its
+    product side when the store holds that table already, which that side
+    then reads, and otherwise to the other side, so no table is built that
+    a product side alone would read.  Q_L and Q_R are 1 + O(q), so the
+    first difference and the residual there are the statement's own; only
+    there are the sides expanded in full (`_coefficient`), to q^i."""
+    _, left, right, key, held, other = plan
     left_dense, right_dense = _run(left.dense, n), _run(right.dense, n)
-    lhs, rhs = _placed(left, right, lambda key: stored(key, n))
+    lhs, rhs = held if key and stored(key, n) else other
     diff = list(map(sub, _expand(left_dense, lhs).coeffs, _expand(right_dense, rhs).coeffs))
     i = next((i for i, r in enumerate(diff) if r), None)
     if i is None:
@@ -1110,24 +1126,24 @@ def check(
 ) -> VerificationReport:
     """Check the statement to q^order (its own order for None).
 
-    Both sides are folded (`_fold`).  With no `mod M`, a statement whose
-    sides are both products (`_forms`) is decided on their scalars and
-    exponent sequences with no expansion, and any other is compared on its
-    sides less their common exponent part (`_compare_cancelled`).  Under
-    `mod M`, and always with a `values` source (as in `evaluate`), both
-    sides are run and compared coefficientwise.  A failure records the
-    first differing exponent, the residual there and both coefficients;
-    every route finds the same ones.
+    The statement's plan (`_plan`) names the route: a decided statement
+    is compared on its products' scalars and exponent sequences with no
+    expansion (`_compare_products`), a cancelled one on its sides less
+    their common exponent part (`_compare_cancelled`), and any other,
+    under `mod M` or with a `values` source (as in `evaluate`), on both
+    sides run (`_compare_coefficients`).  A failure records the first
+    differing exponent, the residual there and both coefficients; every
+    route finds the same ones.
     """
     n = order if order is not None else stmt.order
     start = time.perf_counter()
-    left, right = _fold(stmt.lhs, n, values), _fold(stmt.rhs, n, values)
-    if values is not None or stmt.modulus is not None:
-        failure = _compare_coefficients(stmt, left, right)
-    elif forms := _forms(left, right):
-        failure = _compare_products(*forms, n)
+    plan = _plan(stmt, n, values)
+    if plan[0] == "decided":
+        failure = _compare_products(plan[1], plan[2], n)
+    elif plan[0] == "cancelled":
+        failure = _compare_cancelled(plan, n)
     else:
-        failure = _compare_cancelled(left, right, n)
+        failure = _compare_coefficients(stmt, plan[1], plan[2])
     first = detail = None
     if failure is not None:
         i, residual, lhs_i, rhs_i = failure

@@ -869,6 +869,31 @@ def test_grow_reads_what_check_reads(monkeypatch, text, keys):
     assert reads["grow"] == reads["check"] == {functions.KEYS[f] for f in keys}
 
 
+def test_check_places_the_quotient_by_the_store_when_it_runs(monkeypatch):
+    # the plan holds both placements: on a cleared store po_bar's quotient is
+    # applied to lebesgue(45) in place, and once po_bar's table is held the
+    # product side reads it, with the same report
+    read = []
+    eta_series = functions.eta_series
+    monkeypatch.setattr(dsl, "eta_series", lambda key, n: read.append(key) or eta_series(key, n))
+    [stmt] = parse("lebesgue(45) == po_bar within 200")
+    functions._cache_clear()
+    cold = _report(stmt, 200)
+    assert read == []
+    gf_series(F.PO_ODD, 200)
+    assert _report(stmt, 200) == cold
+    assert read == [functions.KEYS[F.PO_ODD]]
+
+
+def test_grow_goes_on_past_a_statement_that_raises():
+    statements = parse("p == 1 / (2 * P(q^1; q^1)) within 20\nop * theta(TWOSQ) == 0 mod 2 within 300")
+    functions._cache_clear()
+    dsl.grow(statements)
+    with pytest.raises(EvalError, match="constant term 2"):
+        check(statements[0])
+    assert functions.stored(functions.KEYS[F.OP], 300)
+
+
 def _parts(text):
     [stmt] = parse(text)
     return stmt.lhs, stmt.rhs, stmt.modulus, stmt.order
@@ -1142,26 +1167,41 @@ def test_eta_k_under_subs_is_its_pochhammer_atom_under_subs(k, d, sign):
         assert dsl._exponents((1, substituted), n) == dsl._exponents((1, expected), n)
 
 
-def _eta_only(order):
+def _factor_maps(order):
     ks = st.integers(1, order + 6)
-    return st.dictionaries(ks.map(lambda k: (1, k, k)), st.integers(-3, 3), max_size=4)
+    eta = ks.map(lambda k: (1, k, k))
+    atom = st.tuples(st.sampled_from((1, -1)), ks, ks)
+    return st.dictionaries(st.one_of(eta, atom), st.integers(-3, 3), max_size=4)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 30).flatmap(lambda order: st.tuples(st.just(order), _eta_only(order))))
+def _form_period(factors, order):
+    """The lcm of the b of every (1 - q^n) class a form of all the factors
+    holds: (-q^a; q^b) is (q^2a; q^2b) / (q^a; q^b), and a class starting
+    past the order is 1."""
+    bs = []
+    for (sign, a, b), e in factors.items():
+        for a_, b_ in ((a, b),) if sign == 1 else ((2 * a, 2 * b), (a, b)):
+            if e and a_ <= order:
+                bs.append(b_)
+    return math.lcm(*bs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 30).flatmap(lambda order: st.tuples(st.just(order), _factor_maps(order))))
 @example((5, {}))
 @example((5, {(1, 7, 7): 1}))  # past the order
 @example((5, {(1, 2, 2): 0, (1, 3, 3): 1}))  # a zero exponent
 @example((10, {(1, 3, 3): 1, (1, 4, 4): -1}))  # lcm 12 past the order
-def test_an_eta_only_split_matches_the_form_split(case):
-    # the shortcut is the form's split whenever the form's period takes in
-    # every index; otherwise the form moves an eta_k into its head, and the
-    # two are the same series
+@example((12, {(-1, 1, 2): 1, (1, 4, 4): 2}))  # an eta_k beside a signed atom
+@example((10, {(1, 1, 3): 1, (1, 4, 4): -1}))  # the same, lcm 12 past the order
+def test_the_split_matches_the_form_split(case):
+    # the eta_k split off before the form equal the form's split of all the
+    # factors whenever the form's period takes in every class; otherwise the
+    # form moves a class into its head, and the two are the same series
     order, factors = case
     split = dsl._split(factors, order)
-    form = series.ProductForm.of([(1, k, k, e) for (_, k, _), e in factors.items()], order).eta_split()
-    kept = [k for (_, k, _), e in factors.items() if e and k <= order]
-    if math.lcm(*kept) <= order:
+    form = series.ProductForm.of([(sign, a, b, e) for (sign, a, b), e in factors.items()], order).eta_split()
+    if _form_period(factors, order) <= order:
         assert split == form
     values = []
     for eta, binomials in (split, form):
@@ -1169,6 +1209,15 @@ def test_an_eta_only_split_matches_the_form_split(case):
         series._mul_eta_binomials(acc, eta, binomials)
         values.append(acc)
     assert values[0] == values[1]
+
+
+def test_an_eta_k_beside_another_atom_is_split_off_before_the_form():
+    # (q; q^7) and eta_200 have lcm 1400, past the order: one form of both
+    # would put eta_200 into its head, leaving no eta_k and 148 binomial passes
+    eta, binomials = dsl._split({(1, 1, 7): 1, (1, 200, 200): 1}, 1000)
+    assert eta == {200: 1}
+    assert binomials == {n: 1 for n in range(1, 1001, 7)}  # 143 of them
+    assert series.eta_passes(eta, 1000) + len(binomials) == 146
 
 
 def test_a_cancelled_failure_reports_the_statement_detail():
