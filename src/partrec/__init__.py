@@ -10,10 +10,6 @@ from .series import (
     TruncatedSeries,
     pochhammer_expand,
     pochhammer_finite,
-    progression_extract,
-    series_add,
-    series_inverse,
-    series_mul,
     theta_series,
 )
 
@@ -52,9 +48,5 @@ __all__ = [
     "verify_all",
     "pochhammer_expand",
     "pochhammer_finite",
-    "progression_extract",
-    "series_add",
-    "series_inverse",
-    "series_mul",
     "theta_series",
 ]

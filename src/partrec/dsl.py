@@ -23,11 +23,11 @@ power is folded into the exponents, or its base expanded and squared,
 whichever takes fewer kernel passes; an extract takes the subs factors
 of its argument's chain out.  The run step (`_run`) evaluates the dense
 nodes, checks each divisor's constant term and expands each fold
-(`_expand`): its eta quotient is read from the function store by key
-and multiplied by the dense part, or applied to it in place, by a term
-count that needs no values (`_route`), and the form's (1 - q^n)
-binomials are applied in place.  `evaluate`, every route of `check` and
-`grow` read the same folds.
+(`_expand`) by one rule (`_route`): a fold with no valued dense part, a
+bare product, reads its eta quotient from the function store by key,
+and any other has the quotient applied to its dense part in place; the
+form's (1 - q^n) binomials are applied in place.  `evaluate`, every
+route of `check` and `grow` read the same folds.
 
 `check` runs each statement by its plan (`_plan`), the one place where
 its route is decided; `grow` and `expands` read the same plans.  The plan
@@ -43,13 +43,12 @@ off without expanding; equal products are equal series.  Any other
 statement is cancelled: compared on its sides less their common
 exponent part.  Each side's chain, its eta-form thetas lifted
 (`_lifted`), is a scalar times an exponent part times a dense part, and
-the quotient of the exponent parts goes to one side only.  The plan
-holds the lifted folds, both placements of the quotient and the key of
-a product side's quotient; `check` picks the placement when it runs, by
-whether the store holds that table then.  Every route finds the same
-first failure, residual and coefficients.  `grow` reads the store keys
-off the plans as `check` runs them (`_reads`) and grows each table once,
-to the largest order it is read at.
+the quotient of the exponent parts goes to one side only: to the side
+that is a product when exactly one is, which then reads it as one
+table, and to the left otherwise.  Every route finds the same first
+failure, residual and coefficients.  `grow` reads the store keys off the
+plans as `check` runs them (`_reads`) and grows each table once, to the
+largest order it is read at.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ from .functions import (
     function_value,
     gf_series,  # noqa: F401  (bench/spans.py wraps this name)
     lebesgue_partial,
-    stored,
 )
 from .record import Record
 from .report import Failure, VerificationReport, format_int
@@ -81,7 +79,6 @@ from .series import (
     ProductForm,
     TruncatedSeries,
     _mul_eta_binomials,
-    _row_terms,
     eta_passes,
     eta_quotient,
     pochhammer_expand,  # noqa: F401  (the reference route; bench/spans.py wraps this name)
@@ -289,10 +286,9 @@ def _tokenize_line(text: str, lineno: int) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], max_order: int):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.max_order = max_order
         self.nesting = 0  # open expr() calls: parentheses and extract arguments
         # id -> (height, node) of every operator node built; holding the node
         # keeps its id from being reused while the line is parsed
@@ -356,9 +352,9 @@ class _Parser:
         self.advance()
         order_tok = self.peek()
         order = self.expect_int(1, "order must be positive")
-        if order > self.max_order:
+        if order > MAX_ORDER:
             raise ParseError(
-                f"order {order} exceeds the engine maximum {self.max_order}",
+                f"order {order} exceeds the engine maximum {MAX_ORDER}",
                 order_tok.line,
                 order_tok.col,
             )
@@ -393,10 +389,10 @@ class _Parser:
             op = self.advance()
             exp_tok = self.peek()
             exponent = self.expect_int()
-            if exponent > self.max_order:
+            if exponent > MAX_ORDER:
                 # a power costs work linear in the exponent, so it shares the order budget
                 raise ParseError(
-                    f"exponent {exponent} exceeds the engine maximum {self.max_order}",
+                    f"exponent {exponent} exceeds the engine maximum {MAX_ORDER}",
                     exp_tok.line,
                     exp_tok.col,
                 )
@@ -506,14 +502,14 @@ class _Parser:
         return LebesguePartial(j_max)
 
 
-def parse(text: str, max_order: int = MAX_ORDER) -> list[IdentityStatement]:
+def parse(text: str) -> list[IdentityStatement]:
     """Parse statements, one per line; blank lines and comments are skipped."""
     statements: list[IdentityStatement] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        parser = _Parser(_tokenize_line(line, lineno), max_order)
+        parser = _Parser(_tokenize_line(line, lineno))
         statements.append(parser.statement(stripped))
     return statements
 
@@ -712,16 +708,11 @@ def _valued(node: Optional[_Dense]) -> bool:
 def _route(fold: _Fold) -> tuple[dict[int, int], dict[int, int], bool]:
     """(eta, binomials, read): the fold's eta quotient and (1 - q^n)
     exponents (`_split`), and whether `_expand` reads the quotient's table
-    from the store and multiplies the dense part by it, rather than
-    applying it to the dense part in place.  It reads the table when the
-    dense part has no more terms than the quotient's plan takes kernel
-    passes, counted without values: a lone theta's own (`_row_terms`, and
-    its constant term) and order + 1 for any other."""
+    from the store.  It reads the table when the fold has no valued dense
+    part (`_valued`), a bare product; a dense part takes the quotient in
+    place instead."""
     eta, binomials = _split(fold.factors, fold.order)
-    dense, terms = fold.dense, 0
-    if _valued(dense):
-        terms = 1 + (_row_terms(THETA_FAMILIES[dense[1]], fold.order) if dense[0] == "theta" else fold.order)
-    return eta, binomials, bool(fold.scalar and eta) and terms <= eta_passes(eta, fold.order)
+    return eta, binomials, bool(fold.scalar and eta) and not _valued(fold.dense)
 
 
 def _run(x: Union[_Fold, _Dense, None], order: int = 0, pulled: Optional[list] = None) -> Optional[TruncatedSeries]:
@@ -783,9 +774,9 @@ def _non_unit(c0: int, divisor: ExprNode) -> EvalError:
 def _expand(value: Optional[TruncatedSeries], fold: _Fold) -> TruncatedSeries:
     """The fold's value, given its dense part's (None for 1).  The eta
     quotient of the factors' product form (`_split`) is read from the store
-    (`eta_series`) and multiplied by the dense part when `_route` says so,
-    and otherwise applied to it in place.  The form's (1 - q^n) binomials
-    are applied in place last."""
+    (`eta_series`) when `_route` says so, the fold being a bare product, and
+    otherwise applied to the dense part in place.  The form's (1 - q^n)
+    binomials are applied in place last."""
     order = fold.order
     if not fold.scalar:
         return TruncatedSeries.zero(order)
@@ -949,15 +940,13 @@ def _plan(stmt: IdentityStatement, order: int, values: Optional[Values]) -> tupl
     (`_form`): their scalars and exponent sequences decide the statement.
     A non-unit divisor of a product raises EvalError here.
 
-    ("cancelled", left, right, key, held, other) otherwise: the folds, their
-    thetas lifted (`_lifted`), and two placements of their exponent parts.
-    Each side is a scalar times an exponent part Q times its dense part O;
-    a placement gives the quotient Q_L/Q_R to one side and leaves the other
-    s*O alone.  When a side is a product (O is 1), key is its quotient's
-    table, and `held` gives the quotient to it, to be read there if the
-    store holds that table when the sides run; `other` gives it to the other
-    side.  When both have an O, key is None and both placements give it to
-    the left.  Which placement runs is left to run time (`_compare_cancelled`).
+    ("cancelled", left, right, lhs, rhs) otherwise: the folds, their thetas
+    lifted (`_lifted`), and the folds that run in their place.  Each side
+    is a scalar times an exponent part Q times its dense part O; the
+    quotient of the exponent parts goes to one side and the other runs as
+    s*O alone.  When exactly one side is a product (O has no value), that
+    side takes it, and reads it as one table (`_route`); otherwise the left
+    takes Q_L/Q_R, and applies it to its O in place.
     """
     left, right = _fold(stmt.lhs, order, values), _fold(stmt.rhs, order, values)
     if values is not None or stmt.modulus is not None:
@@ -967,13 +956,10 @@ def _plan(stmt: IdentityStatement, order: int, values: Optional[Values]) -> tupl
     if rhs:
         return "decided", lhs, rhs
     left, right = _lifted(left), _lifted(right)
-    over = [a._replace(factors=_add(a.factors, b.factors, -1)) for a, b in ((left, right), (right, left))]
-    to_left, to_right = (over[0], right._replace(factors={})), (left._replace(factors={}), over[1])
-    if not _valued(left.dense):
-        return "cancelled", left, right, eta_key(_route(over[0])[0]), to_left, to_right
-    if not _valued(right.dense):
-        return "cancelled", left, right, eta_key(_route(over[1])[0]), to_right, to_left
-    return "cancelled", left, right, None, to_left, to_left
+    over = _add(left.factors, right.factors, -1)  # Q_L/Q_R
+    if _valued(left.dense) and not _valued(right.dense):  # the right side alone is a product
+        return "cancelled", left, right, left._replace(factors={}), right._replace(factors=_add({}, over, -1))
+    return "cancelled", left, right, left._replace(factors=over), right._replace(factors={})
 
 
 def expands(stmt: IdentityStatement) -> bool:
@@ -1007,31 +993,20 @@ def grow(statements: Iterable[IdentityStatement], order: Optional[int] = None) -
     it is read.  The keys are read off each statement's plan (`_plan`), as
     `check` runs it (`_reads`): a decided statement reads nothing, a
     coefficient route its two folds, and a cancelled one its dense parts
-    and then one placement.  The placement that gives the quotient to a
-    product side is taken when two statements want its key or another read
-    grows it anyway; then `check` reads it there.  Derived keys (a chain's
+    and then the folds that run in their place.  Derived keys (a chain's
     eta quotient) are grown only when the store keeps them all
     (MAX_DERIVED_KEYS)."""
     reads: dict[EtaKey, int] = {}
-    wanted = []  # (key, order, held, other) for each product side's quotient
     for stmt in statements:
         n = stmt.order if order is None else order
         try:
-            route, left, right, *placements = _plan(stmt, n, None)
+            route, left, right, *placed = _plan(stmt, n, None)
         except EvalError:  # `check` raises before it reads anything
             continue
         if route == "coefficients":
             _reads((left, right), reads)
-        elif route == "cancelled":
-            _reads((left.dense, right.dense), reads)  # the dense parts first, as `_compare_cancelled` runs them
-            key, held, other = placements
-            if key:
-                wanted.append((key, n, held, other))
-            else:
-                _reads(other, reads)
-    wants = Counter(key for key, *_ in wanted)
-    for key, n, held, other in wanted:
-        _reads(held if wants[key] > 1 or reads.get(key, -1) >= n else other, reads)
+        elif route == "cancelled":  # the dense parts first, as `_compare_cancelled` runs them
+            _reads((left.dense, right.dense, *placed), reads)
     derived = len([key for key in reads if key not in _NAMES])
     for key, n in reads.items():
         if key in _NAMES:
@@ -1058,18 +1033,26 @@ def _coefficient(dense: Optional[TruncatedSeries], form: _Form, n: int) -> int:
     """[q^n] of dense (1 for None, cut at q^n) times a product, expanded
     to q^n alone and with no store read.  An eta_k^e is raised to its power
     by squaring when that takes fewer kernel passes than its plan
-    (`eta_passes`), and a (1 - q^m)^e when that takes fewer than |e|; the
-    rest are applied in place, the eta_k by their joint plan."""
+    (`eta_passes`), and the binomials (1 - q^m)^e that share an e, as one
+    product expanded in len(ms) passes, when that and squaring take fewer
+    than |e| * len(ms); the rest are applied in place, the eta_k by their
+    joint plan."""
     scalar, factors = form
     eta, binomials = _split(factors, n)
-    one = TruncatedSeries.one(n)
-    squared = one if dense is None else dense.truncate(n)
+    squared = TruncatedSeries.one(n) if dense is None else dense.truncate(n)
     for k, e in list(eta.items()):
         if eta_passes({k: e}, n) > _squarings(e) * n:
             squared = squared * eta_quotient({k: 1}, n) ** eta.pop(k)
-    for m, e in list(binomials.items()):
-        if abs(e) > _squarings(e) * n:
-            squared = squared * (one - TruncatedSeries.monomial(m, n)) ** binomials.pop(m)
+    by_power: dict[int, list[int]] = {}
+    for m, e in binomials.items():
+        by_power.setdefault(e, []).append(m)
+    for e, ms in by_power.items():
+        if abs(e) * len(ms) > _squarings(e) * n + len(ms):
+            base = [1] + [0] * n
+            _mul_eta_binomials(base, {}, dict.fromkeys(ms, 1 if e > 0 else -1))
+            squared = squared * TruncatedSeries(base) ** abs(e)
+            for m in ms:
+                del binomials[m]
     acc = list(squared.coeffs)
     _mul_eta_binomials(acc, eta, binomials)
     return scalar * acc[n]
@@ -1096,15 +1079,13 @@ def _compare_products(left: _Form, right: _Form, n: int) -> Optional[tuple[int, 
 def _compare_cancelled(plan: tuple, n: int) -> Optional[tuple[int, int, int, int]]:
     """(i, residual, lhs_i, rhs_i) at the first difference to q^n of a
     cancelled plan (`_plan`), or None when there is none.  The sides' dense
-    parts run, the left's first.  Then the plan's quotient goes to its
-    product side when the store holds that table already, which that side
-    then reads, and otherwise to the other side, so no table is built that
-    a product side alone would read.  Q_L and Q_R are 1 + O(q), so the
-    first difference and the residual there are the statement's own; only
-    there are the sides expanded in full (`_coefficient`), to q^i."""
-    _, left, right, key, held, other = plan
+    parts run, the left's first, and then the plan's folds in their place,
+    one of them holding the quotient of the exponent parts.  Q_L and Q_R
+    are 1 + O(q), so the first difference and the residual there are the
+    statement's own; only there are the sides expanded in full
+    (`_coefficient`), to q^i."""
+    _, left, right, lhs, rhs = plan
     left_dense, right_dense = _run(left.dense, n), _run(right.dense, n)
-    lhs, rhs = held if key and stored(key, n) else other
     diff = list(map(sub, _expand(left_dense, lhs).coeffs, _expand(right_dense, rhs).coeffs))
     i = next((i for i, r in enumerate(diff) if r), None)
     if i is None:

@@ -56,7 +56,6 @@ __all__ = [
     "KEYS",
     "eta_key",
     "eta_series",
-    "stored",
     "gf_series",
     "function_value",
     "lebesgue_partial",
@@ -193,12 +192,6 @@ def eta_series(key: EtaKey, order: int) -> TruncatedSeries:
             for old in derived[: len(derived) - MAX_DERIVED_KEYS]:
                 del _cache[old]
     return TruncatedSeries(table[: order + 1])
-
-
-def stored(key: EtaKey, order: int) -> bool:
-    """Whether the store holds the eta quotient `key` to q^order already."""
-    table = _cache.get(key)
-    return table is not None and len(table) > order
 
 
 def gf_series(fid: PartitionFunctionId, order: int) -> TruncatedSeries:

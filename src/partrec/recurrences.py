@@ -11,8 +11,9 @@ series, such as T1, `po_bar * theta(PENT) == theta(PENT_CEIL)`.  `verify`
 runs it through `dsl.check`, which decides 17 suites, the products and
 the three with a subs of a product, on their eta exponents.  Of the other
 8, the `mod 2` parities compare coefficients, and the rest compare their
-sides less their common exponent part, so that T7 and T8 divide their
-extract by op's quotient in place rather than grow op's table.
+sides less their common exponent part: T7's product side reads its one
+table, and T8, with a dense part on both sides, divides its extract by
+op's quotient in place.
 `residual(tid, n)` is lhs - rhs at n by `dsl.residuals`, read
 (with the memoized source) from a table that grows like the function store.
 

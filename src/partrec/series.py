@@ -42,9 +42,6 @@ __all__ = [
     "ProductSpec",
     "THETA_FAMILIES",
     "THETA_ETA",
-    "series_add",
-    "series_mul",
-    "series_inverse",
     "pochhammer_expand",
     "pochhammer_finite",
     "EtaKey",
@@ -53,7 +50,6 @@ __all__ = [
     "eta_passes",
     "ProductForm",
     "theta_series",
-    "progression_extract",
 ]
 
 
@@ -190,24 +186,6 @@ class TruncatedSeries:
         if not 0 <= order <= self.order:
             raise ValueError(f"cannot truncate order-{self.order} series to {order}")
         return TruncatedSeries(self._coeffs[: order + 1])
-
-
-# Functional aliases matching the operation vocabulary used elsewhere.
-
-def series_add(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
-    return x + y
-
-
-def series_mul(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
-    return x * y
-
-
-def series_inverse(x: TruncatedSeries) -> TruncatedSeries:
-    return x.inverse()
-
-
-def progression_extract(x: TruncatedSeries, m: int, r: int) -> TruncatedSeries:
-    return x.extract(m, r)
 
 
 def _terms(coeffs: Sequence[int]) -> list[tuple[int, int]]:

@@ -119,7 +119,6 @@ def test_parse_error_reports_correct_line():
 def test_parse_order_bounds():
     with pytest.raises(ParseError, match="exceeds the engine maximum"):
         parse("p == p within 6000")
-    assert parse("p == p within 6000", max_order=6000)[0].order == 6000
     with pytest.raises(ParseError, match="order must be positive"):
         parse("p == p within 0")
 
@@ -783,10 +782,17 @@ def test_checking_paper_qid_expands_each_key_once_per_order(monkeypatch):
     assert all(check(stmt).passed for stmt in parse(PAPER_QID.read_text(encoding="utf-8")))
     # the statements decided on exponent sequences expand nothing; what is left
     # (extract and lebesgue) cancels its sides' exponent parts, so it reads
-    # only po_bar under extract and the eta quotient of the one product chain
-    # under extract, P(-q^2; q^4)^2 * P(q^4; q^4) = eta4^5 / (eta2^2 eta8^2)
-    po_bar = functions.KEYS[F.PO_ODD]
-    assert sorted(expanded, key=lambda e: e[1]) == [(series.eta_key({4: 5, 2: -2, 8: -2}), 400), (po_bar, 401)]
+    # po_bar (under extract, and bare against lebesgue), the eta quotient of
+    # the product chain under extract, P(-q^2; q^4)^2 * P(q^4; q^4) =
+    # eta4^5 / (eta2^2 eta8^2), and each dissection's product side as one table
+    assert len(expanded) == len({key for key, _ in expanded})
+    assert dict(expanded) == {
+        functions.KEYS[F.PO_ODD]: 401,
+        series.eta_key({4: 5, 2: -2, 8: -2}): 400,
+        series.eta_key({2: 5, 1: -2, 4: -2}): 200,  # theta(SQ)
+        series.eta_key({2: 1, 8: 2, 1: -2, 4: -1}): 200,  # 2 * op * theta(TWO_TRI4)
+        series.eta_key({4: 5, 1: -2, 2: -1, 8: -2}): 200,  # op * P(-q^2; q^4)^2 * P(q^4; q^4)
+    }
 
 
 def _reads_by_phase(monkeypatch, run):
@@ -830,33 +836,33 @@ def test_grow_expands_the_keys_that_check_reads(monkeypatch, path):
 
 def test_grow_expands_the_keys_that_verify_reads(monkeypatch):
     reads = _reads_by_phase(monkeypatch, lambda: recurrences.verify_all(300))
-    assert reads["grow"] == reads["check"] == {functions.KEYS[f] for f in (F.P, F.PDO, F.PO_ODD)}
+    t7_product_side = series.eta_key({2: 1, 8: 2, 1: -2, 4: -1})  # 2 * op * theta(TWO_TRI4)
+    assert reads["grow"] == reads["check"] == {functions.KEYS[f] for f in (F.P, F.PDO, F.PO_ODD)} | {t7_product_side}
 
 
 @pytest.mark.parametrize(
     "text, keys",
     [
         # the common exponent part cancels, so neither op nor po_bar is read
-        ("po_bar * theta(GPENT_HALF) == op * theta(TWOSQ) * theta(GPENT_HALF) within 1000", set()),
-        # p2's quotient is applied to theta(TRI)'s 45 terms in place (44 passes)
-        ("po_bar == p2 * theta(TRI) + 3 within 1000", set()),
-        # under `mod M` nothing cancels: pood's quotient (24 passes) is applied
-        # to theta(TRI)'s 25 terms in place, but theta(TWOSQ)'s 13 terms are
-        # multiplied by op's table (17 passes)
-        ("pood * theta(TRI) == 0 mod 2 within 300", set()),
-        ("op * theta(TWOSQ) == 0 mod 2 within 300", {F.OP}),
-        # a product side reads its table only when the store holds it: one
-        # statement applies po_bar's quotient to lebesgue(45) in place, two
-        # grow po_bar's table once and read it
-        ("lebesgue(45) == po_bar within 200", set()),
-        ("lebesgue(45) == po_bar within 200\nlebesgue(45) + 1 == P(-q^1; q^2) / P(q^1; q^2) within 200", {F.PO_ODD}),
+        ("po_bar * theta(GPENT_HALF) == op * theta(TWOSQ) * theta(GPENT_HALF) within 1000", []),
+        # the product side reads po_bar's table; inside the sum, p2's quotient
+        # is applied to theta(TRI) in place
+        ("po_bar == p2 * theta(TRI) + 3 within 1000", [F.PO_ODD]),
+        # under `mod M` nothing cancels, and a theta is a dense part: pood's
+        # and op's quotients are applied to it in place
+        ("pood * theta(TRI) == 0 mod 2 within 300", []),
+        ("op * theta(TWOSQ) == 0 mod 2 within 300", []),
+        # the one product side takes the quotient and reads its table, by
+        # name or as a chain: two statements grow po_bar's once
+        ("lebesgue(45) == po_bar within 200", [F.PO_ODD]),
+        ("lebesgue(45) == po_bar within 200\nlebesgue(45) + 1 == P(-q^1; q^2) / P(q^1; q^2) within 200", [F.PO_ODD]),
         # a pulled subs reads its argument at its own order, here p at 300 and 150
-        ("extract(subs(p, q^2) * theta(GPENT), 2, 0) == extract(subs(p, q^4) * theta(TRI), 2, 0) within 300", {F.P}),
-        # a dense part other than a lone theta counts order + 1 terms, sparse or
-        # not, so p's quotient (72 passes) is applied to it in place
-        ("p * extract(theta(GPENT), 2, 0) == 0 mod 2 within 2000", set()),
-        ("p * subs(theta(TRI), q^2) == 0 mod 2 within 2000", set()),
-        ("p * extract(theta(GPENT), 2, 0) == po_bar within 2000", set()),
+        ("extract(subs(p, q^2) * theta(GPENT), 2, 0) == extract(subs(p, q^4) * theta(TRI), 2, 0) within 300", [F.P]),
+        # any dense part, sparse or not, takes its quotient in place
+        ("p * extract(theta(GPENT), 2, 0) == 0 mod 2 within 2000", []),
+        ("p * subs(theta(TRI), q^2) == 0 mod 2 within 2000", []),
+        # po_bar, the product side, takes po_bar / p = eta2^3 / (eta1 eta4) as one table
+        ("p * extract(theta(GPENT), 2, 0) == po_bar within 2000", [{2: 3, 1: -1, 4: -1}]),
     ],
 )
 def test_grow_reads_what_check_reads(monkeypatch, text, keys):
@@ -866,32 +872,47 @@ def test_grow_reads_what_check_reads(monkeypatch, text, keys):
         [check(stmt) for stmt in statements]
 
     reads = _reads_by_phase(monkeypatch, run)
-    assert reads["grow"] == reads["check"] == {functions.KEYS[f] for f in keys}
+    expected = {functions.KEYS[k] if isinstance(k, F) else series.eta_key(k) for k in keys}
+    assert reads["grow"] == reads["check"] == expected
 
 
-def test_check_places_the_quotient_by_the_store_when_it_runs(monkeypatch):
-    # the plan holds both placements: on a cleared store po_bar's quotient is
-    # applied to lebesgue(45) in place, and once po_bar's table is held the
-    # product side reads it, with the same report
+_PO_BAR = dsl._etas(functions.ETA_QUOTIENTS[F.PO_ODD])
+
+
+@pytest.mark.parametrize(
+    "text, placed, reads",
+    [
+        # the one product side takes the quotient, on either side, and reads its table
+        ("lebesgue(45) == po_bar within 200", ({}, _PO_BAR), True),
+        ("po_bar == lebesgue(45) within 200", (_PO_BAR, {}), True),
+        # both sides dense: the left takes Q_L/Q_R = 1/po_bar, in place
+        ("lebesgue(45) == po_bar * lebesgue(3) within 200", ({key: -e for key, e in _PO_BAR.items()}, {}), False),
+    ],
+)
+def test_the_product_side_takes_the_cancelled_quotient(monkeypatch, text, placed, reads):
+    # the placement is fixed by the plan, whatever the store holds when check
+    # runs: cold and warm, a product side reads its quotient's table
+    [stmt] = parse(text)
+    assert tuple(fold.factors for fold in dsl._plan(stmt, 200, None)[3:]) == placed
     read = []
     eta_series = functions.eta_series
     monkeypatch.setattr(dsl, "eta_series", lambda key, n: read.append(key) or eta_series(key, n))
-    [stmt] = parse("lebesgue(45) == po_bar within 200")
     functions._cache_clear()
     cold = _report(stmt, 200)
-    assert read == []
     gf_series(F.PO_ODD, 200)
     assert _report(stmt, 200) == cold
-    assert read == [functions.KEYS[F.PO_ODD]]
+    assert read == [functions.KEYS[F.PO_ODD]] * (2 if reads else 0)
 
 
 def test_grow_goes_on_past_a_statement_that_raises():
-    statements = parse("p == 1 / (2 * P(q^1; q^1)) within 20\nop * theta(TWOSQ) == 0 mod 2 within 300")
+    statements = parse("p == 1 / (2 * P(q^1; q^1)) within 20\nlebesgue(45) == po_bar within 300")
     functions._cache_clear()
     dsl.grow(statements)
     with pytest.raises(EvalError, match="constant term 2"):
         check(statements[0])
-    assert functions.stored(functions.KEYS[F.OP], 300)
+    assert len(functions._cache.get(functions.KEYS[F.PO_ODD], ())) > 300
+    # its plan raises, as check does, before either side is expanded
+    assert dsl.expands(statements[0]) is False
 
 
 def _parts(text):
@@ -1260,6 +1281,26 @@ def test_a_decided_failure_expands_only_to_its_index(monkeypatch):
     assert (report.first_failure.n, report.first_failure.residual) == (1, -5000)
     assert report.detail == "q^1: lhs=-5000, rhs=0"
     assert not functions._cache
+
+
+def test_a_decided_failure_squares_a_power_of_its_binomials_once(monkeypatch):
+    # (q; q^3)^50 is 33 binomials (1 - q^m)^50 off the gcd: each side expands
+    # their product once and squares it, where one pass per binomial and unit
+    # of e took 2 * 33 * 50 + 1 = 3301 kernel calls
+    [stmt] = parse("P(q^1; q^3)^50 == P(q^1; q^3)^50 * P(q^99; q^100) within 100")
+    lhs, rhs = evaluate(stmt.lhs, 99)[99], evaluate(stmt.rhs, 99)[99]
+    calls = []
+    kernel = series._mul_sparse
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        kernel(*args, **kwargs)
+
+    monkeypatch.setattr(series, "_mul_sparse", counting)
+    report = check(stmt)
+    assert (report.first_failure.n, report.first_failure.residual) == (99, lhs - rhs)
+    assert report.detail == f"q^99: lhs={lhs}, rhs={rhs}"
+    assert len(calls) < 100
 
 
 @pytest.mark.parametrize(

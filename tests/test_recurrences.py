@@ -22,7 +22,7 @@ from partrec.recurrences import (
     verify,
     verify_all,
 )
-from partrec.series import THETA_FAMILIES, theta_series
+from partrec.series import THETA_FAMILIES, eta_key, theta_series
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +500,19 @@ def test_verify_all_expands_each_function_once(monkeypatch):
         return expand(key, order)
 
     monkeypatch.setattr(functions, "_expand_key", counting)
-    keys = {functions.KEYS[f] for f in (F.P, F.PDO, F.PO_ODD)}
+    keys = {functions.KEYS[f] for f in (F.P, F.PDO, F.PO_ODD)} | {eta_key({2: 1, 8: 2, 1: -2, 4: -1})}
     for n in (300, 2000):
         functions._cache_clear()
         expanded.clear()
         assert all(r.passed for r in verify_all(n))
         # at most one store expansion per key, and only of the tables that
         # the 8 undecided suites read: po_bar under extract (T7, T8; LEBESGUE
-        # reads it too), pdo under extract (CKS_SQ) and p in MERCA_GK's
-        # pulled subs.  T7 and T8 divide by op's quotient in place, pd and
-        # peed appear only in decided suites, and the parity suites apply
-        # pood's and p's quotients to their thetas in place
+        # reads it too), pdo under extract (CKS_SQ), p in MERCA_GK's pulled
+        # subs, and T7's product side 2 * op * theta(TWO_TRI4) as one table,
+        # eta2 eta8^2 / (eta1^2 eta4).  T8's sides both have a dense part, so
+        # it divides by op's quotient in place; pd and peed appear only in
+        # decided suites, and the parity suites apply pood's and p's
+        # quotients to their thetas in place
         assert len(expanded) == len(set(expanded))
         assert set(expanded) == keys
 
