@@ -14,7 +14,6 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -41,6 +40,13 @@ def _csv_writer():
     return csv.writer(sys.stdout, lineterminator="\n")
 
 
+def _write_json(doc) -> None:
+    import json  # loaded on demand, as csv is: only --format json writes it
+
+    json.dump(doc, sys.stdout)
+    print()
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
     try:
         fid = PartitionFunctionId(args.function)
@@ -55,9 +61,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         for n, value in enumerate(values):
             writer.writerow([n, value])
     elif args.format == "json":
-        doc = {"function": fid.value, "n_max": args.n, "values": list(values)}
-        json.dump(doc, sys.stdout)
-        print()
+        _write_json({"function": fid.value, "n_max": args.n, "values": list(values)})
     else:
         for n, value in enumerate(values):
             print(f"{n}\t{value}")
@@ -66,9 +70,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def _emit_reports(reports: list[VerificationReport], fmt: str, many: bool) -> None:
     if fmt == "json":
-        payload = [r.to_json() for r in reports] if many else reports[0].to_json()
-        json.dump(payload, sys.stdout)
-        print()
+        _write_json([r.to_json() for r in reports] if many else reports[0].to_json())
     elif fmt == "csv":
         writer = _csv_writer()
         writer.writerow(["theorem", "n_max", "status", "first_n", "first_residual", "millis"])

@@ -20,14 +20,19 @@ and its named functions, under the store, as eta quotients: eta_k is the
 atom P(q^k; q^k)), and every other node into a tree of dense nodes that
 hold the folds of their children at the orders they are evaluated at.  A
 power is folded into the exponents, or its base expanded and squared,
-whichever takes fewer kernel passes; an extract takes the subs factors
-of its argument's chain out.  The run step (`_run`) evaluates the dense
-nodes, checks each divisor's constant term and expands each fold
-(`_expand`) by one rule (`_route`): a fold with no valued dense part, a
-bare product, reads its eta quotient from the function store by key,
-and any other has the quotient applied to its dense part in place; the
-form's (1 - q^n) binomials are applied in place.  `evaluate`, every
-route of `check` and `grow` read the same folds.
+whichever takes fewer kernel passes.  An extract takes the subs factors
+of its argument's chain out, and dissects a product argument (`_dissect`):
+its eta exponents at the multiples of m come out as a product in q, and a
+THETA_ETA family that holds the rest at the other k is extracted on its
+progression alone, which is a product itself when it is a multiple of a
+theta row; any other argument is evaluated whole and sliced.  The run
+step (`_run`) evaluates the dense nodes, checks each divisor's constant
+term and expands each fold (`_expand`) by one rule (`_route`): a fold
+with no valued dense part, a bare product, reads its eta quotient from
+the function store by key, and any other has the quotient applied to its
+dense part in place; the form's (1 - q^n) binomials are applied in
+place.  `evaluate`, every route of `check` and `grow` read the same
+folds.
 
 `check` runs each statement by its plan (`_plan`), the one place where
 its route is decided; `grow` and `expands` read the same plans.  The plan
@@ -37,7 +42,8 @@ tables, which have no eta form), the route is coefficients: both sides
 are run and compared coefficientwise, modulo M from q^1 on.  Otherwise a
 statement whose sides are both products (`_form`: integer literals,
 Pochhammer atoms, named functions and the theta families with an eta
-form in `THETA_ETA`, under *, / and ^ and inside subs) is decided on
+form in `THETA_ETA`, under *, / and ^, inside subs and as the extracts
+that dissect into products) is decided on
 their scalars and exponent sequences a_n of (1 - q^n), which it reads
 off without expanding; equal products are equal series.  Any other
 statement is cancelled: compared on its sides less their common
@@ -55,6 +61,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from functools import lru_cache
 from operator import add, neg, sub
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -83,6 +90,7 @@ from .series import (
     eta_quotient,
     pochhammer_expand,  # noqa: F401  (the reference route; bench/spans.py wraps this name)
     theta_series,
+    theta_terms,
 )
 
 __all__ = [
@@ -644,8 +652,10 @@ def _fold(expr: ExprNode, order: int, values: Optional[Values], pull: Optional[i
     the factors, combined by *, / and ^ (`_power`).  Every other node is
     dense: ("mul", a, b); ("div", a, b, scalar, divisor), b and scalar
     being the divisor's; ("pow", a, n, power) of a dense node, or of a fold
-    that is expanded and squared; ("theta", family); ("subs", f, sign, d)
-    and ("extract", f, m, r), with the folds f at their own orders;
+    that is expanded and squared; ("theta", family, m, r), the progression
+    extract(theta(family), m, r), m = 1 and r = 0 for the theta itself;
+    ("subs", f, sign, d) and ("extract", f, m, r), with the folds f at
+    their own orders;
     ("sum", f, g, sign) for + and -; ("leaf", thunk) for lebesgue() and a
     `values` source; and ("fail", message, node) for an extract past
     MAX_ORDER and a scalar power past MAX_SCALAR_BITS.  A subs or a
@@ -655,7 +665,11 @@ def _fold(expr: ExprNode, order: int, values: Optional[Values], pull: Optional[i
     that is neither a divisor nor under a power is ("pulled", f), f being
     subs(A, +-q^k) to order // m, which runs in its place but is multiplied
     in after the extract: extract(subs(A, +-q^(k*m)) * B, m, r) is
-    subs(A, +-q^k) * extract(B, m, r)."""
+    subs(A, +-q^k) * extract(B, m, r).  An extract whose argument is a
+    product times pulled factors is no node at all but the fold that
+    `_dissect` returns: the pulled subs, the product that comes out of the
+    argument, and the progression of a theta family, folded into the
+    product when it is a multiple of a theta row."""
     if isinstance(expr, IntLiteral):
         return _Fold(expr.value, {}, None, order)
     if isinstance(expr, Pochhammer):
@@ -682,12 +696,13 @@ def _fold(expr: ExprNode, order: int, values: Optional[Values], pull: Optional[i
         inner = expr.m * order + expr.r
         if inner > MAX_ORDER:
             return _node(("fail", f"extract needs its argument to order {inner}, above {MAX_ORDER}", expr), order)
-        return _node(("extract", _fold(expr.child, inner, values, expr.m), expr.m, expr.r), order)
+        child = _fold(expr.child, inner, values, expr.m)
+        return _dissect(child, expr.m, expr.r, order) or _node(("extract", child, expr.m, expr.r), order)
     if isinstance(expr, (Add, Sub)):
         sign = 1 if isinstance(expr, Add) else -1
         return _node(("sum", _fold(expr.left, order, values), _fold(expr.right, order, values), sign), order)
     if isinstance(expr, Theta):
-        return _node(("theta", expr.family), order)
+        return _node(("theta", expr.family, 1, 0), order)
     if isinstance(expr, NamedFunction):
         fid = expr.fid
         return _node(("leaf", lambda: TruncatedSeries(values(fid, n) for n in range(order + 1))), order)
@@ -695,6 +710,83 @@ def _fold(expr: ExprNode, order: int, values: Optional[Values], pull: Optional[i
         j_max = expr.j_max
         return _node(("leaf", lambda: lebesgue_partial(j_max, order)), order)
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _dissect(child: _Fold, m: int, r: int, order: int) -> Optional[_Fold]:
+    """extract(A, m, r) to q^order as a fold with no extract node, child
+    being A's fold (to q^(m*order + r), its subs factors pulled), or None
+    when A's chain, its thetas lifted (`_lift`), has a valued dense part or
+    (1 - q^n) binomials.
+
+    Of A's eta exponents e_k, those at m | k are a product in q^m, which
+    comes out as a product in q.  If nothing is left the extract is that
+    product for r = 0 and 0 otherwise.  If what is left at the k with
+    m not dividing k is the first THETA_ETA family T's exponents there, T is
+    divided out, the rest comes out too, and the extract is that product
+    times extract(T, m, r), generated from T's row on the progression alone
+    (`theta_terms`): a product itself when it is c * row(q^s) for a THETA_ETA
+    row (`_row_multiple`), and a ("theta", T, m, r) node otherwise.  When no
+    family fits, it is None too.  The pulled factors run where they ran in
+    A, so a divisor in A raises where it did."""
+    lifted, dense = _lift(child.dense)
+    if _valued(dense):
+        return None
+    eta, binomials = _split(_add(child.factors, lifted, 1), child.order)
+    if binomials:
+        return None
+    scalar, dense = _unpulled(dense)
+    scalar *= child.scalar
+    family = None
+    if off := {k: e for k, e in eta.items() if k % m}:
+        for family, form in THETA_ETA.items():
+            form = {k: e for k, e in form.items() if k <= child.order}  # eta_k is 1 past the order
+            if off == {k: e for k, e in form.items() if k % m}:
+                eta = _add(eta, form, -1)
+                break
+        else:
+            return None
+    factors = _etas({k // m: e for k, e in eta.items() if e})
+    if family is None:
+        return _Fold(scalar if r == 0 else 0, factors, dense, order)
+    multiple = _row_multiple(family, m, r, order)
+    if multiple is None:
+        return _Fold(scalar, factors, _mul(dense, ("theta", family, m, r)), order)
+    return _Fold(scalar * multiple[0], _add(factors, multiple[1], 1), dense, order)
+
+
+def _unpulled(node: Optional[_Dense]) -> tuple[int, Optional[_Dense]]:
+    """(scalar, node) for a dense node with no value (`_valued`): each
+    pulled factor's subs in its place, its fold's scalar taken out."""
+    if node is None:
+        return 1, None
+    if node[0] == "pulled":
+        return node[1].scalar, node[1].dense
+    (s, a), (t, b) = _unpulled(node[1]), _unpulled(node[2])
+    return s * t, _mul(a, b) if node[0] == "mul" else ("div", a, b, *node[3:])
+
+
+@lru_cache(maxsize=256)
+def _row_multiple(family: str, m: int, r: int, order: int) -> Optional[_Form]:
+    """(c, factors) when extract(theta(family), m, r), given by its nonzero
+    terms (`theta_terms`), is c * row(q^s) to q^order for a THETA_ETA row,
+    the factors being that row's eta form at q^s, or None when it is not:
+    compared term by term, which is exact to the order.  A constant is c
+    with no factors.  The caller must not change the factors."""
+    terms = theta_terms(THETA_FAMILIES[family], order, m, r)
+    c = terms.get(0, 0)
+    first = min((n for n in terms if n), default=None)
+    if first is None or not c:
+        return (c, {}) if first is None else None
+    for name, form in THETA_ETA.items():
+        row = THETA_FAMILIES[name]
+        head = theta_terms(row, first)
+        lead = min((g for g in head if g), default=None)
+        if lead is None or first % lead or c * head[lead] != terms[first]:
+            continue
+        s = first // lead
+        if {s * g: c * v for g, v in theta_terms(row, order // s).items()} == terms:
+            return c, _etas({k * s: e for k, e in form.items()})
+    return None
 
 
 def _valued(node: Optional[_Dense]) -> bool:
@@ -743,7 +835,7 @@ def _run(x: Union[_Fold, _Dense, None], order: int = 0, pulled: Optional[list] =
             raise EvalError(f"power's constant term past {MAX_SCALAR_BITS} bits", print_expr(x[3]))
         return base ** x[2]
     if kind == "theta":
-        return theta_series(THETA_FAMILIES[x[1]], order)
+        return theta_series(THETA_FAMILIES[x[1]], order, x[2], x[3])
     if kind == "subs":
         _, child, sign, d = x
         out = [0] * (order + 1)
@@ -802,7 +894,7 @@ def _lift(node: Optional[_Dense]) -> tuple[_Factors, Optional[_Dense]]:
     """(factors, rest): the eta forms of the thetas that have one in a
     dense node, outside its folds and sums, and the node without them."""
     kind = node and node[0]
-    if kind == "theta" and node[1] in THETA_ETA:
+    if kind == "theta" and node[2] == 1 and node[1] in THETA_ETA:
         return _etas(THETA_ETA[node[1]]), None
     if kind in ("mul", "div"):
         (a_factors, a), (b_factors, b) = _lift(node[1]), _lift(node[2])
@@ -830,7 +922,7 @@ def _form(x: Union[_Fold, _Dense, None]) -> Optional[_Form]:
         return 1, {}
     kind = x[0]
     if kind == "theta":
-        return (1, _etas(THETA_ETA[x[1]])) if x[1] in THETA_ETA else None
+        return (1, _etas(THETA_ETA[x[1]])) if x[2] == 1 and x[1] in THETA_ETA else None
     if kind == "subs":
         child = _form(x[1])
         return child and (1, _subs_atoms(child[1], x[2], x[3]))

@@ -219,24 +219,32 @@ def _cache_clear() -> None:
 def lebesgue_partial(j_max: int, order: int) -> TruncatedSeries:
     """Partial sums of sum_j (-1;q)_j q^(j(j+1)/2) / (q;q)_j.
 
-    Term j is accumulated incrementally: going from term j-1 to term j
-    multiplies by (1+q^(j-1)) * q^j = q^j + q^(2j-1) (2q for j = 1) and
-    divides by (1-q^j), two O(order) updates in place.  Terms whose
-    valuation j(j+1)/2 exceeds the order vanish entirely, so the partial
-    sums stabilize once j(j+1)/2 > order.
+    Term j is zero below its valuation j(j+1)/2, so it is kept in a window
+    from there on: going from term j-1 to term j moves the window by j (the
+    factor q^j), multiplies by 1 + q^(j-1) (by 2 for j = 1) in one slice
+    add and divides by 1 - q^j, in place on the window alone, and one
+    slice add puts it into the sum at q^(j(j+1)/2).  Terms whose valuation
+    exceeds the order vanish entirely, so the partial sums stabilize once
+    j(j+1)/2 > order.
     """
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
     if order < 0:
         raise ValueError("order must be nonnegative")
     total = [1] + [0] * order  # j = 0 term
-    term = [1] + [0] * order
+    term = total[:]  # term j at q^(start + i), i <= order - start
+    start = 0
     for j in range(1, j_max + 1):
-        if j * (j + 1) // 2 > order:
+        start += j
+        if start > order:
             break
-        _mul_sparse(term, [(j, 1), (2 * j - 1, 1)] if j > 1 else [(1, 2)], c0=0)
+        del term[order - start + 1 :]
+        if j == 1:
+            term[:] = map(add, term, term)
+        else:
+            term[j - 1 :] = map(add, term[j - 1 :], term)
         _mul_sparse(term, [(j, -1)], divide=True)
-        total[:] = map(add, total, term)
+        total[start:] = map(add, total[start:], term)
     return TruncatedSeries(total)
 
 

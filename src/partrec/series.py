@@ -10,7 +10,8 @@ finite counterparts, quotients of the Dedekind-eta-style products
 eta_k = (q^k; q^k)_inf, and generates the sparse theta series that arise
 from Jacobi's triple product identity.  Each theta family is one row of
 `THETA_FAMILIES`, a quadratic sum of signs times q^((a*k^2 + b*k)/d), and
-`theta_series` is its one generator; eta_k takes its pentagonal terms
+`theta_terms` is its one generator, of the whole sum or of one
+progression extract(sum, m, r) alone; eta_k takes its pentagonal terms
 from the PENT row.  `THETA_ETA` holds the eta-quotient forms of the ten
 families that have one.  An eta quotient is expanded by a plan (`_plan`):
 up to two of those thetas at q^s, each one sparse factor in place of
@@ -50,6 +51,7 @@ __all__ = [
     "eta_passes",
     "ProductForm",
     "theta_series",
+    "theta_terms",
 ]
 
 
@@ -377,21 +379,38 @@ THETA_ETA: dict[str, dict[int, int]] = {
 }
 
 
-def theta_series(row: tuple[int, int, int, bool, tuple[int, ...]], order: int) -> TruncatedSeries:
-    """Expand a THETA_FAMILIES row to q^order.
+_Row = tuple[int, int, int, bool, tuple[int, ...]]
+
+
+def theta_terms(row: _Row, order: int, m: int = 1, r: int = 0) -> dict[int, int]:
+    """{n: c} for the nonzero c*q^n, n <= order, of the progression
+    extract(row's sum, m, r): its terms at q^(m*n + r), walked on the row
+    alone, about sqrt(m*order) of them.
 
     Every row has 0 <= b <= a, so a*k^2 + b*k is nonnegative and grows with
-    |k| on each side of 0: each side's walk stops at the first k past the order.
+    |k| on each side of 0: each side's walk stops at the first k past the
+    order.  a*k^2 + b*k = d*(m*n + r) exactly when it is d*r mod d*m.
     """
+    a, b, d, two_sided, signs = row
+    top, step_mod, want = d * (m * order + r), d * m, d * r
+    out: dict[int, int] = {}
+    for k, step in ((0, 1), (-1, -1)) if two_sided else ((0, 1),):
+        while (x := a * k * k + b * k) <= top:
+            if x % step_mod == want:
+                n = x // step_mod
+                out[n] = out.get(n, 0) + signs[k % len(signs)]
+            k += step
+    return {n: c for n, c in out.items() if c}
+
+
+def theta_series(row: _Row, order: int, m: int = 1, r: int = 0) -> TruncatedSeries:
+    """Expand a THETA_FAMILIES row to q^order, or its progression
+    extract(row's sum, m, r) for m >= 2 (`theta_terms`)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    a, b, d, two_sided, signs = row
     out = [0] * (order + 1)
-    for k, step in ((0, 1), (-1, -1)) if two_sided else ((0, 1),):
-        while (m := a * k * k + b * k) <= d * order:
-            if not m % d:
-                out[m // d] += signs[k % len(signs)]
-            k += step
+    for n, c in theta_terms(row, order, m, r).items():
+        out[n] = c
     return TruncatedSeries(out)
 
 
@@ -399,8 +418,8 @@ def _mul_theta(acc: list[int], name: str, s: int, e: int) -> None:
     """acc *= theta_name(q^s)^e in place, truncated to len(acc)-1, for a
     THETA_FAMILIES name; e < 0 divides.  Each power of the factor is one
     kernel call with one pass per term of the sparse sum."""
-    theta = theta_series(THETA_FAMILIES[name], (len(acc) - 1) // s)
-    terms = [(s * g, c) for g, c in _terms(theta.coeffs)]
+    theta = theta_terms(THETA_FAMILIES[name], (len(acc) - 1) // s)
+    terms = sorted((s * g, c) for g, c in theta.items() if g)
     for _ in range(abs(e) if terms else 0):  # theta(q^s) == 1 below q^s
         _mul_sparse(acc, terms, divide=e < 0)
 

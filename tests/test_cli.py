@@ -203,9 +203,15 @@ def test_check_of_many_forms_keeps_a_bounded_store(tmp_path, capsys):
 
 
 def test_check_grows_each_named_table_once(tmp_path, capsys, monkeypatch):
-    # po_bar is read at q^1000, then inside the extract at q^2001: grown once, to the larger
-    path = tmp_path / "two.qid"
-    path.write_text("lebesgue(45) == po_bar within 5\nextract(po_bar, 2, 1) == 2 * op * theta(TWO_TRI4) within 5\n")
+    # po_bar is read at q^1000, then inside an extract that does not dissect
+    # (by 3) at q^3001: grown once, to the larger.  Its dissection by 2 is
+    # decided, a product on both sides, and reads no table.
+    path = tmp_path / "three.qid"
+    path.write_text(
+        "lebesgue(45) == po_bar within 5\n"
+        "extract(po_bar, 2, 1) == 2 * op * theta(TWO_TRI4) within 5\n"
+        "extract(po_bar, 3, 1) + 0 == extract(po_bar, 3, 1) within 5\n"
+    )
     expand = functions._expand_key
     expanded = []
 
@@ -217,8 +223,7 @@ def test_check_grows_each_named_table_once(tmp_path, capsys, monkeypatch):
     functions._cache_clear()
     code, out, _ = run_cli(capsys, "check", str(path), "--order", "1000")
     assert code == 0, out
-    assert expanded.count(functions.KEYS[PartitionFunctionId.PO_ODD]) == 1
-    assert len(expanded) == len(set(expanded))
+    assert expanded == [functions.KEYS[PartitionFunctionId.PO_ODD]]
 
 
 def test_check_parse_error(tmp_path, capsys):
@@ -487,7 +492,7 @@ def test_usage_error_exit_code_subprocess():
 LAZY_IMPORTS = """
 import sys
 import partrec.cli
-lazy = ("fractions", "dataclasses", "inspect", "csv", "partrec.oracle")
+lazy = ("fractions", "dataclasses", "inspect", "csv", "json", "partrec.oracle")
 loaded = lambda: [m for m in lazy if m in sys.modules]
 after_import = loaded()
 code = partrec.cli.main(["check", "identities/paper.qid"])
@@ -533,7 +538,7 @@ print(json.dumps({"codes": codes, "names": sorted({s["name"] for s in tracer.spa
 def test_benchmark_tracer_still_installs(tmp_path):
     path = tmp_path / "one.qid"
     # the first statement is decided on exponent sequences; the second reads po_bar's table
-    path.write_text("po_bar == P(-q^1; q^2) / P(q^1; q^2) within 20\nextract(po_bar, 2, 1) == 2 * op * theta(TWO_TRI4) within 20\n")
+    path.write_text("po_bar == P(-q^1; q^2) / P(q^1; q^2) within 20\nlebesgue(6) == po_bar within 20\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT / "bench")]))
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_RUN, str(path)],

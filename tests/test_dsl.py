@@ -541,9 +541,11 @@ def test_grow_reads_each_table_at_its_largest_order(monkeypatch):
         monkeypatch.setattr(module, "eta_series", recording)
     functions._cache_clear()
     dsl.grow(parse(
-        # an extract's argument is read at m*n + r, a subs's at n // d
-        "extract(po_bar, 2, 1) + 0 == 1 within 5\n"
-        "subs(extract(pdo, 2, 0), q^2) + 0 == 1 within 5\n"
+        # an extract's argument that does not dissect (no theta family fits
+        # its eta exponents off the multiples of 3) is read at m*n + r, a
+        # subs's at n // d
+        "extract(po_bar, 3, 1) + 0 == 1 within 5\n"
+        "subs(extract(pdo, 3, 0), q^2) + 0 == 1 within 5\n"
         # an extract past MAX_ORDER raises before it reads anything
         "extract(p, 5000, 0) + op == 1 within 3\n"
         # pood and p2 read one table
@@ -553,7 +555,7 @@ def test_grow_reads_each_table_at_its_largest_order(monkeypatch):
         # a decided statement reads nothing
         "P(-q^1; q^2) / P(q^1; q^2)^2 == P(q^3; q^3) within 7\n"
     ))
-    expected = {F.PO_ODD: 11, F.PDO: 4, F.OP: 3, F.POOD: 9}
+    expected = {F.PO_ODD: 16, F.PDO: 6, F.OP: 3, F.POOD: 9}
     assert grown == {functions.KEYS[f]: n for f, n in expected.items()}
 
 
@@ -780,19 +782,13 @@ def test_checking_paper_qid_expands_each_key_once_per_order(monkeypatch):
     monkeypatch.setattr(functions, "_expand_key", recording)
     functions._cache_clear()
     assert all(check(stmt).passed for stmt in parse(PAPER_QID.read_text(encoding="utf-8")))
-    # the statements decided on exponent sequences expand nothing; what is left
-    # (extract and lebesgue) cancels its sides' exponent parts, so it reads
-    # po_bar (under extract, and bare against lebesgue), the eta quotient of
-    # the product chain under extract, P(-q^2; q^4)^2 * P(q^4; q^4) =
-    # eta4^5 / (eta2^2 eta8^2), and each dissection's product side as one table
+    # the statements decided on exponent sequences expand nothing, and each
+    # extract is dissected into a product (po_bar = theta(SQ) * subs(op, q^2),
+    # and the progressions of theta(SQ) are subs(theta(SQ), q^2) and
+    # 2 * theta(TWO_TRI4)), so each dissection is decided too; only lebesgue
+    # is left, and its product side reads po_bar at the statement's order
     assert len(expanded) == len({key for key, _ in expanded})
-    assert dict(expanded) == {
-        functions.KEYS[F.PO_ODD]: 401,
-        series.eta_key({4: 5, 2: -2, 8: -2}): 400,
-        series.eta_key({2: 5, 1: -2, 4: -2}): 200,  # theta(SQ)
-        series.eta_key({2: 1, 8: 2, 1: -2, 4: -1}): 200,  # 2 * op * theta(TWO_TRI4)
-        series.eta_key({4: 5, 1: -2, 2: -1, 8: -2}): 200,  # op * P(-q^2; q^4)^2 * P(q^4; q^4)
-    }
+    assert dict(expanded) == {functions.KEYS[F.PO_ODD]: 200}
 
 
 def _reads_by_phase(monkeypatch, run):
@@ -835,9 +831,11 @@ def test_grow_expands_the_keys_that_check_reads(monkeypatch, path):
 
 
 def test_grow_expands_the_keys_that_verify_reads(monkeypatch):
+    # T7 and T8 are decided; CKS_SQ's extract of pdo is p times a theta
+    # progression, which takes p's quotient in place; MERCA_GK's pulled subs
+    # reads p, and LEBESGUE's product side po_bar
     reads = _reads_by_phase(monkeypatch, lambda: recurrences.verify_all(300))
-    t7_product_side = series.eta_key({2: 1, 8: 2, 1: -2, 4: -1})  # 2 * op * theta(TWO_TRI4)
-    assert reads["grow"] == reads["check"] == {functions.KEYS[f] for f in (F.P, F.PDO, F.PO_ODD)} | {t7_product_side}
+    assert reads["grow"] == reads["check"] == {functions.KEYS[f] for f in (F.P, F.PO_ODD)}
 
 
 @pytest.mark.parametrize(
@@ -998,7 +996,7 @@ def _respell(expr):
     and powers multiplied out."""
     if isinstance(expr, NamedFunction):
         return _spelled(expr.fid.product.factors)
-    if isinstance(expr, Theta):
+    if isinstance(expr, Theta) and expr.family in series.THETA_ETA:
         return _spelled((1, k, k, e) for k, e in series.THETA_ETA[expr.family].items())
     if isinstance(expr, Pochhammer):
         if expr.sign == -1:  # (-x; Q) = (x^2; Q^2) / (x; Q)
@@ -1155,6 +1153,95 @@ def test_a_pulled_extract_matches_the_extract_of_its_argument(sides, order):
     assert pulled == (reference if isinstance(reference, str) else reference[lhs.r :: lhs.m])
     if not isinstance(pulled, str):  # each pair is an identity
         assert pulled == _evaluated(rhs, order)
+
+
+# Dissected extracts: an argument whose eta exponents off the multiples of m
+# are a THETA_ETA family's, times a product in q^m and pulled subs factors,
+# against the argument evaluated whole.  Plain eta quotients, named functions
+# and off-gcd atoms cover the arguments that keep their extract node.
+_eta_forms = st.sampled_from(sorted(series.THETA_ETA)).flatmap(
+    lambda name: st.sampled_from([Theta(name), _spelled((1, k, k, e) for k, e in series.THETA_ETA[name].items())])
+)
+_dissectable = st.one_of(
+    _eta_forms,
+    _eta_forms,
+    st.sampled_from(list(F)).map(NamedFunction),
+    st.dictionaries(st.integers(1, 8), st.integers(-2, 2), max_size=3).map(
+        lambda eta: _spelled((1, k, k, e) for k, e in eta.items() if e)
+    ),
+    st.builds(Pochhammer, _signs, st.integers(1, 4), st.integers(1, 4), st.integers(0, 2)),
+    st.sampled_from([Theta("GPENT_HALF"), LebesguePartial(2)]),
+)
+
+
+def _in_q_m(m):
+    """A product in q^m: eta_(k*m) powers, and a subs factor that is pulled."""
+    etas = st.dictionaries(st.integers(1, 3), st.integers(-2, 2), max_size=2).map(
+        lambda eta: _spelled((1, k * m, k * m, e) for k, e in eta.items() if e)
+    )
+    pulled = st.builds(
+        lambda a, sign, k: Subs(a, sign, k * m),
+        st.one_of(st.sampled_from(list(F)).map(NamedFunction), _eta_forms, st.just(LebesguePartial(3))),
+        _signs,
+        st.integers(1, 2),
+    )
+    return st.one_of(st.just(IntLiteral(1)), st.just(IntLiteral(-3)), etas, pulled, st.builds(Mul, etas, pulled))
+
+
+_dissections = st.integers(2, 5).flatmap(
+    lambda m: st.tuples(st.builds(Mul, _dissectable, _in_q_m(m)), st.just(m), st.integers(0, m - 1))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dissections, st.integers(0, 12))
+@example((NamedFunction(F.PO_ODD), 2, 1), 12)  # T7: 2 * op * theta(TWO_TRI4)
+@example((NamedFunction(F.PO_ODD), 2, 0), 12)  # T8: op * subs(theta(SQ), q^2)
+@example((Theta("SQ"), 4, 2), 12)  # no square is 2 mod 4: the extract is 0
+@example((Mul(Theta("TRI"), Subs(NamedFunction(F.P), 1, 4)), 2, 0), 12)  # MERCA_GK's right side
+def test_a_dissected_extract_matches_its_argument_sliced(case, order):
+    # evaluating the argument whole dissects nothing: the reference
+    arg, m, r = case
+    whole = _evaluated(arg, m * order + r)
+    assert _evaluated(Extract(arg, m, r), order) == (whole if isinstance(whole, str) else whole[r::m])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dissections, st.integers(0, 2), st.integers(0, 12), st.one_of(st.none(), st.integers(1, 12)))
+def test_a_dissected_extract_reports_as_the_coefficient_route(case, k, order, j):
+    # against the same extract respelled, or times P(q^j; q^13), which makes
+    # the sides differ first at q^j, each also with `+ k`; a `values` source
+    # keeps the named functions as tables, whose chains keep their extract node
+    arg, m, r = case
+    rhs = Extract(_respell(arg), m, r) if j is None else Mul(Extract(arg, m, r), Pochhammer(1, j, 13))
+    stmt = IdentityStatement(*_plus((Extract(arg, m, r), rhs), k), order)
+    assert _report(stmt, order) == _report(stmt, order, function_value)
+
+
+def test_the_parity_dissections_of_po_bar_are_products():
+    # po_bar = theta(SQ) * subs(op, q^2), and theta(SQ)'s progressions are
+    # subs(theta(SQ), q^2) and 2 * theta(TWO_TRI4): both extracts are products
+    for r, rhs in ((0, "op * subs(theta(SQ), q^2)"), (1, "2 * op * theta(TWO_TRI4)")):
+        [stmt] = parse(f"extract(po_bar, 2, {r}) == {rhs} within 2000")
+        assert not dsl.expands(stmt)
+        assert dsl._form(dsl._fold(stmt.lhs, 2000, None)) == dsl._form(dsl._fold(stmt.rhs, 2000, None))
+    # theta(PENT)'s even progression is not a theta row: a dense theta node
+    fold = dsl._fold(parse("extract(theta(GPENT), 2, 0) == 1 within 50")[0].lhs, 50, None)
+    assert fold.dense == ("theta", "PENT", 2, 0)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # po_bar itself, and a product in q^2, over a non-unit divisor
+        "extract(po_bar * P(q^2; q^2) / (2 * P(q^2; q^2)), 2, 1) == 2 * op * theta(TWO_TRI4) within 20",
+        "extract(subs(p, q^2) * theta(SQ) / (2 * P(q^2; q^2)), 2, 0) == p within 20",
+    ],
+)
+def test_a_non_unit_divisor_in_a_dissected_argument_raises(text):
+    [stmt] = parse(text)
+    message = "cannot invert series with constant term 2 (in: 2 * P(q^2; q^2))"
+    assert _report(stmt, 20) == _report(stmt, 20, function_value) == message
 
 
 def test_subs_of_a_product_is_decided(monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 import threading
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from partrec.functions import (
     lebesgue_partial,
     lebesgue_term,
 )
-from partrec.series import ProductSpec, TruncatedSeries, eta_quotient, pochhammer_expand
+from partrec.series import ProductSpec, TruncatedSeries, _mul_sparse, eta_quotient, pochhammer_expand
 
 
 def test_po_bar_small_table():
@@ -258,6 +259,33 @@ def test_lebesgue_partial_matches_literal_term_assembly():
         for j in range(j_max + 1):
             total = total + lebesgue_term(j, order)
         assert lebesgue_partial(j_max, order) == total
+
+
+def _accumulated(j_max: int, order: int) -> list[tuple[int, ...]]:
+    """The partial sums for j = 0..j_max by the accumulator the window
+    replaced: each step multiplies the whole list by q^j + q^(2j-1) (2q for
+    j = 1), divides it by 1 - q^j and adds it all into the sum."""
+    total = [1] + [0] * order
+    term = [1] + [0] * order
+    sums = [tuple(total)]
+    for j in range(1, j_max + 1):
+        if j * (j + 1) // 2 <= order:
+            _mul_sparse(term, [(j, 1), (2 * j - 1, 1)] if j > 1 else [(1, 2)], c0=0)
+            _mul_sparse(term, [(j, -1)], divide=True)
+            total[:] = map(add, total, term)
+        sums.append(tuple(total))
+    return sums
+
+
+def test_the_windowed_lebesgue_sum_matches_the_full_accumulator():
+    # every order to 300; each j up to two past the last term inside the
+    # order (j(j+1)/2 <= order), so every valuation at, just below and past
+    # the order, and j = 120, far past it
+    for order in range(301):
+        sums = _accumulated(120, order)
+        last = max(j for j in range(121) if j * (j + 1) // 2 <= order)
+        for j in [*range(last + 3), 120]:
+            assert lebesgue_partial(j, order).coeffs == sums[j], (j, order)
 
 
 def test_lebesgue_validation():

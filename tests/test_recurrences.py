@@ -22,7 +22,7 @@ from partrec.recurrences import (
     verify,
     verify_all,
 )
-from partrec.series import THETA_FAMILIES, eta_key, theta_series
+from partrec.series import THETA_FAMILIES, theta_series
 
 
 # ---------------------------------------------------------------------------
@@ -500,28 +500,30 @@ def test_verify_all_expands_each_function_once(monkeypatch):
         return expand(key, order)
 
     monkeypatch.setattr(functions, "_expand_key", counting)
-    keys = {functions.KEYS[f] for f in (F.P, F.PDO, F.PO_ODD)} | {eta_key({2: 1, 8: 2, 1: -2, 4: -1})}
+    keys = {functions.KEYS[f] for f in (F.P, F.PO_ODD)}
     for n in (300, 2000):
         functions._cache_clear()
         expanded.clear()
         assert all(r.passed for r in verify_all(n))
         # at most one store expansion per key, and only of the tables that
-        # the 8 undecided suites read: po_bar under extract (T7, T8; LEBESGUE
-        # reads it too), pdo under extract (CKS_SQ), p in MERCA_GK's pulled
-        # subs, and T7's product side 2 * op * theta(TWO_TRI4) as one table,
-        # eta2 eta8^2 / (eta1^2 eta4).  T8's sides both have a dense part, so
-        # it divides by op's quotient in place; pd and peed appear only in
-        # decided suites, and the parity suites apply pood's and p's
-        # quotients to their thetas in place
+        # the 6 undecided suites read: po_bar (LEBESGUE's product side) and
+        # p in MERCA_GK's pulled subs, each at n, never past it.  T7 and T8
+        # are decided, CKS_SQ's extract of pdo is p times a theta progression
+        # (p's quotient applied in place), pd and peed appear only in decided
+        # suites, and the parity suites apply pood's and p's quotients to
+        # their thetas in place
         assert len(expanded) == len(set(expanded))
         assert set(expanded) == keys
 
 
-def test_seventeen_suites_are_decided():
-    # the 14 product suites and the three whose subs is of a product
+def test_nineteen_suites_are_decided():
+    # the 14 product suites, the three whose subs is of a product, and the
+    # two dissections, whose extract of po_bar is op times a theta progression
+    # that equals a theta row: subs(theta(SQ), q^2) for r = 0, 2 * theta(TWO_TRI4) for r = 1
     decided = {tid for tid in TheoremId if not dsl.expands(recurrences._statement(tid))}
-    assert len(decided) == 17
+    assert len(decided) == 19
     assert {TheoremId.CLASSICAL_EWELL, TheoremId.CLASSICAL_CKS_SIGNED, TheoremId.CLASSICAL_MERCA_PEED_TRI} <= decided
+    assert {TheoremId.T7_DISSECT_ODD, TheoremId.T8_DISSECT_EVEN} <= decided
 
 
 @pytest.mark.parametrize("tid", list(TheoremId))
