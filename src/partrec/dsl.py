@@ -36,18 +36,23 @@ folds.
 
 `check` runs each statement by its plan (`_plan`), the one place where
 its route is decided; `grow` and `expands` read the same plans.  The plan
-folds both sides once.  Under `mod M` (M >= 2), or with a caller's
-`values` source for the named functions (the theorem suites' corrupted
-tables, which have no eta form), the route is coefficients: both sides
-are run and compared coefficientwise, modulo M from q^1 on.  Otherwise a
-statement whose sides are both products (`_form`: integer literals,
+folds both sides once.  With a caller's `values` source for the named
+functions (the theorem suites' corrupted tables, which have no eta
+form), the route is coefficients: both sides are run and compared
+coefficientwise, modulo M from q^1 on under `mod M` (M >= 2).  Otherwise
+a statement whose sides are both products (`_form`: integer literals,
 Pochhammer atoms, named functions and the theta families with an eta
 form in `THETA_ETA`, under *, / and ^, inside subs and as the extracts
 that dissect into products) is decided on
 their scalars and exponent sequences a_n of (1 - q^n), which it reads
-off without expanding; equal products are equal series.  Any other
-statement is cancelled: compared on its sides less their common
-exponent part.  Each side's chain, its eta-form thetas lifted
+off without expanding; equal products are equal series.  Under `mod M`
+it is decided over F_p for each prime p of a squarefree M below
+_FACTOR_BOUND, when the scalars are equal mod p or one of them is 0 mod
+p: as (1 - q^n)^p = 1 - q^(pn) mod p, two products agree mod p where
+their exponents' normal forms mod p do.  Any other statement under
+`mod M` takes the coefficient route, and any other with no `mod M` is
+cancelled: compared on its sides less their common exponent part.  Each
+side's chain, its eta-form thetas and the products under its subs lifted
 (`_lifted`), is a scalar times an exponent part times a dense part, and
 the quotient of the exponent parts goes to one side only: to the side
 that is a product when exactly one is, which then reads it as one
@@ -131,6 +136,8 @@ MAX_DEPTH = 100
 MAX_DIGITS = 4300
 # Largest power of a scalar or of a dense constant term c, in bits (|c|.bit_length() * n): 999^5000 takes 50 000.
 MAX_SCALAR_BITS = 2**16
+# A modulus below this is factored by trial division (`_primes`); a larger one keeps the coefficient route.
+_FACTOR_BOUND = 2**20
 
 
 class ParseError(ValueError):
@@ -609,10 +616,10 @@ def _squarings(n: int) -> int:
 
 def _power(base: _Fold, n: int, expr: ExprNode) -> _Fold:
     """base^n: every exponent times n, unless n times base's kernel passes
-    (its eta quotient's plan, `eta_passes`, with its thetas that `_lift`
-    takes out, and one per binomial) exceed what expanding base and
-    squaring it costs, `_squarings(n)` dense products of `order` passes
-    each.  A scalar power (n >= 2) whose |s|.bit_length() * n would pass
+    (its eta quotient's plan, `eta_passes`, with the thetas and subs
+    products that `_lift` takes out, and one per binomial) exceed what
+    expanding base and squaring it costs, `_squarings(n)` dense products
+    of `order` passes each.  A scalar power (n >= 2) whose |s|.bit_length() * n would pass
     MAX_SCALAR_BITS fails instead, once base's dense part has run."""
     order = base.order
     if n > 1:
@@ -715,8 +722,8 @@ def _fold(expr: ExprNode, order: int, values: Optional[Values], pull: Optional[i
 def _dissect(child: _Fold, m: int, r: int, order: int) -> Optional[_Fold]:
     """extract(A, m, r) to q^order as a fold with no extract node, child
     being A's fold (to q^(m*order + r), its subs factors pulled), or None
-    when A's chain, its thetas lifted (`_lift`), has a valued dense part or
-    (1 - q^n) binomials.
+    when A's chain, its thetas and the products under its subs lifted
+    (`_lift`), has a valued dense part or (1 - q^n) binomials.
 
     Of A's eta exponents e_k, those at m | k are a product in q^m, which
     comes out as a product in q.  If nothing is left the extract is that
@@ -885,17 +892,27 @@ def _expand(value: Optional[TruncatedSeries], fold: _Fold) -> TruncatedSeries:
 
 def _lifted(fold: _Fold) -> _Fold:
     """The fold with the thetas of its chain that have an eta form
-    (`THETA_ETA`) moved from its dense part into its factors."""
+    (`THETA_ETA`), and the products under its subs, moved from its dense
+    part into its factors (`_lift`)."""
     factors, dense = _lift(fold.dense)
     return fold._replace(factors=_add(fold.factors, factors, 1), dense=dense)
 
 
 def _lift(node: Optional[_Dense]) -> tuple[_Factors, Optional[_Dense]]:
     """(factors, rest): the eta forms of the thetas that have one in a
-    dense node, outside its folds and sums, and the node without them."""
+    dense node, outside its folds and sums, and the node without them.  A
+    subs of a fold with scalar 1 gives up the fold's factors and its own
+    lifted thetas, at +-q^d (`_subs_atoms`): subs(F * R, +-q^d) is
+    subs(F, +-q^d) * subs(R, +-q^d), and only the rest R stays under the
+    subs."""
     kind = node and node[0]
     if kind == "theta" and node[2] == 1 and node[1] in THETA_ETA:
         return _etas(THETA_ETA[node[1]]), None
+    if kind == "subs" and node[1].scalar == 1:
+        _, child, sign, d = node
+        factors, rest = _lift(child.dense)
+        rest = rest and ("subs", _node(rest, child.order), sign, d)
+        return _subs_atoms(_add(child.factors, factors, 1), sign, d), rest
     if kind in ("mul", "div"):
         (a_factors, a), (b_factors, b) = _lift(node[1]), _lift(node[2])
         if kind == "mul" or b is None and node[3] in (1, -1):
@@ -1021,32 +1038,57 @@ def residuals(stmt: IdentityStatement, order: int, values: Optional[Values] = No
     return _difference(stmt, evaluate(stmt.lhs, order, values), evaluate(stmt.rhs, order, values))
 
 
+@lru_cache(maxsize=64)
+def _primes(modulus: int) -> Optional[tuple[int, ...]]:
+    """The primes of a squarefree modulus below _FACTOR_BOUND, found by
+    trial division, or None for any other modulus."""
+    if modulus >= _FACTOR_BOUND:
+        return None
+    primes = []
+    p = 2
+    while p * p <= modulus:
+        if modulus % p == 0:
+            modulus //= p
+            if modulus % p == 0:
+                return None
+            primes.append(p)
+        p += 1
+    return (*primes, modulus) if modulus > 1 else tuple(primes)
+
+
 def _plan(stmt: IdentityStatement, order: int, values: Optional[Values]) -> tuple:
     """The route by which `check` compares the statement's sides to q^order,
     each folded once (`_fold`), with what that route needs:
 
-    ("coefficients", left, right) under `mod M`, and always with a `values`
-    source: both folds are run and compared coefficientwise.
+    ("decided", lhs, rhs) when both sides are products (`_form`): their
+    scalars and exponent sequences decide the statement.  Under `mod M`
+    this takes a squarefree M below _FACTOR_BOUND (`_primes`) and scalars
+    s, t with s = t or s*t = 0 modulo each prime of M, which decide it
+    over F_p (`_compare_products`).  A non-unit divisor of a product
+    raises EvalError here.
 
-    ("decided", lhs, rhs) with no `mod M` when both sides are products
-    (`_form`): their scalars and exponent sequences decide the statement.
-    A non-unit divisor of a product raises EvalError here.
+    ("coefficients", left, right) with a `values` source, and under any
+    other `mod M`: both folds are run and compared coefficientwise.
 
-    ("cancelled", left, right, lhs, rhs) otherwise: the folds, their thetas
-    lifted (`_lifted`), and the folds that run in their place.  Each side
-    is a scalar times an exponent part Q times its dense part O; the
-    quotient of the exponent parts goes to one side and the other runs as
-    s*O alone.  When exactly one side is a product (O has no value), that
-    side takes it, and reads it as one table (`_route`); otherwise the left
-    takes Q_L/Q_R, and applies it to its O in place.
+    ("cancelled", left, right, lhs, rhs) otherwise, with no `mod M`: the
+    folds, their thetas and subs of products lifted (`_lifted`), and the
+    folds that run in their place.  Each side is a scalar times an
+    exponent part Q times its dense part O; the quotient of the exponent
+    parts goes to one side and the other runs as s*O alone.  When exactly
+    one side is a product (O has no value), that side takes it, and reads
+    it as one table (`_route`); otherwise the left takes Q_L/Q_R, and
+    applies it to its O in place.
     """
     left, right = _fold(stmt.lhs, order, values), _fold(stmt.rhs, order, values)
-    if values is not None or stmt.modulus is not None:
+    primes = () if stmt.modulus is None else _primes(stmt.modulus)
+    if values is not None or primes is None:
         return "coefficients", left, right
     lhs = _form(left)
     rhs = lhs and _form(right)
-    if rhs:
+    if rhs and all((lhs[0] - rhs[0]) * lhs[0] * rhs[0] % p == 0 for p in primes):
         return "decided", lhs, rhs
+    if stmt.modulus is not None:
+        return "coefficients", left, right
     left, right = _lifted(left), _lifted(right)
     over = _add(left.factors, right.factors, -1)  # Q_L/Q_R
     if _valued(left.dense) and not _valued(right.dense):  # the right side alone is a product
@@ -1150,22 +1192,59 @@ def _coefficient(dense: Optional[TruncatedSeries], form: _Form, n: int) -> int:
     return scalar * acc[n]
 
 
-def _compare_products(left: _Form, right: _Form, n: int) -> Optional[tuple[int, int, int, int]]:
+def _digit_difference(a: list[int], b: list[int], p: int, stop: int) -> int:
+    """The least 1 <= m < stop at which prod (1 - q^m)^(a_m) and
+    prod (1 - q^m)^(b_m) differ mod a prime p, or stop if there is none.
+
+    As (1 - q^m)^p = 1 - q^(pm) mod p, each product has a normal form mod
+    p, its digits 0 <= d_m < p: walking m upward, d_m is a_m mod p, and
+    (a_m - d_m)/p is carried into a_(pm).  At the first m with d_m != e_m
+    the quotient of the two is 1 - (d_m - e_m) q^m + O(q^(m+1)), and
+    0 < |d_m - e_m| < p, so that is where they first differ."""
+    a, b = list(a), list(b)
+    for m in range(1, stop):
+        (carry_a, d), (carry_b, e) = divmod(a[m], p), divmod(b[m], p)
+        if d != e:
+            return m
+        if p * m < stop:
+            a[p * m] += carry_a
+            b[p * m] += carry_b
+    return stop
+
+
+def _compare_products(
+    left: _Form, right: _Form, n: int, modulus: Optional[int] = None
+) -> Optional[tuple[int, int, int, int]]:
     """(i, residual, lhs_i, rhs_i) at the first difference of two products
     to q^n, or None when they agree: unequal scalars differ at q^0, two
     zero scalars are two zero series, and otherwise the sides differ first
     at the least i with a_i != b_i, by -scalar * (a_i - b_i); only there
-    are the sides expanded, to q^i."""
+    are the sides expanded, to q^i.
+
+    Under `mod M`, M squarefree and each prime p of M taking scalars s, t
+    with s = t or s*t = 0 mod p (`_plan`), q^0 is skipped, and the first
+    failure is the least over the primes of where the sides differ mod p:
+    where their digits differ (`_digit_difference`).  A side whose scalar
+    is 0 mod p is 0 there, and from q^1 on so is the product 1, with no
+    exponents.  A pass holds to the order checked.  The residual is
+    reduced mod M, as `_difference` reduces it."""
     s, t = left[0], right[0]
-    if s != t:
-        return 0, s - t, s, t
-    if not s:
+    if modulus is None:
+        if s != t:
+            return 0, s - t, s, t
+        if not s:
+            return None
+        a, b = _exponents(left, n), _exponents(right, n)
+        first = n + 1 if a == b else next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+    else:
+        a, b, one = _exponents(left, n), _exponents(right, n), [0] * (n + 1)
+        first = n + 1
+        for p in _primes(modulus):
+            first = _digit_difference(a if s % p else one, b if t % p else one, p, first)
+    if first > n:
         return None
-    a, b = _exponents(left, n), _exponents(right, n)
-    if a == b:
-        return None
-    i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
-    return i, -s * (a[i] - b[i]), _coefficient(None, left, i), _coefficient(None, right, i)
+    lhs, rhs = _coefficient(None, left, first), _coefficient(None, right, first)
+    return first, lhs - rhs if modulus is None else (lhs - rhs) % modulus, lhs, rhs
 
 
 def _compare_cancelled(plan: tuple, n: int) -> Optional[tuple[int, int, int, int]]:
@@ -1201,9 +1280,10 @@ def check(
 
     The statement's plan (`_plan`) names the route: a decided statement
     is compared on its products' scalars and exponent sequences with no
-    expansion (`_compare_products`), a cancelled one on its sides less
-    their common exponent part (`_compare_cancelled`), and any other,
-    under `mod M` or with a `values` source (as in `evaluate`), on both
+    expansion (`_compare_products`), over F_p under `mod M`, a cancelled
+    one on its sides less their common exponent part
+    (`_compare_cancelled`), and any other, under a `mod M` that F_p does
+    not decide or with a `values` source (as in `evaluate`), on both
     sides run (`_compare_coefficients`).  A failure records the first
     differing exponent, the residual there and both coefficients; every
     route finds the same ones.
@@ -1212,7 +1292,7 @@ def check(
     start = time.perf_counter()
     plan = _plan(stmt, n, values)
     if plan[0] == "decided":
-        failure = _compare_products(plan[1], plan[2], n)
+        failure = _compare_products(plan[1], plan[2], n, stmt.modulus)
     elif plan[0] == "cancelled":
         failure = _compare_cancelled(plan, n)
     else:

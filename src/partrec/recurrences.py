@@ -8,12 +8,12 @@ tables easy to diagnose.
 Every suite is one statement of the identity language in `_SUITES`, most
 of them a product identity between a generating function and a theta
 series, such as T1, `po_bar * theta(PENT) == theta(PENT_CEIL)`.  `verify`
-runs it through `dsl.check`, which decides 19 suites on their eta
-exponents: the products, the three with a subs of a product, and the
-dissections T7 and T8, whose extract of po_bar is op times a progression
-of theta(SQ) that is itself a theta row, so they read no table.  Of the
-other 6, the `mod 2` parities compare coefficients, and the rest compare
-their sides less their common exponent part.
+runs it through `dsl.check`, which decides 22 suites on their eta
+exponents, so they read no table: the products, the three with a subs of
+a product, the dissections T7 and T8, whose extract of po_bar is op times
+a progression of theta(SQ) that is itself a theta row, and the three
+`mod 2` parities, over F_2.  The other 3 (CKS_SQ, MERCA_GK and LEBESGUE)
+compare their sides less their common exponent part.
 `residual(tid, n)` is lhs - rhs at n by `dsl.residuals`, read
 (with the memoized source) from a table that grows like the function store.
 
@@ -204,8 +204,8 @@ def verify_all(n_max: int, values: Values = function_value) -> list[Verification
     """Run every theorem suite; reports come back in declaration order.
 
     With the memoized source, each store table that the suites read is
-    first grown once (`dsl.grow`); at n_max = 2000, that is p (MERCA_GK's
-    pulled subs) and po_bar (LEBESGUE's product side) to q^2000.
+    first grown once (`dsl.grow`); at n_max = 2000, that is po_bar alone
+    (LEBESGUE's product side), to q^2000.
     """
     if values is function_value and n_max <= VERIFY_MAX_N:  # above it, verify raises
         grow(map(_statement, TheoremId), n_max)

@@ -577,12 +577,14 @@ def test_grow_reads_each_table_at_its_largest_order(monkeypatch):
     ],
 )
 def test_is_product_per_node_kind(text, product):
-    # bare and inside a chain; under `mod M` every statement expands
+    # bare and inside a chain; under `mod 3` a product is decided over F_3
+    # too, its scalar being 1 or 0 mod 3, and under `mod 9` it expands
     for side in (text, f"pd * ({text})^2 / op"):
         stmt = parse(f"{side} == 1 within 5")[0]
         assert (dsl._form(dsl._fold(stmt.lhs, 5, None)) is not None) is product
         assert dsl.expands(stmt) is not product
-        assert dsl.expands(parse(f"{side} == 1 mod 3 within 5")[0])
+        assert dsl.expands(parse(f"{side} == 1 mod 3 within 5")[0]) is not product
+        assert dsl.expands(parse(f"{side} == 1 mod 9 within 5")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -831,11 +833,12 @@ def test_grow_expands_the_keys_that_check_reads(monkeypatch, path):
 
 
 def test_grow_expands_the_keys_that_verify_reads(monkeypatch):
-    # T7 and T8 are decided; CKS_SQ's extract of pdo is p times a theta
-    # progression, which takes p's quotient in place; MERCA_GK's pulled subs
-    # reads p, and LEBESGUE's product side po_bar
+    # T7, T8 and the parities are decided; CKS_SQ's extract of pdo is p
+    # times a theta progression, which takes its quotient in place;
+    # MERCA_GK's pulled subs of p lift into its exponent part, which cancels;
+    # LEBESGUE's product side reads po_bar
     reads = _reads_by_phase(monkeypatch, lambda: recurrences.verify_all(300))
-    assert reads["grow"] == reads["check"] == {functions.KEYS[f] for f in (F.P, F.PO_ODD)}
+    assert reads["grow"] == reads["check"] == {functions.KEYS[F.PO_ODD]}
 
 
 @pytest.mark.parametrize(
@@ -846,21 +849,26 @@ def test_grow_expands_the_keys_that_verify_reads(monkeypatch):
         # the product side reads po_bar's table; inside the sum, p2's quotient
         # is applied to theta(TRI) in place
         ("po_bar == p2 * theta(TRI) + 3 within 1000", [F.PO_ODD]),
-        # under `mod M` nothing cancels, and a theta is a dense part: pood's
-        # and op's quotients are applied to it in place
+        # a product under `mod 2` is decided over F_2, and reads nothing
         ("pood * theta(TRI) == 0 mod 2 within 300", []),
         ("op * theta(TWOSQ) == 0 mod 2 within 300", []),
         # the one product side takes the quotient and reads its table, by
         # name or as a chain: two statements grow po_bar's once
         ("lebesgue(45) == po_bar within 200", [F.PO_ODD]),
         ("lebesgue(45) == po_bar within 200\nlebesgue(45) + 1 == P(-q^1; q^2) / P(q^1; q^2) within 200", [F.PO_ODD]),
-        # a pulled subs reads its argument at its own order, here p at 300 and 150
-        ("extract(subs(p, q^2) * theta(GPENT), 2, 0) == extract(subs(p, q^4) * theta(TRI), 2, 0) within 300", [F.P]),
+        # the pulled subs of p lift into the exponent parts, which cancel
+        ("extract(subs(p, q^2) * theta(GPENT), 2, 0) == extract(subs(p, q^4) * theta(TRI), 2, 0) within 300", []),
         # any dense part, sparse or not, takes its quotient in place
         ("p * extract(theta(GPENT), 2, 0) == 0 mod 2 within 2000", []),
         ("p * subs(theta(TRI), q^2) == 0 mod 2 within 2000", []),
         # po_bar, the product side, takes po_bar / p = eta2^3 / (eta1 eta4) as one table
         ("p * extract(theta(GPENT), 2, 0) == po_bar within 2000", [{2: 3, 1: -1, 4: -1}]),
+        # under `mod 4` nothing cancels, and a theta is a dense part: op's
+        # quotient is applied to it in place
+        ("op * theta(TWOSQ) == 0 mod 4 within 300", []),
+        # a subs of a product lifts: the product side reads p(q^2)'s quotient
+        ("lebesgue(45) == subs(p, q^2) * theta(GPENT_HALF) within 200", []),
+        ("lebesgue(45) == subs(p * theta(TRI), q^2) within 200", [{2: -2, 4: 2}]),
     ],
 )
 def test_grow_reads_what_check_reads(monkeypatch, text, keys):
@@ -1417,3 +1425,175 @@ def test_a_derived_true_statement_expands_nothing(monkeypatch):
     monkeypatch.setattr(functions, "_expand_key", lambda key, order: pytest.fail(f"expanded {set(key)}"))
     [stmt] = parse("p2 * P(-q^2; q^5) == P(q^2; q^4) / P(q^1; q^1) * P(-q^2; q^5) within 1000")
     assert check(stmt).passed
+
+
+# ---------------------------------------------------------------------------
+# Products under `mod M`, decided over F_p, against the coefficient path
+
+@pytest.mark.parametrize(
+    "modulus, primes",
+    [
+        (2, (2,)), (3, (3,)), (6, (2, 3)), (7, (7,)), (30, (2, 3, 5)), (1048573, (1048573,)),
+        (4, None), (8, None), (9, None), (12, None), (2**20, None), (1048583, None),
+        (12345678901234567890123456789012345678, None),
+    ],
+)
+def test_a_modulus_decides_over_its_primes_when_squarefree_and_small(modulus, primes):
+    # a prime power, or any modulus from 2^20 on, keeps the coefficient route
+    assert dsl._primes(modulus) == primes
+    assert dsl.expands(parse(f"p == pd mod {modulus} within 50")[0]) is (primes is None)
+
+
+_mod_scalars = st.sampled_from([0, 1, -1, 2, 3, 4, 5, 6, 7, 10, 15, 30, 31])
+_mod_products = _product_chains(
+    st.one_of(
+        _product_atoms.filter(lambda x: not isinstance(x, IntLiteral)),
+        st.builds(Subs, _products, _signs, st.integers(1, 3)),
+        # extracts that dissect into products
+        st.integers(2, 3).flatmap(
+            lambda m: st.builds(Extract, st.builds(Mul, _eta_forms, _in_q_m(m)), st.just(m), st.integers(0, m - 1))
+        ),
+    )
+)
+
+
+def _scaled(c, x):
+    return Mul(IntLiteral(c), x)
+
+
+_mod_sides = st.one_of(
+    # equal products, respelled
+    st.builds(lambda s, t, x: (_scaled(s, x), _scaled(t, _respell(x))), _mod_scalars, _mod_scalars, _mod_products),
+    # and one side with an extra atom
+    st.builds(
+        lambda s, t, x, a: (_scaled(s, x), _scaled(t, Mul(_respell(x), a))),
+        _mod_scalars, _mod_scalars, _mod_products, _product_atoms,
+    ),
+    # X^p = X(q^p) mod p: all of X^p's exponents are carried
+    st.builds(
+        lambda s, t, x, p: (_scaled(s, Pow(x, p)), _scaled(t, Subs(x, 1, p))),
+        _mod_scalars, _mod_scalars, _mod_products, st.sampled_from([2, 3, 5]),
+    ),
+    st.builds(
+        lambda s, t, x, y: (_scaled(s, x), _scaled(t, y)), _mod_scalars, _mod_scalars, _mod_products, _mod_products
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mod_sides, st.sampled_from([2, 3, 5, 6, 7, 30, 4, 8, 9]), st.integers(0, 40))
+@example(_parts("pood * theta(TRI) == 0 mod 2 within 40")[:2], 2, 40)
+@example(_parts("P(q^1; q^1)^4 == P(q^2; q^2)^2 mod 4 within 40")[:2], 4, 40)
+@example(_parts("p == pd mod 2 within 40")[:2], 2, 40)
+@example(_parts("op == 1 mod 6 within 40")[:2], 6, 40)
+@example(_parts("2 * p^2 == 3 * subs(p, q^2) mod 30 within 40")[:2], 30, 40)
+def test_deciding_mod_p_matches_the_coefficient_path(sides, modulus, order):
+    stmt = IdentityStatement(*sides, order, modulus=modulus)
+    assert _report(stmt, order) == _report(stmt, order, function_value)
+
+
+@pytest.mark.parametrize(
+    "text, decided",
+    [
+        # the parities: a product against 0
+        ("pood * theta(TRI) == 0 mod 2 within 300", True),
+        ("2 * p == 3 * pd mod 2 within 300", True),  # s = 0 mod 2
+        ("p == 4 * pd mod 3 within 300", True),  # s = t mod 3
+        ("p == 2 * pd mod 3 within 300", False),  # unequal nonzero scalars
+        ("p == 7 * pd mod 30 within 300", False),  # 1 != 7 mod 5, both nonzero
+        ("p^2 == subs(p, q^2) mod 4 within 300", False),  # a prime power
+        ("p * lebesgue(3) == pd mod 2 within 300", False),  # an opaque factor
+    ],
+)
+def test_the_mod_p_route_and_its_fallbacks(text, decided):
+    [stmt] = parse(text)
+    assert dsl.expands(stmt) is not decided
+    assert _report(stmt, stmt.order) == _report(stmt, stmt.order, function_value)
+
+
+def test_the_parities_and_merca_gk_make_no_kernel_pass(monkeypatch):
+    # the parities are decided over F_2; MERCA_GK's pulled subs of p lift
+    # into its exponent parts, which cancel, and it compares two theta
+    # progressions, generated term by term
+    monkeypatch.setattr(series, "_mul_sparse", lambda *args, **kwargs: pytest.fail("a kernel pass"))
+    suites = (TheoremId.COR_POOD_PARITY, TheoremId.COR_P_PARITY, TheoremId.COR_P2_PARITY, TheoremId.CLASSICAL_MERCA_GK)
+    for tid in suites:
+        assert recurrences.verify(tid, 2000).passed
+
+
+# ---------------------------------------------------------------------------
+# A subs of a product lifted out of a dense part, against the coefficient path
+
+_lift_rests = st.one_of(
+    st.just(IntLiteral(1)),
+    st.just(Theta("GPENT_HALF")),
+    st.integers(0, 3).map(LebesguePartial),
+    st.builds(Add, st.sampled_from(list(F)).map(NamedFunction), st.integers(0, 2).map(IntLiteral)),
+)
+
+
+def _subs_dense(children):
+    return st.one_of(
+        # a nested subs, its product factors beside it
+        st.builds(lambda x, c, s, d: Subs(Mul(x, c), s, d), _products, children, _signs, st.integers(1, 3)),
+        st.builds(Mul, children, _products),
+        st.builds(Div, children, _units),
+        # inside an extract, pulled when m divides d and lifted when not
+        st.integers(2, 3).flatmap(lambda m: st.builds(Extract, children, st.just(m), st.integers(0, m - 1))),
+    )
+
+
+_subs_dense_parts = st.recursive(
+    st.builds(lambda x, o, s, d: Subs(Mul(x, o), s, d), _products, _lift_rests, _signs, st.integers(1, 3)),
+    _subs_dense,
+    max_leaves=3,
+)
+_lift_sides = st.one_of(
+    # subs(X * O) == subs(X') * subs(O), X' being X respelled
+    st.builds(
+        lambda x, o, s, d: (Subs(Mul(x, o), s, d), Mul(Subs(_respell(x), s, d), Subs(o, s, d))),
+        _products, _lift_rests, _signs, st.integers(1, 3),
+    ),
+    st.builds(lambda a, b: (a, Mul(a, b)), _subs_dense_parts, _product_atoms),
+    st.tuples(_subs_dense_parts, _products),
+    st.tuples(_products, _subs_dense_parts),
+    st.tuples(_subs_dense_parts, _subs_dense_parts),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lift_sides, st.integers(0, 2), st.integers(0, 20))
+@example(_parts("lebesgue(3) == subs(p / (2 * P(q^1; q^1)), q^2) within 20")[:2], 0, 20)
+@example(_parts("subs(p * lebesgue(2), -q^1) == 1 within 20")[:2], 0, 20)
+@example(_parts("extract(subs(pd * lebesgue(2), -q^1), 2, 1) == op within 20")[:2], 0, 20)
+def test_a_lifted_subs_matches_the_coefficient_path(sides, k, order):
+    stmt = IdentityStatement(*_plus(sides, k), order)
+    assert _report(stmt, order) == _report(stmt, order, function_value)
+
+
+def test_a_subs_of_a_product_lifts_into_the_factors():
+    # p * lebesgue(3) at -q^2: p's eta_1^-1 at -q^2 is eta_2 eta_8 / eta_4^3,
+    # and only lebesgue(3) stays under the subs
+    fold = dsl._fold(parse("subs(p * lebesgue(3), -q^2) == 1 within 40")[0].lhs, 40, None)
+    factors, rest = dsl._lift(fold.dense)
+    assert dsl._exponents((1, factors), 40) == dsl._exponents((1, {(1, 2, 2): 1, (1, 8, 8): 1, (1, 4, 4): -3}), 40)
+    assert rest[0] == "subs" and rest[1].factors == {} and rest[1].dense[0] == "leaf"
+    # a subs of a product alone leaves nothing; a subs of 0 stays whole
+    whole = dsl._fold(parse("subs(po_bar * theta(TRI), q^3) == 1 within 40")[0].lhs, 40, None).dense
+    assert dsl._lift(whole)[1] is None
+    zero = dsl._fold(parse("subs(0 * p * lebesgue(3), q^2) == 1 within 40")[0].lhs, 40, None).dense
+    assert dsl._lift(zero) == ({}, zero)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "lebesgue(3) == subs(p / (2 * P(q^1; q^1)), q^2) within 20",
+        "subs(p * lebesgue(2) / (2 * P(q^1; q^1)), -q^3) == po_bar within 20",
+        "extract(subs(pd * lebesgue(2) / (2 * P(q^1; q^1)), q^3), 2, 1) == op within 20",
+    ],
+)
+def test_a_non_unit_divisor_in_a_lifted_subs_raises(text):
+    [stmt] = parse(text)
+    message = "cannot invert series with constant term 2 (in: 2 * P(q^1; q^1))"
+    assert _report(stmt, 20) == _report(stmt, 20, function_value) == message

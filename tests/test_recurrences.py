@@ -500,30 +500,31 @@ def test_verify_all_expands_each_function_once(monkeypatch):
         return expand(key, order)
 
     monkeypatch.setattr(functions, "_expand_key", counting)
-    keys = {functions.KEYS[f] for f in (F.P, F.PO_ODD)}
+    keys = {functions.KEYS[F.PO_ODD]}
     for n in (300, 2000):
         functions._cache_clear()
         expanded.clear()
         assert all(r.passed for r in verify_all(n))
-        # at most one store expansion per key, and only of the tables that
-        # the 6 undecided suites read: po_bar (LEBESGUE's product side) and
-        # p in MERCA_GK's pulled subs, each at n, never past it.  T7 and T8
-        # are decided, CKS_SQ's extract of pdo is p times a theta progression
-        # (p's quotient applied in place), pd and peed appear only in decided
-        # suites, and the parity suites apply pood's and p's quotients to
-        # their thetas in place
+        # at most one store expansion per key, and only of the table that
+        # the 3 undecided suites read: po_bar (LEBESGUE's product side), at
+        # n, never past it.  T7, T8 and the parities are decided; CKS_SQ's
+        # extract of pdo is p times a theta progression (its quotient applied
+        # in place), and MERCA_GK's pulled subs of p lift into its exponent
+        # parts, which cancel
         assert len(expanded) == len(set(expanded))
         assert set(expanded) == keys
 
 
-def test_nineteen_suites_are_decided():
-    # the 14 product suites, the three whose subs is of a product, and the
+def test_twenty_two_suites_are_decided():
+    # the 14 product suites, the three whose subs is of a product, the
     # two dissections, whose extract of po_bar is op times a theta progression
-    # that equals a theta row: subs(theta(SQ), q^2) for r = 0, 2 * theta(TWO_TRI4) for r = 1
+    # that equals a theta row: subs(theta(SQ), q^2) for r = 0, 2 * theta(TWO_TRI4) for r = 1,
+    # and the three `mod 2` parities, decided over F_2
     decided = {tid for tid in TheoremId if not dsl.expands(recurrences._statement(tid))}
-    assert len(decided) == 19
+    assert len(decided) == 22
     assert {TheoremId.CLASSICAL_EWELL, TheoremId.CLASSICAL_CKS_SIGNED, TheoremId.CLASSICAL_MERCA_PEED_TRI} <= decided
     assert {TheoremId.T7_DISSECT_ODD, TheoremId.T8_DISSECT_EVEN} <= decided
+    assert {TheoremId.COR_POOD_PARITY, TheoremId.COR_P_PARITY, TheoremId.COR_P2_PARITY} <= decided
 
 
 @pytest.mark.parametrize("tid", list(TheoremId))
