@@ -14,6 +14,7 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -123,8 +124,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         print("no statements", file=sys.stderr)
         return EXIT_OK
 
-    dsl.grow(statements, args.order)
-
     def run(stmt: dsl.IdentityStatement) -> VerificationReport:
         try:
             return dsl.check(stmt, order=args.order)
@@ -207,7 +206,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): an I/O error, reported by the
+        # exit code alone; the interpreter's last flush then writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -31,12 +31,11 @@ term and expands each fold (`_expand`) by one rule (`_route`): a fold
 with no valued dense part, a bare product, reads its eta quotient from
 the function store by key, and any other has the quotient applied to its
 dense part in place; the form's (1 - q^n) binomials are applied in
-place.  `evaluate`, every route of `check` and `grow` read the same
-folds.
+place.  `evaluate` and every route of `check` read the same folds.
 
 `check` runs each statement by its plan (`_plan`), the one place where
-its route is decided; `grow` and `expands` read the same plans.  The plan
-folds both sides once.  With a caller's `values` source for the named
+its route is decided; `expands` reads the same plan.  The plan folds both
+sides once.  With a caller's `values` source for the named
 functions (the theorem suites' corrupted tables, which have no eta
 form), the route is coefficients: both sides are run and compared
 coefficientwise, modulo M from q^1 on under `mod M` (M >= 2).  Otherwise
@@ -57,9 +56,9 @@ side's chain, its eta-form thetas and the products under its subs lifted
 the quotient of the exponent parts goes to one side only: to the side
 that is a product when exactly one is, which then reads it as one
 table, and to the left otherwise.  Every route finds the same first
-failure, residual and coefficients.  `grow` reads the store keys off the
-plans as `check` runs them (`_reads`) and grows each table once, to the
-largest order it is read at.
+failure, residual and coefficients.  A table read from the store is
+read at the order of the fold that reads it, and the store alone decides
+how far it grows (`functions.grown`).
 """
 
 from __future__ import annotations
@@ -68,17 +67,14 @@ import time
 from collections import Counter
 from functools import lru_cache
 from operator import add, neg, sub
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .functions import (
     ETA_QUOTIENTS,
-    KEYS,
-    MAX_DERIVED_KEYS,
     PartitionFunctionId,
     Values,
     eta_key,
     eta_series,
-    function_value,
     gf_series,  # noqa: F401  (bench/spans.py wraps this name)
     lebesgue_partial,
 )
@@ -87,7 +83,6 @@ from .report import Failure, VerificationReport, format_int
 from .series import (
     THETA_ETA,
     THETA_FAMILIES,
-    EtaKey,
     ProductForm,
     TruncatedSeries,
     _mul_eta_binomials,
@@ -125,7 +120,6 @@ __all__ = [
     "print_expr",
     "statement_text",
     "expands",
-    "grow",
     "check",
 ]
 
@@ -1103,50 +1097,6 @@ def expands(stmt: IdentityStatement) -> bool:
         return _plan(stmt, stmt.order, None)[0] != "decided"
     except EvalError:  # decided, and raised
         return False
-
-
-def _reads(x: Union[_Fold, _Dense, tuple, None], reads: dict[EtaKey, int]) -> None:
-    """Record in `reads` each table that running a fold or dense node, or
-    a tuple of them in turn, reads (`_route` of each fold in it), at the
-    largest order it is read at."""
-    for part in (x.dense,) if isinstance(x, _Fold) else x or ():
-        if isinstance(part, tuple):
-            _reads(part, reads)
-    if isinstance(x, _Fold) and (route := _route(x))[2]:
-        key = eta_key(route[0])
-        reads[key] = max(reads.get(key, 0), x.order)
-
-
-# the function that names each store key (pood and p2 share one)
-_NAMES = {key: fid for fid, key in KEYS.items()}
-
-
-def grow(statements: Iterable[IdentityStatement], order: Optional[int] = None) -> None:
-    """Grow each store table that `check` reads for the statements, at
-    `order` (each at its own for None), once, to the largest order at which
-    it is read.  The keys are read off each statement's plan (`_plan`), as
-    `check` runs it (`_reads`): a decided statement reads nothing, a
-    coefficient route its two folds, and a cancelled one its dense parts
-    and then the folds that run in their place.  Derived keys (a chain's
-    eta quotient) are grown only when the store keeps them all
-    (MAX_DERIVED_KEYS)."""
-    reads: dict[EtaKey, int] = {}
-    for stmt in statements:
-        n = stmt.order if order is None else order
-        try:
-            route, left, right, *placed = _plan(stmt, n, None)
-        except EvalError:  # `check` raises before it reads anything
-            continue
-        if route == "coefficients":
-            _reads((left, right), reads)
-        elif route == "cancelled":  # the dense parts first, as `_compare_cancelled` runs them
-            _reads((left.dense, right.dense, *placed), reads)
-    derived = len([key for key in reads if key not in _NAMES])
-    for key, n in reads.items():
-        if key in _NAMES:
-            function_value(_NAMES[key], n)
-        elif derived <= MAX_DERIVED_KEYS:
-            eta_series(key, n)
 
 
 def _exponents(form: _Form, n: int) -> list[int]:

@@ -19,10 +19,9 @@ nonzero exponents {(k, e)} of prod eta_k^e (`eta_key`), which are unique to
 the series.  A function name is a key (`KEYS`), so pood and p2 share one
 table; `gf_series` and `function_value` read it, and the identity language
 stores the eta quotient of any product chain there too (`eta_series`).  A
-missing or short key is expanded from the stored table whose exponent
-difference takes the fewest kernel passes by its plan (`series.eta_passes`:
-sparse theta factors and pentagonal eta_k), or from 1 when none is
-cheaper.  Tables only grow, geometrically and under one lock; nothing is
+missing or short key is expanded from 1 by its own plan (`eta_quotient`:
+sparse theta factors and pentagonal eta_k), under one growth rule
+(`grown`): tables only grow, geometrically and under one lock; nothing is
 expanded at import, and every caller gets an exact prefix.  Past
 MAX_DERIVED_KEYS keys besides the named ones, the least recently used is
 dropped.  The products (`PRODUCTS`, expanded by `pochhammer_expand`) are the
@@ -40,10 +39,8 @@ from .series import (
     EtaKey,
     ProductSpec,
     TruncatedSeries,
-    _mul_eta_quotient,
     _mul_sparse,
     eta_key,
-    eta_passes,
     eta_quotient,
     pochhammer_expand,  # noqa: F401  (the reference route; bench/spans.py wraps this name)
     pochhammer_finite,
@@ -141,10 +138,11 @@ _CACHE_SEED_ORDER = 64
 
 
 def grown(store: dict, key: Hashable, order: int, expand: Callable[[int], Sequence[int]]) -> Sequence[int]:
-    """store[key] once it holds index `order`: a shorter table is replaced,
-    under the lock, by `expand(n)` for n at least twice its order, so growing
-    one index at a time amortizes to a few expansions.  Tables only grow and
-    every expansion is an exact prefix of the next."""
+    """store[key] once it holds index `order`: a missing or shorter table is
+    replaced, under the lock, by `expand(n)` for n = max(order, twice its
+    order, _CACHE_SEED_ORDER), so growing one index at a time amortizes to a
+    few expansions.  Tables only grow and every expansion is an exact prefix
+    of the next."""
     table = store.get(key)
     if table is None or order >= len(table):
         with _cache_lock:
@@ -156,36 +154,14 @@ def grown(store: dict, key: Hashable, order: int, expand: Callable[[int], Sequen
     return table
 
 
-def _expand_key(key: EtaKey, order: int) -> Sequence[int]:
-    """The eta quotient `key` to q^order, from the stored table holding
-    q^order whose exponent difference to `key` takes the fewest kernel
-    passes by its plan (`eta_passes`), or from 1 when no stored table is
-    cheaper."""
-    target = dict(key)
-    base, diff, cost = None, target, eta_passes(target, order)
-    for stored, table in _cache.items():
-        if len(table) > order:
-            step = dict(target)
-            for k, e in stored:
-                step[k] = step.get(k, 0) - e
-            step_cost = eta_passes(step, order)
-            if step_cost < cost:
-                base, diff, cost = table, step, step_cost
-    if base is None:
-        return eta_quotient(target, order).coeffs
-    acc = list(base[: order + 1])
-    _mul_eta_quotient(acc, {k: e for k, e in diff.items() if e})
-    return acc
-
-
 def eta_series(key: EtaKey, order: int) -> TruncatedSeries:
     """The eta quotient `key` (see `eta_key`) to q^order, read from the store
-    and grown by `_expand_key`.  Past MAX_DERIVED_KEYS derived keys, the least
-    recently used one is dropped."""
+    and grown from 1 by its plan (`eta_quotient`).  Past MAX_DERIVED_KEYS
+    derived keys, the least recently used one is dropped."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     with _cache_lock:
-        table = grown(_cache, key, order, lambda n: _expand_key(key, n))
+        table = grown(_cache, key, order, lambda n: eta_quotient(dict(key), n).coeffs)
         if key not in _NAMED:
             _cache[key] = _cache.pop(key)  # now the most recently used
             derived = [k for k in _cache if k not in _NAMED]

@@ -28,7 +28,7 @@ from enum import Enum
 from functools import cache
 from typing import Optional, Sequence
 
-from .dsl import MAX_ORDER, EvalError, IdentityStatement, check, grow, parse, residuals
+from .dsl import MAX_ORDER, EvalError, IdentityStatement, check, parse, residuals
 from .functions import Values, function_value, grown
 from .functions import gf_series, lebesgue_partial  # noqa: F401  (bench/spans.py wraps these names)
 from .report import VerificationReport
@@ -203,10 +203,7 @@ def verify(tid: TheoremId, n_max: int, values: Values = function_value) -> Verif
 def verify_all(n_max: int, values: Values = function_value) -> list[VerificationReport]:
     """Run every theorem suite; reports come back in declaration order.
 
-    With the memoized source, each store table that the suites read is
-    first grown once (`dsl.grow`); at n_max = 2000, that is po_bar alone
-    (LEBESGUE's product side), to q^2000.
+    With the memoized source, the suites read one store table, po_bar
+    (LEBESGUE's product side), at n_max.
     """
-    if values is function_value and n_max <= VERIFY_MAX_N:  # above it, verify raises
-        grow(map(_statement, TheoremId), n_max)
     return [verify(tid, n_max, values) for tid in TheoremId]

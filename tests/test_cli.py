@@ -202,28 +202,30 @@ def test_check_of_many_forms_keeps_a_bounded_store(tmp_path, capsys):
         assert len(derived) <= functions.MAX_DERIVED_KEYS
 
 
-def test_check_grows_each_named_table_once(tmp_path, capsys, monkeypatch):
+def test_check_grows_a_named_table_at_each_order_it_outgrows(tmp_path, capsys, monkeypatch):
     # po_bar is read at q^1000, then inside an extract that does not dissect
-    # (by 3) at q^3001: grown once, to the larger.  Its dissection by 2 is
-    # decided, a product on both sides, and reads no table.
+    # (by 3) at q^3001: the store expands it from 1 at each, as 3001 is past
+    # twice the 1000 it holds.  Its dissection by 2 is decided, a product on
+    # both sides, and reads no table.
     path = tmp_path / "three.qid"
     path.write_text(
         "lebesgue(45) == po_bar within 5\n"
         "extract(po_bar, 2, 1) == 2 * op * theta(TWO_TRI4) within 5\n"
         "extract(po_bar, 3, 1) + 0 == extract(po_bar, 3, 1) within 5\n"
     )
-    expand = functions._expand_key
+    expand = functions.eta_quotient
     expanded = []
 
-    def recording(key, order):
-        expanded.append(key)
-        return expand(key, order)
+    def recording(exponents, order):
+        expanded.append((functions.eta_key(exponents), order))
+        return expand(exponents, order)
 
-    monkeypatch.setattr(functions, "_expand_key", recording)
+    monkeypatch.setattr(functions, "eta_quotient", recording)
     functions._cache_clear()
     code, out, _ = run_cli(capsys, "check", str(path), "--order", "1000")
     assert code == 0, out
-    assert expanded == [functions.KEYS[PartitionFunctionId.PO_ODD]]
+    po_bar = functions.KEYS[PartitionFunctionId.PO_ODD]
+    assert expanded == [(po_bar, 1000), (po_bar, 3001)]
 
 
 def test_check_parse_error(tmp_path, capsys):
@@ -487,6 +489,54 @@ def test_usage_error_exit_code_subprocess():
     assert proc.returncode == 2  # argparse usage errors share the contract
 
 
+# A shell's pipe: stdout block-buffered, whatever this run's environment sets
+_BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.parametrize("fmt, first", [("plain", b"0\t1\n"), ("csv", b"n,value\n")])
+def test_compute_into_a_closed_pipe_exits_2_quietly(fmt, first):
+    # `partrec compute ... | head -n 1`: po_bar to q^5000 is far more than a
+    # pipe holds, so the writer is still writing when the reader closes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "partrec", "compute", "po_bar", "--n", "5000", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=REPO_ROOT,
+        env=_BUFFERED,
+    )
+    try:
+        assert proc.stdout.readline() == first
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2  # the contract's I/O-error code
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == b""
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+def test_compute_into_a_pipe_closed_before_it_starts_exits_2_quietly(fmt):
+    # the whole table fits the stdout buffer, so the write fails only when
+    # it is flushed; the interpreter's own last flush must not fail again
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "partrec", "compute", "p", "--n", "20", "--format", fmt],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            cwd=REPO_ROOT,
+            env=_BUFFERED,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == b""
+
+
 # Prints which of the modules a CLI run should not load are loaded: after the
 # import, after a check, and after importing the oracle's names from partrec.
 LAZY_IMPORTS = """
@@ -521,8 +571,8 @@ def test_cli_import_leaves_out_fractions(capsys):
     assert ORACLE_MAX_N == 60
 
 
-# Installs the benchmark's tracer (bench/spans.py), runs a verify and a check,
-# and prints the names of the spans recorded.  install() rebinds names in
+# Installs the benchmark's tracer (bench/spans.py), runs a verify, a check and
+# a compute, and prints the names of the spans recorded.  install() rebinds names in
 # partrec's modules, so dropping or renaming one of them fails here.
 TRACED_RUN = """
 import json, sys
@@ -530,7 +580,7 @@ import spans
 from partrec import cli
 tracer = spans.Tracer(0)
 spans.install(tracer)
-codes = [cli.main(["verify", "T1", "--n", "20"]), cli.main(["check", sys.argv[1]])]
+codes = [cli.main(argv) for argv in (["verify", "T1", "--n", "20"], ["check", sys.argv[1]], ["compute", "p", "--n", "5"])]
 print(json.dumps({"codes": codes, "names": sorted({s["name"] for s in tracer.spans})}))
 """
 
@@ -550,7 +600,8 @@ def test_benchmark_tracer_still_installs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.splitlines()[-1])
-    assert doc["codes"] == [0, 0]
+    assert doc["codes"] == [0, 0, 0]
+    # verify and check read the store by eta key; compute reads it by name (`gf_series`)
     assert {"functions.gf_series", "recurrences.verify", "dsl.check"} <= set(doc["names"])
 
 

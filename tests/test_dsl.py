@@ -530,17 +530,7 @@ def test_evaluate_reads_a_values_source():
 
 
 def test_grow_reads_each_table_at_its_largest_order(monkeypatch):
-    grown = {}
-    eta_series = functions.eta_series
-
-    def recording(key, order):
-        grown[key] = max(grown.get(key, 0), order)
-        return eta_series(key, order)
-
-    for module in (functions, dsl):
-        monkeypatch.setattr(module, "eta_series", recording)
-    functions._cache_clear()
-    dsl.grow(parse(
+    statements = parse(
         # an extract's argument that does not dissect (no theta family fits
         # its eta exponents off the multiples of 3) is read at m*n + r, a
         # subs's at n // d
@@ -554,9 +544,19 @@ def test_grow_reads_each_table_at_its_largest_order(monkeypatch):
         "pd * pdo + 0 == 1 within 7\n"
         # a decided statement reads nothing
         "P(-q^1; q^2) / P(q^1; q^2)^2 == P(q^3; q^3) within 7\n"
-    ))
-    expected = {F.PO_ODD: 16, F.PDO: 6, F.OP: 3, F.POOD: 9}
-    assert grown == {functions.KEYS[f]: n for f, n in expected.items()}
+    )
+
+    def run():
+        for stmt in statements:
+            try:
+                check(stmt)
+            except EvalError:
+                pass
+
+    reads, expanded = _store_reads(monkeypatch, run)
+    expected = {F.PO_ODD: 16, F.PDO: 6, F.POOD: 9}
+    assert reads == {functions.KEYS[f]: n for f, n in expected.items()}
+    assert expanded == set(reads)
 
 
 @pytest.mark.parametrize(
@@ -774,14 +774,14 @@ def test_theorem_suites_never_fold(monkeypatch):
 
 
 def test_checking_paper_qid_expands_each_key_once_per_order(monkeypatch):
-    expand = functions._expand_key
+    expand = functions.eta_quotient
     expanded = []
 
-    def recording(key, order):
-        expanded.append((key, order))
-        return expand(key, order)
+    def recording(exponents, order):
+        expanded.append((series.eta_key(exponents), order))
+        return expand(exponents, order)
 
-    monkeypatch.setattr(functions, "_expand_key", recording)
+    monkeypatch.setattr(functions, "eta_quotient", recording)
     functions._cache_clear()
     assert all(check(stmt).passed for stmt in parse(PAPER_QID.read_text(encoding="utf-8")))
     # the statements decided on exponent sequences expand nothing, and each
@@ -793,43 +793,39 @@ def test_checking_paper_qid_expands_each_key_once_per_order(monkeypatch):
     assert dict(expanded) == {functions.KEYS[F.PO_ODD]: 200}
 
 
-def _reads_by_phase(monkeypatch, run):
-    """The store keys read while `dsl.grow` runs and while the rest of run() does."""
-    reads = {"grow": set(), "check": set()}
-    phase = ["check"]
-    eta_series, grow = functions.eta_series, dsl.grow
+def _store_reads(monkeypatch, run):
+    """Run run() on a cleared store: the keys read from it, each at the
+    largest order it is read at, and the keys that the store expanded."""
+    reads, expanded = {}, set()
+    eta_series, eta_quotient = functions.eta_series, functions.eta_quotient
 
-    def recording(key, order):
-        reads[phase[0]].add(key)
+    def reading(key, order):
+        reads[key] = max(reads.get(key, 0), order)
         return eta_series(key, order)
 
-    def growing(*args):
-        phase[0] = "grow"
-        try:
-            grow(*args)
-        finally:
-            phase[0] = "check"
+    def expanding(exponents, order):
+        expanded.add(series.eta_key(exponents))
+        return eta_quotient(exponents, order)
 
     for module in (functions, dsl):
-        monkeypatch.setattr(module, "eta_series", recording)
-    for module in (dsl, recurrences):
-        monkeypatch.setattr(module, "grow", growing)
+        monkeypatch.setattr(module, "eta_series", reading)
+    monkeypatch.setattr(functions, "eta_quotient", expanding)
     functions._cache_clear()
     run()
-    return reads
+    return reads, expanded
 
 
 @pytest.mark.parametrize("path", [PAPER_QID, THETA_ETA_QID])
 def test_grow_expands_the_keys_that_check_reads(monkeypatch, path):
     def run():
         statements = parse(path.read_text(encoding="utf-8"))
-        dsl.grow(statements)
         assert all(check(stmt).passed for stmt in statements)
 
-    reads = _reads_by_phase(monkeypatch, run)
-    assert reads["grow"] == reads["check"]
-    # theta_eta.qid is all products: decided, so it reads nothing
-    assert bool(reads["check"]) is (path == PAPER_QID)
+    reads, expanded = _store_reads(monkeypatch, run)
+    assert expanded == set(reads)
+    # theta_eta.qid is all products: decided, so it reads nothing; paper.qid's
+    # lebesgue statement reads po_bar at its order
+    assert reads == ({functions.KEYS[F.PO_ODD]: 200} if path == PAPER_QID else {})
 
 
 def test_grow_expands_the_keys_that_verify_reads(monkeypatch):
@@ -837,8 +833,9 @@ def test_grow_expands_the_keys_that_verify_reads(monkeypatch):
     # times a theta progression, which takes its quotient in place;
     # MERCA_GK's pulled subs of p lift into its exponent part, which cancels;
     # LEBESGUE's product side reads po_bar
-    reads = _reads_by_phase(monkeypatch, lambda: recurrences.verify_all(300))
-    assert reads["grow"] == reads["check"] == {functions.KEYS[F.PO_ODD]}
+    reads, expanded = _store_reads(monkeypatch, lambda: recurrences.verify_all(300))
+    assert reads == {functions.KEYS[F.PO_ODD]: 300}
+    assert expanded == set(reads)
 
 
 @pytest.mark.parametrize(
@@ -853,7 +850,7 @@ def test_grow_expands_the_keys_that_verify_reads(monkeypatch):
         ("pood * theta(TRI) == 0 mod 2 within 300", []),
         ("op * theta(TWOSQ) == 0 mod 2 within 300", []),
         # the one product side takes the quotient and reads its table, by
-        # name or as a chain: two statements grow po_bar's once
+        # name or as a chain: two statements read po_bar's, expanded once
         ("lebesgue(45) == po_bar within 200", [F.PO_ODD]),
         ("lebesgue(45) == po_bar within 200\nlebesgue(45) + 1 == P(-q^1; q^2) / P(q^1; q^2) within 200", [F.PO_ODD]),
         # the pulled subs of p lift into the exponent parts, which cancel
@@ -873,13 +870,11 @@ def test_grow_expands_the_keys_that_verify_reads(monkeypatch):
 )
 def test_grow_reads_what_check_reads(monkeypatch, text, keys):
     def run():
-        statements = parse(text)
-        dsl.grow(statements)
-        [check(stmt) for stmt in statements]
+        [check(stmt) for stmt in parse(text)]
 
-    reads = _reads_by_phase(monkeypatch, run)
+    reads, expanded = _store_reads(monkeypatch, run)
     expected = {functions.KEYS[k] if isinstance(k, F) else series.eta_key(k) for k in keys}
-    assert reads["grow"] == reads["check"] == expected
+    assert set(reads) == expanded == expected
 
 
 _PO_BAR = dsl._etas(functions.ETA_QUOTIENTS[F.PO_ODD])
@@ -910,15 +905,17 @@ def test_the_product_side_takes_the_cancelled_quotient(monkeypatch, text, placed
     assert read == [functions.KEYS[F.PO_ODD]] * (2 if reads else 0)
 
 
-def test_grow_goes_on_past_a_statement_that_raises():
-    statements = parse("p == 1 / (2 * P(q^1; q^1)) within 20\nlebesgue(45) == po_bar within 300")
-    functions._cache_clear()
-    dsl.grow(statements)
-    with pytest.raises(EvalError, match="constant term 2"):
-        check(statements[0])
-    assert len(functions._cache.get(functions.KEYS[F.PO_ODD], ())) > 300
+def test_a_statement_whose_plan_raises_reads_nothing(monkeypatch):
+    [stmt] = parse("p == 1 / (2 * P(q^1; q^1)) within 20")
+
+    def run():
+        with pytest.raises(EvalError, match="constant term 2"):
+            check(stmt)
+
+    reads, expanded = _store_reads(monkeypatch, run)
+    assert not reads and not expanded
     # its plan raises, as check does, before either side is expanded
-    assert dsl.expands(statements[0]) is False
+    assert dsl.expands(stmt) is False
 
 
 def _parts(text):
@@ -926,38 +923,10 @@ def _parts(text):
     return stmt.lhs, stmt.rhs, stmt.modulus, stmt.order
 
 
-@settings(max_examples=300, deadline=None)
-@given(_trees, _trees, st.one_of(st.none(), st.integers(2, 7)), st.integers(1, 40))
-@example(*_parts("p * extract(theta(GPENT), 2, 0) == 0 mod 2 within 2000"))
-@example(*_parts("p * subs(theta(TRI), q^2) == 0 mod 2 within 2000"))
-@example(*_parts("p * extract(theta(GPENT), 2, 0) == po_bar within 2000"))
-def test_check_reads_only_tables_that_grow_grew(lhs, rhs, modulus, order):
-    stmt = IdentityStatement(lhs, rhs, order, modulus=modulus)
-    reads = []
-    eta_series = functions.eta_series
-
-    def recording(key, n):
-        reads.append((key, n))
-        return eta_series(key, n)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(functions, "_CACHE_SEED_ORDER", 0)  # a table holds no more than grow asked for
-        functions._cache_clear()
-        dsl.grow([stmt])
-        held = {key: len(table) for key, table in functions._cache.items()}
-        for module in (functions, dsl):
-            patch.setattr(module, "eta_series", recording)
-        try:
-            check(stmt)
-        except EvalError:
-            pass
-    assert all(held.get(key, 0) > n for key, n in reads), (statement_text(stmt), reads, held)
-
-
 def test_a_chain_of_named_functions_reads_one_table(monkeypatch):
     functions._cache_clear()
     po_bar = gf_series(F.PO_ODD, 300)
-    monkeypatch.setattr(functions, "_expand_key", lambda key, order: pytest.fail(f"expanded {set(key)}"))
+    monkeypatch.setattr(functions, "eta_quotient", lambda exponents, order: pytest.fail(f"expanded {exponents}"))
     # pd * pdo and the Pochhammer quotient are both po_bar's eta quotient
     assert evaluate(parse("pd * pdo == 1 within 1")[0].lhs, 300) == po_bar
     assert evaluate(parse("P(-q^1; q^2) / P(q^1; q^2) == 1 within 1")[0].lhs, 300) == po_bar
@@ -1369,7 +1338,7 @@ def test_a_decided_failure_expands_only_to_its_index(monkeypatch):
 
     functions._cache_clear()
     monkeypatch.setattr(series, "_mul_sparse", short)
-    monkeypatch.setattr(functions, "_expand_key", lambda key, order: pytest.fail(f"expanded {set(key)}"))
+    monkeypatch.setattr(functions, "eta_quotient", lambda exponents, order: pytest.fail(f"expanded {exponents}"))
     [stmt] = parse("P(q^1; q^1)^5000 == 1 within 1000")
     report = check(stmt)
     assert not report.passed
@@ -1422,7 +1391,7 @@ def test_a_zero_scalar_is_decided_on_the_product_path(monkeypatch, text, first_f
 def test_a_derived_true_statement_expands_nothing(monkeypatch):
     functions._cache_clear()
     monkeypatch.setattr(series, "_mul_sparse", lambda *args, **kwargs: pytest.fail("a kernel pass"))
-    monkeypatch.setattr(functions, "_expand_key", lambda key, order: pytest.fail(f"expanded {set(key)}"))
+    monkeypatch.setattr(functions, "eta_quotient", lambda exponents, order: pytest.fail(f"expanded {exponents}"))
     [stmt] = parse("p2 * P(-q^2; q^5) == P(q^2; q^4) / P(q^1; q^1) * P(-q^2; q^5) within 1000")
     assert check(stmt).passed
 

@@ -155,22 +155,28 @@ _eta_keys = st.dictionaries(st.integers(1, 6), st.integers(-3, 3), max_size=4).m
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.lists(st.tuples(_eta_keys, st.integers(0, 60)), max_size=4), _eta_keys, st.integers(1, 3), st.integers(0, 60)
+    st.lists(st.tuples(_eta_keys, st.integers(0, 200)), max_size=4),
+    _eta_keys,
+    st.integers(0, 100),
+    st.integers(0, 200),
 )
-def test_neighbour_derivation_matches_expansion_from_one(stored, target, k, order):
-    # target * eta_k is stored too, so a neighbour one factor away is on hand
-    near = eta_key({**dict(target), k: dict(target).get(k, 0) + 1})
+def test_eta_series_is_the_expansion_from_one_whatever_the_store_holds(stored, key, order, more):
+    # the later read goes past the store's seed order and twice the held one
+    # for some draws, so the table is expanded again, from 1
     with functions._cache_lock:
         saved = dict(functions._cache)
         functions._cache.clear()
         try:
-            for key, n in stored + [(near, order)]:
-                eta_series(key, n)
-            derived = functions._expand_key(target, order)
+            for held, n in stored:
+                eta_series(held, n)
+            short = eta_series(key, order)
+            long = eta_series(key, order + more)
         finally:
             functions._cache.clear()
             functions._cache.update(saved)
-    assert list(derived) == list(eta_quotient(dict(target), order))
+    assert short == eta_quotient(dict(key), order)
+    assert long == eta_quotient(dict(key), order + more)
+    assert long.truncate(order) == short
 
 
 def test_derived_keys_are_dropped_least_recently_used_first(monkeypatch):

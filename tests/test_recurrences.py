@@ -492,27 +492,25 @@ def test_verify_all_order_and_threads():
 
 
 def test_verify_all_expands_each_function_once(monkeypatch):
-    expand = functions._expand_key
+    expand = functions.eta_quotient
     expanded = []
 
-    def counting(key, order):
-        expanded.append(key)
-        return expand(key, order)
+    def counting(exponents, order):
+        expanded.append((functions.eta_key(exponents), order))
+        return expand(exponents, order)
 
-    monkeypatch.setattr(functions, "_expand_key", counting)
-    keys = {functions.KEYS[F.PO_ODD]}
+    monkeypatch.setattr(functions, "eta_quotient", counting)
     for n in (300, 2000):
         functions._cache_clear()
         expanded.clear()
         assert all(r.passed for r in verify_all(n))
-        # at most one store expansion per key, and only of the table that
-        # the 3 undecided suites read: po_bar (LEBESGUE's product side), at
-        # n, never past it.  T7, T8 and the parities are decided; CKS_SQ's
-        # extract of pdo is p times a theta progression (its quotient applied
-        # in place), and MERCA_GK's pulled subs of p lift into its exponent
-        # parts, which cancel
-        assert len(expanded) == len(set(expanded))
-        assert set(expanded) == keys
+        # one store expansion, of the table that the 3 undecided suites
+        # read: po_bar (LEBESGUE's product side), at n, never past it.  T7,
+        # T8 and the parities are decided; CKS_SQ's extract of pdo is p
+        # times a theta progression (its quotient applied in place), and
+        # MERCA_GK's pulled subs of p lift into its exponent parts, which
+        # cancel
+        assert expanded == [(functions.KEYS[F.PO_ODD], n)]
 
 
 def test_twenty_two_suites_are_decided():
