@@ -55,10 +55,12 @@ side's chain, its eta-form thetas and the products under its subs lifted
 (`_lifted`), is a scalar times an exponent part times a dense part, and
 the quotient of the exponent parts goes to one side only: to the side
 that is a product when exactly one is, which then reads it as one
-table, and to the left otherwise.  Every route finds the same first
-failure, residual and coefficients.  A table read from the store is
-read at the order of the fold that reads it, and the store alone decides
-how far it grows (`functions.grown`).
+table, and to the left otherwise.  A route finds where a statement fails
+and `evaluate` says what: every route returns only the first failing
+index i, and `check` reports the residual and both coefficients there
+from both sides evaluated to q^i.  A table read from the store is read
+at the order of the fold that reads it, and the store alone decides how
+far it grows (`functions.grown`).
 """
 
 from __future__ import annotations
@@ -87,7 +89,6 @@ from .series import (
     TruncatedSeries,
     _mul_eta_binomials,
     eta_passes,
-    eta_quotient,
     pochhammer_expand,  # noqa: F401  (the reference route; bench/spans.py wraps this name)
     theta_series,
     theta_terms,
@@ -1064,14 +1065,16 @@ def _plan(stmt: IdentityStatement, order: int, values: Optional[Values]) -> tupl
     ("coefficients", left, right) with a `values` source, and under any
     other `mod M`: both folds are run and compared coefficientwise.
 
-    ("cancelled", left, right, lhs, rhs) otherwise, with no `mod M`: the
-    folds, their thetas and subs of products lifted (`_lifted`), and the
-    folds that run in their place.  Each side is a scalar times an
-    exponent part Q times its dense part O; the quotient of the exponent
-    parts goes to one side and the other runs as s*O alone.  When exactly
-    one side is a product (O has no value), that side takes it, and reads
-    it as one table (`_route`); otherwise the left takes Q_L/Q_R, and
-    applies it to its O in place.
+    ("cancelled", left, right) otherwise, with no `mod M`: the folds,
+    their thetas and subs of products lifted (`_lifted`), with their
+    exponent parts cancelled, and compared as the coefficient route
+    compares.  Each side is a scalar times an exponent part Q times its
+    dense part O; the quotient of the exponent parts goes to one side and
+    the other runs as s*O alone.  Q_L and Q_R are 1 + O(q), so the sides
+    first differ where the statement's do.  When exactly one side is a
+    product (O has no value), that side takes it, and reads it as one
+    table (`_route`); otherwise the left takes Q_L/Q_R, and applies it
+    to its O in place.
     """
     left, right = _fold(stmt.lhs, order, values), _fold(stmt.rhs, order, values)
     primes = () if stmt.modulus is None else _primes(stmt.modulus)
@@ -1086,8 +1089,8 @@ def _plan(stmt: IdentityStatement, order: int, values: Optional[Values]) -> tupl
     left, right = _lifted(left), _lifted(right)
     over = _add(left.factors, right.factors, -1)  # Q_L/Q_R
     if _valued(left.dense) and not _valued(right.dense):  # the right side alone is a product
-        return "cancelled", left, right, left._replace(factors={}), right._replace(factors=_add({}, over, -1))
-    return "cancelled", left, right, left._replace(factors=over), right._replace(factors={})
+        return "cancelled", left._replace(factors={}), right._replace(factors=_add({}, over, -1))
+    return "cancelled", left._replace(factors=over), right._replace(factors={})
 
 
 def expands(stmt: IdentityStatement) -> bool:
@@ -1113,35 +1116,6 @@ def _exponents(form: _Form, n: int) -> list[int]:
     return seq
 
 
-def _coefficient(dense: Optional[TruncatedSeries], form: _Form, n: int) -> int:
-    """[q^n] of dense (1 for None, cut at q^n) times a product, expanded
-    to q^n alone and with no store read.  An eta_k^e is raised to its power
-    by squaring when that takes fewer kernel passes than its plan
-    (`eta_passes`), and the binomials (1 - q^m)^e that share an e, as one
-    product expanded in len(ms) passes, when that and squaring take fewer
-    than |e| * len(ms); the rest are applied in place, the eta_k by their
-    joint plan."""
-    scalar, factors = form
-    eta, binomials = _split(factors, n)
-    squared = TruncatedSeries.one(n) if dense is None else dense.truncate(n)
-    for k, e in list(eta.items()):
-        if eta_passes({k: e}, n) > _squarings(e) * n:
-            squared = squared * eta_quotient({k: 1}, n) ** eta.pop(k)
-    by_power: dict[int, list[int]] = {}
-    for m, e in binomials.items():
-        by_power.setdefault(e, []).append(m)
-    for e, ms in by_power.items():
-        if abs(e) * len(ms) > _squarings(e) * n + len(ms):
-            base = [1] + [0] * n
-            _mul_eta_binomials(base, {}, dict.fromkeys(ms, 1 if e > 0 else -1))
-            squared = squared * TruncatedSeries(base) ** abs(e)
-            for m in ms:
-                del binomials[m]
-    acc = list(squared.coeffs)
-    _mul_eta_binomials(acc, eta, binomials)
-    return scalar * acc[n]
-
-
 def _digit_difference(a: list[int], b: list[int], p: int, stop: int) -> int:
     """The least 1 <= m < stop at which prod (1 - q^m)^(a_m) and
     prod (1 - q^m)^(b_m) differ mod a prime p, or stop if there is none.
@@ -1162,65 +1136,38 @@ def _digit_difference(a: list[int], b: list[int], p: int, stop: int) -> int:
     return stop
 
 
-def _compare_products(
-    left: _Form, right: _Form, n: int, modulus: Optional[int] = None
-) -> Optional[tuple[int, int, int, int]]:
-    """(i, residual, lhs_i, rhs_i) at the first difference of two products
-    to q^n, or None when they agree: unequal scalars differ at q^0, two
+def _compare_products(left: _Form, right: _Form, n: int, modulus: Optional[int] = None) -> Optional[int]:
+    """The first index to q^n at which two products differ, or None when
+    they agree, with nothing expanded: unequal scalars differ at q^0, two
     zero scalars are two zero series, and otherwise the sides differ first
-    at the least i with a_i != b_i, by -scalar * (a_i - b_i); only there
-    are the sides expanded, to q^i.
+    at the least i with a_i != b_i.
 
     Under `mod M`, M squarefree and each prime p of M taking scalars s, t
     with s = t or s*t = 0 mod p (`_plan`), q^0 is skipped, and the first
     failure is the least over the primes of where the sides differ mod p:
     where their digits differ (`_digit_difference`).  A side whose scalar
     is 0 mod p is 0 there, and from q^1 on so is the product 1, with no
-    exponents.  A pass holds to the order checked.  The residual is
-    reduced mod M, as `_difference` reduces it."""
+    exponents.  A pass holds to the order checked."""
     s, t = left[0], right[0]
     if modulus is None:
         if s != t:
-            return 0, s - t, s, t
+            return 0
         if not s:
             return None
         a, b = _exponents(left, n), _exponents(right, n)
-        first = n + 1 if a == b else next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
-    else:
-        a, b, one = _exponents(left, n), _exponents(right, n), [0] * (n + 1)
-        first = n + 1
-        for p in _primes(modulus):
-            first = _digit_difference(a if s % p else one, b if t % p else one, p, first)
-    if first > n:
-        return None
-    lhs, rhs = _coefficient(None, left, first), _coefficient(None, right, first)
-    return first, lhs - rhs if modulus is None else (lhs - rhs) % modulus, lhs, rhs
+        return None if a == b else next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+    a, b, one = _exponents(left, n), _exponents(right, n), [0] * (n + 1)
+    first = n + 1
+    for p in _primes(modulus):
+        first = _digit_difference(a if s % p else one, b if t % p else one, p, first)
+    return first if first <= n else None
 
 
-def _compare_cancelled(plan: tuple, n: int) -> Optional[tuple[int, int, int, int]]:
-    """(i, residual, lhs_i, rhs_i) at the first difference to q^n of a
-    cancelled plan (`_plan`), or None when there is none.  The sides' dense
-    parts run, the left's first, and then the plan's folds in their place,
-    one of them holding the quotient of the exponent parts.  Q_L and Q_R
-    are 1 + O(q), so the first difference and the residual there are the
-    statement's own; only there are the sides expanded in full
-    (`_coefficient`), to q^i."""
-    _, left, right, lhs, rhs = plan
-    left_dense, right_dense = _run(left.dense, n), _run(right.dense, n)
-    diff = list(map(sub, _expand(left_dense, lhs).coeffs, _expand(right_dense, rhs).coeffs))
-    i = next((i for i, r in enumerate(diff) if r), None)
-    if i is None:
-        return None
-    return i, diff[i], _coefficient(left_dense, left[:2], i), _coefficient(right_dense, right[:2], i)
-
-
-def _compare_coefficients(stmt: IdentityStatement, left: _Fold, right: _Fold) -> Optional[tuple[int, int, int, int]]:
-    """(i, residual, lhs_i, rhs_i) at the first nonzero entry of the
-    statement's residuals, both sides run, or None when there is none."""
-    lhs, rhs = _run(left), _run(right)
-    diff = _difference(stmt, lhs, rhs)
-    i = next((i for i, r in enumerate(diff) if r), None)
-    return None if i is None else (i, diff[i], lhs[i], rhs[i])
+def _compare_coefficients(stmt: IdentityStatement, left: _Fold, right: _Fold) -> Optional[int]:
+    """The first nonzero entry of the statement's residuals (`_difference`)
+    with both folds run, the left first, or None when there is none."""
+    diff = _difference(stmt, _run(left), _run(right))
+    return next((i for i, r in enumerate(diff) if r), None)
 
 
 def check(
@@ -1228,29 +1175,30 @@ def check(
 ) -> VerificationReport:
     """Check the statement to q^order (its own order for None).
 
-    The statement's plan (`_plan`) names the route: a decided statement
-    is compared on its products' scalars and exponent sequences with no
-    expansion (`_compare_products`), over F_p under `mod M`, a cancelled
-    one on its sides less their common exponent part
-    (`_compare_cancelled`), and any other, under a `mod M` that F_p does
-    not decide or with a `values` source (as in `evaluate`), on both
-    sides run (`_compare_coefficients`).  A failure records the first
-    differing exponent, the residual there and both coefficients; every
-    route finds the same ones.
+    The statement's plan (`_plan`) names the route, which finds only
+    the first failing index: a decided statement is compared on its
+    products' scalars and exponent sequences with no expansion
+    (`_compare_products`), over F_p under `mod M`, and a cancelled one
+    (on its sides less their common exponent part) or any other (under a
+    `mod M` that F_p does not decide, or with a `values` source as in
+    `evaluate`) on both folds run (`_compare_coefficients`).  A failure
+    at i reports the residual lhs_i - rhs_i (mod M under `mod M`, as
+    `_difference` reduces it) and both coefficients, read off both sides
+    evaluated to q^i.  Evaluation is order-monotone, and every bound it
+    checks holds at i if it held at the statement's order, so this is
+    the report at that order.
     """
     n = order if order is not None else stmt.order
     start = time.perf_counter()
     plan = _plan(stmt, n, values)
     if plan[0] == "decided":
-        failure = _compare_products(plan[1], plan[2], n, stmt.modulus)
-    elif plan[0] == "cancelled":
-        failure = _compare_cancelled(plan, n)
+        i = _compare_products(plan[1], plan[2], n, stmt.modulus)
     else:
-        failure = _compare_coefficients(stmt, plan[1], plan[2])
+        i = _compare_coefficients(stmt, plan[1], plan[2])
     first = detail = None
-    if failure is not None:
-        i, residual, lhs_i, rhs_i = failure
-        first = Failure(i, residual)
-        detail = f"q^{i}: lhs={format_int(lhs_i)}, rhs={format_int(rhs_i)}"
+    if i is not None:
+        lhs, rhs = evaluate(stmt.lhs, i, values), evaluate(stmt.rhs, i, values)
+        first = Failure(i, _difference(stmt, lhs, rhs)[i])
+        detail = f"q^{i}: lhs={format_int(lhs[i])}, rhs={format_int(rhs[i])}"
     millis = int((time.perf_counter() - start) * 1000)
     return VerificationReport(stmt.label(), n, first is None, first, millis, detail)

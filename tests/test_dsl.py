@@ -37,6 +37,7 @@ from partrec.dsl import (
 from partrec import dsl, functions, recurrences, series
 from partrec.functions import PartitionFunctionId as F, function_value, gf_series, lebesgue_partial
 from partrec.recurrences import _SUITES, TheoremId, _residuals, residual
+from partrec.report import Failure, format_int
 from partrec.series import THETA_FAMILIES, ProductSpec, pochhammer_expand, theta_series
 
 from conftest import PAPER_QID, THETA_ETA_QID, schoolbook_inverse, schoolbook_mul
@@ -555,7 +556,11 @@ def test_grow_reads_each_table_at_its_largest_order(monkeypatch):
 
     reads, expanded = _store_reads(monkeypatch, run)
     expected = {F.PO_ODD: 16, F.PDO: 6, F.POOD: 9}
-    assert reads == {functions.KEYS[f]: n for f, n in expected.items()}
+    # each failure's report evaluates both sides at its index, q^1 here, past
+    # which every eta_k (k >= 2) is 1: pood and p2 read eta1^-1 there, and
+    # pd * pdo reads eta1^-2
+    at_q1 = {series.eta_key({1: -1}): 1, series.eta_key({1: -2}): 1}
+    assert reads == {**{functions.KEYS[f]: n for f, n in expected.items()}, **at_q1}
     assert expanded == set(reads)
 
 
@@ -855,11 +860,14 @@ def test_grow_expands_the_keys_that_verify_reads(monkeypatch):
         ("lebesgue(45) == po_bar within 200\nlebesgue(45) + 1 == P(-q^1; q^2) / P(q^1; q^2) within 200", [F.PO_ODD]),
         # the pulled subs of p lift into the exponent parts, which cancel
         ("extract(subs(p, q^2) * theta(GPENT), 2, 0) == extract(subs(p, q^4) * theta(TRI), 2, 0) within 300", []),
-        # any dense part, sparse or not, takes its quotient in place
-        ("p * extract(theta(GPENT), 2, 0) == 0 mod 2 within 2000", []),
+        # any dense part, sparse or not, takes its quotient in place; the
+        # failure's report evaluates the left side at q^2, where the extract
+        # is a product and the side reads eta2^-1
+        ("p * extract(theta(GPENT), 2, 0) == 0 mod 2 within 2000", [{2: -1}]),
         ("p * subs(theta(TRI), q^2) == 0 mod 2 within 2000", []),
-        # po_bar, the product side, takes po_bar / p = eta2^3 / (eta1 eta4) as one table
-        ("p * extract(theta(GPENT), 2, 0) == po_bar within 2000", [{2: 3, 1: -1, 4: -1}]),
+        # po_bar, the product side, takes po_bar / p = eta2^3 / (eta1 eta4) as
+        # one table; the failure's report reads po_bar at q^1, as eta1^-2
+        ("p * extract(theta(GPENT), 2, 0) == po_bar within 2000", [{2: 3, 1: -1, 4: -1}, {1: -2}]),
         # under `mod 4` nothing cancels, and a theta is a dense part: op's
         # quotient is applied to it in place
         ("op * theta(TWOSQ) == 0 mod 4 within 300", []),
@@ -894,7 +902,7 @@ def test_the_product_side_takes_the_cancelled_quotient(monkeypatch, text, placed
     # the placement is fixed by the plan, whatever the store holds when check
     # runs: cold and warm, a product side reads its quotient's table
     [stmt] = parse(text)
-    assert tuple(fold.factors for fold in dsl._plan(stmt, 200, None)[3:]) == placed
+    assert tuple(fold.factors for fold in dsl._plan(stmt, 200, None)[1:]) == placed
     read = []
     eta_series = functions.eta_series
     monkeypatch.setattr(dsl, "eta_series", lambda key, n: read.append(key) or eta_series(key, n))
@@ -1226,7 +1234,6 @@ def test_subs_of_a_product_is_decided(monkeypatch):
     # (q^2; q^12) (-q^8; q^12), and p = 1/eta_1 at -q^2 is
     # 1/(-q^2; -q^2) = 1/((q^4; q^4) (-q^2; q^4))
     monkeypatch.setattr(dsl, "_compare_coefficients", lambda stmt, n, values: pytest.fail("expanded"))
-    monkeypatch.setattr(dsl, "_compare_cancelled", lambda stmt, n: pytest.fail("expanded"))
     lhs = "subs(P(-q^1; q^3) * p, -q^2)"
     [stmt] = parse(f"{lhs} == P(q^2; q^12) * P(-q^8; q^12) / (P(q^4; q^4) * P(-q^2; q^4)) within 300")
     assert not dsl.expands(stmt)
@@ -1329,22 +1336,30 @@ def test_a_pulled_extract_builds_no_product_at_the_inner_order(monkeypatch):
 
 
 def test_a_decided_failure_expands_only_to_its_index(monkeypatch):
-    # both sides were expanded to q^1000 before (2.7 s); now only to q^1
-    kernel = series._mul_sparse
+    # both sides were expanded to q^1000 before (2.7 s); now they are
+    # evaluated at q^1, where the base eta1 is read from the store, which
+    # expands it to its seed order and no further
+    kernel, eta_quotient = series._mul_sparse, functions.eta_quotient
+    eta1 = series.eta_key({1: 1})
 
     def short(acc, terms, c0=1, divide=False):
-        assert len(acc) <= 2, f"a kernel pass to q^{len(acc) - 1}"
+        assert len(acc) <= functions._CACHE_SEED_ORDER + 1, f"a kernel pass to q^{len(acc) - 1}"
         kernel(acc, terms, c0, divide)
+
+    def only_eta1(exponents, order):
+        if series.eta_key(exponents) != eta1:
+            pytest.fail(f"expanded {exponents}")
+        return eta_quotient(exponents, order)
 
     functions._cache_clear()
     monkeypatch.setattr(series, "_mul_sparse", short)
-    monkeypatch.setattr(functions, "eta_quotient", lambda exponents, order: pytest.fail(f"expanded {exponents}"))
+    monkeypatch.setattr(functions, "eta_quotient", only_eta1)
     [stmt] = parse("P(q^1; q^1)^5000 == 1 within 1000")
     report = check(stmt)
     assert not report.passed
     assert (report.first_failure.n, report.first_failure.residual) == (1, -5000)
     assert report.detail == "q^1: lhs=-5000, rhs=0"
-    assert not functions._cache
+    assert set(functions._cache) <= {eta1}
 
 
 def test_a_decided_failure_squares_a_power_of_its_binomials_once(monkeypatch):
@@ -1566,3 +1581,81 @@ def test_a_non_unit_divisor_in_a_lifted_subs_raises(text):
     [stmt] = parse(text)
     message = "cannot invert series with constant term 2 (in: 2 * P(q^1; q^1))"
     assert _report(stmt, 20) == _report(stmt, 20, function_value) == message
+
+
+# ---------------------------------------------------------------------------
+# One failure report: every route finds only where a statement fails, against
+# the report read off both sides evaluated to the full order
+
+
+def _full_order_report(stmt, values):
+    """(passed, first_failure, detail) read off residuals and both sides
+    evaluated to the statement's own order, never to the failing index, or
+    the EvalError's text."""
+    try:
+        diff = residuals(stmt, stmt.order, values)
+        lhs, rhs = evaluate(stmt.lhs, stmt.order, values), evaluate(stmt.rhs, stmt.order, values)
+    except EvalError as exc:
+        return str(exc)
+    i = next((i for i, r in enumerate(diff) if r), None)
+    if i is None:
+        return True, None, None
+    return False, Failure(i, diff[i]), f"q^{i}: lhs={format_int(lhs[i])}, rhs={format_int(rhs[i])}"
+
+
+def _checked(stmt, values):
+    try:
+        report = check(stmt, None, values)
+    except EvalError as exc:
+        return str(exc)
+    return report.passed, report.first_failure, report.detail
+
+
+def _case(text):
+    lhs, rhs, modulus, _ = _parts(text)
+    return (lhs, rhs), modulus
+
+
+_report_cases = st.one_of(
+    # no modulus: products, decided, or cancelled when an opaque atom is
+    # drawn (an extract past MAX_ORDER among them); integer atoms make
+    # non-unit divisors
+    st.tuples(_sides, st.none()),
+    # products that differ by one atom: decided failures past q^0, over Z and over F_p
+    st.tuples(
+        st.builds(lambda x, a: (x, Mul(_respell(x), a)), _units, _unit_atoms),
+        st.sampled_from([None, None, 2, 3, 6]),
+    ),
+    # cancelled: sides around an opaque rest, with a product side or both dense
+    st.tuples(st.one_of(_shared_sides, _lift_sides), st.none()),
+    # products decided over F_p, and on the coefficient route under a prime power
+    st.tuples(_mod_sides, st.sampled_from([2, 3, 6, 30])),
+    st.tuples(_mod_sides, st.sampled_from([4, 9])),
+    # dense sides under `mod M`: the coefficient route
+    st.tuples(st.tuples(_mixed, _mixed), st.sampled_from([2, 4])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_report_cases, st.sampled_from([0, 0, 1, 2]), st.sampled_from([None, None, None, function_value]), st.integers(0, 30))
+# decided: a late failure, F_p failures under `mod 2` and `mod 6`, and a
+# pass mod 2 of a side that is not 0 over Z
+@example(_case("P(q^1; q^3)^50 == P(q^1; q^3)^50 * P(q^99; q^100) within 1"), 0, None, 100)
+@example(_case("p == pd mod 2 within 1"), 0, None, 40)
+@example(_case("op == 1 mod 6 within 1"), 0, None, 40)
+@example(_case("7 * po_bar == 0 mod 2 within 1"), 0, None, 40)
+# cancelled: a product side, and both sides dense, failing at q^231
+@example(_case("lebesgue(20) * P(-q^5; q^3) == po_bar * P(-q^5; q^3) within 1"), 0, None, 300)
+@example(_case("lebesgue(20) * theta(GPENT_HALF) == lebesgue(3) * po_bar * theta(GPENT_HALF) / lebesgue(3) within 1"), 0, None, 240)
+# coefficients: a `values` source, and a prime power, whose residual 14 is 2 mod 4
+@example(_case("3 * p == pd mod 4 within 1"), 0, function_value, 40)
+@example(_case("7 * po_bar == 0 mod 4 within 1"), 0, None, 40)
+@example(_case("pood + 1 == p2 within 1"), 0, function_value, 30)
+@example(_case("lebesgue(20) == po_bar within 1"), 0, function_value, 240)
+# a non-unit divisor, and an extract past MAX_ORDER
+@example(_case("p == 1 / (2 * P(q^1; q^1)) within 1"), 1, None, 20)
+@example(_case("extract(p, 5000, 0) + op == 1 within 1"), 0, None, 3)
+def test_a_failure_report_matches_the_full_order_evaluation(case, k, values, order):
+    sides, modulus = case
+    stmt = IdentityStatement(*_plus(sides, k), order, modulus=modulus)
+    assert _checked(stmt, values) == _full_order_report(stmt, values)
