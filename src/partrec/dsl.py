@@ -20,18 +20,18 @@ and its named functions, under the store, as eta quotients: eta_k is the
 atom P(q^k; q^k)), and every other node into a tree of dense nodes that
 hold the folds of their children at the orders they are evaluated at.  A
 power is folded into the exponents, or its base expanded and squared,
-whichever takes fewer kernel passes.  An extract takes the subs factors
-of its argument's chain out, and dissects a product argument (`_dissect`):
-its eta exponents at the multiples of m come out as a product in q, and a
+whichever takes fewer kernel passes.  An extract dissects a product
+argument, its thetas and subs of products lifted (`_dissect`): its eta
+exponents at the multiples of m come out as a product in q, and a
 THETA_ETA family that holds the rest at the other k is extracted on its
 progression alone, which is a product itself when it is a multiple of a
 theta row; any other argument is evaluated whole and sliced.  The run
 step (`_run`) evaluates the dense nodes, checks each divisor's constant
-term and expands each fold (`_expand`) by one rule (`_route`): a fold
-with no valued dense part, a bare product, reads its eta quotient from
-the function store by key, and any other has the quotient applied to its
-dense part in place; the form's (1 - q^n) binomials are applied in
-place.  `evaluate` and every route of `check` read the same folds.
+term and expands each fold (`_expand`): a fold with no dense part, a
+bare product, reads its eta quotient from the function store by key,
+and any other has the quotient applied to its dense part's value in
+place; the form's (1 - q^n) binomials are applied in place.  `evaluate`
+and every route of `check` read the same folds.
 
 `check` runs each statement by its plan (`_plan`), the one place where
 its route is decided; `expands` reads the same plan.  The plan folds both
@@ -646,7 +646,7 @@ def _subs_atoms(factors: _Factors, sign: int, d: int) -> _Factors:
     return new
 
 
-def _fold(expr: ExprNode, order: int, values: Optional[Values], pull: Optional[int] = None) -> _Fold:
+def _fold(expr: ExprNode, order: int, values: Optional[Values]) -> _Fold:
     """expr to q^order as a fold, with nothing evaluated.
 
     Integer literals go into the scalar, and Pochhammer atoms and named
@@ -661,17 +661,11 @@ def _fold(expr: ExprNode, order: int, values: Optional[Values], pull: Optional[i
     ("sum", f, g, sign) for + and -; ("leaf", thunk) for lebesgue() and a
     `values` source; and ("fail", message, node) for an extract past
     MAX_ORDER and a scalar power past MAX_SCALAR_BITS.  A subs or a
-    squared power takes its fold's scalar out (`_unscaled`).
-
-    `pull` = m folds an extract's argument: a factor subs(A, +-q^(k*m))
-    that is neither a divisor nor under a power is ("pulled", f), f being
-    subs(A, +-q^k) to order // m, which runs in its place but is multiplied
-    in after the extract: extract(subs(A, +-q^(k*m)) * B, m, r) is
-    subs(A, +-q^k) * extract(B, m, r).  An extract whose argument is a
-    product times pulled factors is no node at all but the fold that
-    `_dissect` returns: the pulled subs, the product that comes out of the
-    argument, and the progression of a theta family, folded into the
-    product when it is a multiple of a theta row."""
+    squared power takes its fold's scalar out (`_unscaled`).  An extract
+    whose argument is a product, its thetas and subs of products lifted,
+    is no node at all but the fold that `_dissect` returns: the product
+    that comes out of the argument, and the progression of a theta family,
+    folded into the product when it is a multiple of a theta row."""
     if isinstance(expr, IntLiteral):
         return _Fold(expr.value, {}, None, order)
     if isinstance(expr, Pochhammer):
@@ -680,8 +674,7 @@ def _fold(expr: ExprNode, order: int, values: Optional[Values], pull: Optional[i
         return _Fold(1, _etas(ETA_QUOTIENTS[expr.fid]), None, order)
     if isinstance(expr, (Mul, Div)):
         sign = 1 if isinstance(expr, Mul) else -1
-        left = _fold(expr.left, order, values, pull)
-        right = _fold(expr.right, order, values, pull if sign == 1 else None)
+        left, right = _fold(expr.left, order, values), _fold(expr.right, order, values)
         dense = _mul(left.dense, right.dense)
         if sign == -1 and (right.dense is not None or right.scalar not in (1, -1)):
             dense = ("div", left.dense, right.dense, right.scalar, expr.right)
@@ -689,16 +682,13 @@ def _fold(expr: ExprNode, order: int, values: Optional[Values], pull: Optional[i
     if isinstance(expr, Pow):
         return _power(_fold(expr.base, order, values), expr.exponent, expr)
     if isinstance(expr, Subs):
-        if pull is not None and expr.d % pull == 0:
-            pulled = Subs(expr.child, expr.sign, expr.d // pull)
-            return _node(("pulled", _fold(pulled, order // pull, values)), order)
         child = _fold(expr.child, order // expr.d, values)
         return _Fold(child.scalar, {}, ("subs", _unscaled(child), expr.sign, expr.d), order)
     if isinstance(expr, Extract):
         inner = expr.m * order + expr.r
         if inner > MAX_ORDER:
             return _node(("fail", f"extract needs its argument to order {inner}, above {MAX_ORDER}", expr), order)
-        child = _fold(expr.child, inner, values, expr.m)
+        child = _fold(expr.child, inner, values)
         return _dissect(child, expr.m, expr.r, order) or _node(("extract", child, expr.m, expr.r), order)
     if isinstance(expr, (Add, Sub)):
         sign = 1 if isinstance(expr, Add) else -1
@@ -716,28 +706,27 @@ def _fold(expr: ExprNode, order: int, values: Optional[Values], pull: Optional[i
 
 def _dissect(child: _Fold, m: int, r: int, order: int) -> Optional[_Fold]:
     """extract(A, m, r) to q^order as a fold with no extract node, child
-    being A's fold (to q^(m*order + r), its subs factors pulled), or None
-    when A's chain, its thetas and the products under its subs lifted
-    (`_lift`), has a valued dense part or (1 - q^n) binomials.
+    being A's fold (to q^(m*order + r)), or None when A's chain, its thetas
+    and the products under its subs lifted (`_lift`), has a dense part or
+    (1 - q^n) binomials.
 
     Of A's eta exponents e_k, those at m | k are a product in q^m, which
-    comes out as a product in q.  If nothing is left the extract is that
-    product for r = 0 and 0 otherwise.  If what is left at the k with
-    m not dividing k is the first THETA_ETA family T's exponents there, T is
-    divided out, the rest comes out too, and the extract is that product
-    times extract(T, m, r), generated from T's row on the progression alone
-    (`theta_terms`): a product itself when it is c * row(q^s) for a THETA_ETA
-    row (`_row_multiple`), and a ("theta", T, m, r) node otherwise.  When no
-    family fits, it is None too.  The pulled factors run where they ran in
-    A, so a divisor in A raises where it did."""
+    comes out as a product in q: so a subs(B, +-q^(k*m)) factor of a
+    product comes out as subs(B, +-q^k).  If nothing is left the extract
+    is that product for r = 0 and 0 otherwise.  If what is left at the k
+    with m not dividing k is the first THETA_ETA family T's exponents
+    there, T is divided out, the rest comes out too, and the extract is
+    that product times extract(T, m, r), generated from T's row on the
+    progression alone (`theta_terms`): a product itself when it is
+    c * row(q^s) for a THETA_ETA row (`_row_multiple`), and a
+    ("theta", T, m, r) node, the result's one dense part, otherwise.  When
+    no family fits, it is None too."""
     lifted, dense = _lift(child.dense)
-    if _valued(dense):
+    if dense is not None:
         return None
     eta, binomials = _split(_add(child.factors, lifted, 1), child.order)
     if binomials:
         return None
-    scalar, dense = _unpulled(dense)
-    scalar *= child.scalar
     family = None
     if off := {k: e for k, e in eta.items() if k % m}:
         for family, form in THETA_ETA.items():
@@ -749,22 +738,11 @@ def _dissect(child: _Fold, m: int, r: int, order: int) -> Optional[_Fold]:
             return None
     factors = _etas({k // m: e for k, e in eta.items() if e})
     if family is None:
-        return _Fold(scalar if r == 0 else 0, factors, dense, order)
+        return _Fold(child.scalar if r == 0 else 0, factors, None, order)
     multiple = _row_multiple(family, m, r, order)
     if multiple is None:
-        return _Fold(scalar, factors, _mul(dense, ("theta", family, m, r)), order)
-    return _Fold(scalar * multiple[0], _add(factors, multiple[1], 1), dense, order)
-
-
-def _unpulled(node: Optional[_Dense]) -> tuple[int, Optional[_Dense]]:
-    """(scalar, node) for a dense node with no value (`_valued`): each
-    pulled factor's subs in its place, its fold's scalar taken out."""
-    if node is None:
-        return 1, None
-    if node[0] == "pulled":
-        return node[1].scalar, node[1].dense
-    (s, a), (t, b) = _unpulled(node[1]), _unpulled(node[2])
-    return s * t, _mul(a, b) if node[0] == "mul" else ("div", a, b, *node[3:])
+        return _Fold(child.scalar, factors, ("theta", family, m, r), order)
+    return _Fold(child.scalar * multiple[0], _add(factors, multiple[1], 1), None, order)
 
 
 @lru_cache(maxsize=256)
@@ -791,46 +769,28 @@ def _row_multiple(family: str, m: int, r: int, order: int) -> Optional[_Form]:
     return None
 
 
-def _valued(node: Optional[_Dense]) -> bool:
-    """Whether a dense node runs to a series rather than to None, as a
-    pulled factor does, and a product or quotient of nothing else."""
-    if node is None or node[0] == "pulled":
-        return False
-    return node[0] not in ("mul", "div") or _valued(node[1]) or _valued(node[2])
-
-
-def _route(fold: _Fold) -> tuple[dict[int, int], dict[int, int], bool]:
-    """(eta, binomials, read): the fold's eta quotient and (1 - q^n)
-    exponents (`_split`), and whether `_expand` reads the quotient's table
-    from the store.  It reads the table when the fold has no valued dense
-    part (`_valued`), a bare product; a dense part takes the quotient in
-    place instead."""
-    eta, binomials = _split(fold.factors, fold.order)
-    return eta, binomials, bool(fold.scalar and eta) and not _valued(fold.dense)
-
-
-def _run(x: Union[_Fold, _Dense, None], order: int = 0, pulled: Optional[list] = None) -> Optional[TruncatedSeries]:
+def _run(x: Union[_Fold, _Dense, None], order: int = 0) -> Optional[TruncatedSeries]:
     """The value of a fold, its dense part's then `_expand`'s, or of a
-    dense node to q^order (None for 1).  A node's parts run left to right,
+    dense node to q^order; an absent dense part (None) is 1, and is the
+    only one whose value is None.  A node's parts run left to right,
     except that a divisor runs before its dividend and its constant term
-    is checked after both; a pulled factor's value goes to `pulled`, and a
-    failed node, or a power whose constant term passes MAX_SCALAR_BITS once
-    its base has run, raises its EvalError where it runs."""
+    is checked after both; a failed node, or a power whose constant term
+    passes MAX_SCALAR_BITS once its base has run, raises its EvalError
+    where it runs."""
     if isinstance(x, _Fold):
-        return _expand(_run(x.dense, x.order, pulled), x)
+        return _expand(_run(x.dense, x.order), x)
     if x is None:
         return None
     kind = x[0]
     if kind == "mul":
-        a, b = _run(x[1], order, pulled), _run(x[2], order, pulled)
-        return b if a is None else a if b is None else a * b
+        return _run(x[1], order) * _run(x[2], order)
     if kind == "div":
         b = _run(x[2], order)
-        a = _run(x[1], order, pulled)
+        a = _run(x[1], order)
         c0 = x[3] * (1 if b is None else b[0])
         if c0 not in (1, -1):
             raise _non_unit(c0, x[4])
-        return a if b is None else (TruncatedSeries.one(order) if a is None else a) / b
+        return (TruncatedSeries.one(order) if a is None else a) / b
     if kind == "pow":
         base = _run(x[1], order)
         if x[2] > 1 and abs(base[0]).bit_length() * x[2] > MAX_SCALAR_BITS:
@@ -846,16 +806,9 @@ def _run(x: Union[_Fold, _Dense, None], order: int = 0, pulled: Optional[list] =
             out[d :: 2 * d] = map(neg, out[d :: 2 * d])
         return TruncatedSeries(out)
     if kind == "extract":
-        factors: list[TruncatedSeries] = []
-        out = _run(x[1], pulled=factors).extract(x[2], x[3])
-        for factor in factors:
-            out = out * factor
-        return out
+        return _run(x[1]).extract(x[2], x[3])
     if kind == "sum":
         return (add if x[3] == 1 else sub)(_run(x[1]), _run(x[2]))
-    if kind == "pulled":
-        pulled.append(_run(x[1]))
-        return None
     if kind == "leaf":
         return x[1]()
     raise EvalError(x[1], print_expr(x[2]))  # "fail"
@@ -868,16 +821,15 @@ def _non_unit(c0: int, divisor: ExprNode) -> EvalError:
 def _expand(value: Optional[TruncatedSeries], fold: _Fold) -> TruncatedSeries:
     """The fold's value, given its dense part's (None for 1).  The eta
     quotient of the factors' product form (`_split`) is read from the store
-    (`eta_series`) when `_route` says so, the fold being a bare product, and
-    otherwise applied to the dense part in place.  The form's (1 - q^n)
-    binomials are applied in place last."""
+    (`eta_series`) when the fold has no dense part, a bare product, and
+    otherwise applied to the dense part's value in place.  The form's
+    (1 - q^n) binomials are applied in place last."""
     order = fold.order
     if not fold.scalar:
         return TruncatedSeries.zero(order)
-    eta, binomials, read = _route(fold)
-    if read:
-        table = eta_series(eta_key(eta), order)
-        value, eta = (table if value is None else table * value), {}
+    eta, binomials = _split(fold.factors, order)
+    if value is None and eta:
+        value, eta = eta_series(eta_key(eta), order), {}
     if value is None or eta or binomials:
         acc = [1] + [0] * order if value is None else list(value.coeffs)
         _mul_eta_binomials(acc, eta, binomials)
@@ -1072,9 +1024,9 @@ def _plan(stmt: IdentityStatement, order: int, values: Optional[Values]) -> tupl
     dense part O; the quotient of the exponent parts goes to one side and
     the other runs as s*O alone.  Q_L and Q_R are 1 + O(q), so the sides
     first differ where the statement's do.  When exactly one side is a
-    product (O has no value), that side takes it, and reads it as one
-    table (`_route`); otherwise the left takes Q_L/Q_R, and applies it
-    to its O in place.
+    product (O is 1: it has no dense part), that side takes it, and reads
+    it as one table (`_expand`); otherwise the left takes Q_L/Q_R, and
+    applies it to its O in place.
     """
     left, right = _fold(stmt.lhs, order, values), _fold(stmt.rhs, order, values)
     primes = () if stmt.modulus is None else _primes(stmt.modulus)
@@ -1088,7 +1040,7 @@ def _plan(stmt: IdentityStatement, order: int, values: Optional[Values]) -> tupl
         return "coefficients", left, right
     left, right = _lifted(left), _lifted(right)
     over = _add(left.factors, right.factors, -1)  # Q_L/Q_R
-    if _valued(left.dense) and not _valued(right.dense):  # the right side alone is a product
+    if left.dense is not None and right.dense is None:  # the right side alone is a product
         return "cancelled", left._replace(factors={}), right._replace(factors=_add({}, over, -1))
     return "cancelled", left._replace(factors=over), right._replace(factors={})
 

@@ -836,8 +836,8 @@ def test_grow_expands_the_keys_that_check_reads(monkeypatch, path):
 def test_grow_expands_the_keys_that_verify_reads(monkeypatch):
     # T7, T8 and the parities are decided; CKS_SQ's extract of pdo is p
     # times a theta progression, which takes its quotient in place;
-    # MERCA_GK's pulled subs of p lift into its exponent part, which cancels;
-    # LEBESGUE's product side reads po_bar
+    # MERCA_GK's subs of p lift out of its extracts into its exponent part,
+    # which cancels; LEBESGUE's product side reads po_bar
     reads, expanded = _store_reads(monkeypatch, lambda: recurrences.verify_all(300))
     assert reads == {functions.KEYS[F.PO_ODD]: 300}
     assert expanded == set(reads)
@@ -858,7 +858,7 @@ def test_grow_expands_the_keys_that_verify_reads(monkeypatch):
         # name or as a chain: two statements read po_bar's, expanded once
         ("lebesgue(45) == po_bar within 200", [F.PO_ODD]),
         ("lebesgue(45) == po_bar within 200\nlebesgue(45) + 1 == P(-q^1; q^2) / P(q^1; q^2) within 200", [F.PO_ODD]),
-        # the pulled subs of p lift into the exponent parts, which cancel
+        # the subs of p lift into the exponent parts, which cancel
         ("extract(subs(p, q^2) * theta(GPENT), 2, 0) == extract(subs(p, q^4) * theta(TRI), 2, 0) within 300", []),
         # any dense part, sparse or not, takes its quotient in place; the
         # failure's report evaluates the left side at q^2, where the extract
@@ -1058,7 +1058,8 @@ def test_deciding_on_exponents_matches_the_coefficient_path(sides, order):
 
 # The normal-form routes against the coefficient path (a `values` source):
 # subs of a product (decided), sides sharing product atoms around an opaque
-# rest (cancelled), and subs factors pulled out of an extract, each also with
+# rest (cancelled), and an extract of a subs in q^m times another factor
+# against the subs in q times the extract of that factor, each also with
 # `+ k` on its left side, which makes most of them false
 _signs = st.sampled_from([1, -1])
 _opaque_rests = st.one_of(
@@ -1083,7 +1084,7 @@ _shared_sides = st.one_of(
 )
 
 
-def _pulled(a, b, c, s, k, m, r):
+def _subs_out(a, b, c, s, k, m, r):
     # extract(subs(a, s*q^(k*m)) * b / c, m, r) == subs(a, s*q^k) * extract(b / c, m, r)
     return Extract(Div(Mul(Subs(a, s, k * m), b), c), m, r), Mul(Subs(a, s, k), Extract(Div(b, c), m, r))
 
@@ -1093,14 +1094,14 @@ _unit_atoms = st.one_of(st.sampled_from([IntLiteral(1), IntLiteral(-1)]), _produ
 _units = _product_chains(_unit_atoms)
 _unit_mixed = _product_chains(st.one_of(_unit_atoms, _unit_atoms, st.just(Theta("GPENT_HALF")), st.integers(0, 3).map(LebesguePartial)))
 _moduli = st.integers(1, 3)
-_pulled_sides = st.one_of(
-    st.builds(_pulled, _units, _unit_mixed, _units, _signs, st.integers(1, 2), _moduli, st.integers(0, 2)),
-    st.builds(_pulled, _mixed, _mixed, _products, _signs, st.integers(1, 2), _moduli, st.integers(0, 2)),
+_subs_out_sides = st.one_of(
+    st.builds(_subs_out, _units, _unit_mixed, _units, _signs, st.integers(1, 2), _moduli, st.integers(0, 2)),
+    st.builds(_subs_out, _mixed, _mixed, _products, _signs, st.integers(1, 2), _moduli, st.integers(0, 2)),
     st.builds(
         lambda a, b, s, k, m: (Extract(Mul(b, Subs(a, s, k * m)), m, 0), Mul(Extract(b, m, 0), Subs(a, s, k))),
         _units, _unit_mixed, _signs, st.integers(1, 2), _moduli,
     ),
-    # a subs divisor is not pulled
+    # a subs divisor, whose reciprocal comes out the same way
     st.builds(
         lambda a, b, s, k, m: (Extract(Div(b, Subs(a, s, k * m)), m, 0), Div(Extract(b, m, 0), Subs(a, s, k))),
         _units, _unit_mixed, _signs, st.integers(1, 2), _moduli,
@@ -1114,7 +1115,7 @@ def _plus(sides, k):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(_subs_sides, _shared_sides, _pulled_sides), st.integers(0, 2), st.integers(0, 20))
+@given(st.one_of(_subs_sides, _shared_sides, _subs_out_sides), st.integers(0, 2), st.integers(0, 20))
 def test_normal_form_routes_match_the_coefficient_path(sides, k, order):
     stmt = IdentityStatement(*_plus(sides, k), order)
     assert _report(stmt, order) == _report(stmt, order, function_value)
@@ -1127,21 +1128,32 @@ def _evaluated(expr, order):
         return str(exc)
 
 
+def _parsed_sides(text):
+    [stmt] = parse(f"{text} within 1")
+    return stmt.lhs, stmt.rhs
+
+
 @settings(max_examples=300, deadline=None)
-@given(_pulled_sides, st.integers(0, 20))
-def test_a_pulled_extract_matches_the_extract_of_its_argument(sides, order):
-    # evaluating the argument whole pulls nothing: the reference for the pull
+@given(_subs_out_sides, st.integers(0, 20))
+# a dense subs factor, for m = 2 and m = 4, and a non-unit divisor beside one,
+# whose error text test_a_non_unit_divisor_reports_as_the_coefficient_route pins
+@example(_parsed_sides("extract(subs(lebesgue(20), q^2) * po_bar, 2, 1) == subs(lebesgue(20), q^1) * extract(po_bar, 2, 1)"), 60)
+@example(_parsed_sides("extract(subs(lebesgue(20), -q^4) * po_bar, 4, 3) == subs(lebesgue(20), -q^1) * extract(po_bar, 4, 3)"), 30)
+@example(_parsed_sides("extract(subs(lebesgue(3), q^2) / (2 * po_bar), 2, 0) == subs(lebesgue(3), q^1) * extract(1 / (2 * po_bar), 2, 0)"), 20)
+def test_an_extract_of_a_subs_in_q_m_is_the_subs_in_q_times_the_extract(sides, order):
+    # extract(subs(A, +-q^(k*m)) * B, m, r) == subs(A, +-q^k) * extract(B, m, r),
+    # against the argument evaluated whole and sliced
     lhs, rhs = sides
     inner = lhs.m * order + lhs.r
     reference = _evaluated(lhs.child, inner)
-    pulled = _evaluated(lhs, order)
-    assert pulled == (reference if isinstance(reference, str) else reference[lhs.r :: lhs.m])
-    if not isinstance(pulled, str):  # each pair is an identity
-        assert pulled == _evaluated(rhs, order)
+    extracted = _evaluated(lhs, order)
+    assert extracted == (reference if isinstance(reference, str) else reference[lhs.r :: lhs.m])
+    if not isinstance(extracted, str):  # each pair is an identity
+        assert extracted == _evaluated(rhs, order)
 
 
 # Dissected extracts: an argument whose eta exponents off the multiples of m
-# are a THETA_ETA family's, times a product in q^m and pulled subs factors,
+# are a THETA_ETA family's, times a product in q^m and subs factors in q^m,
 # against the argument evaluated whole.  Plain eta quotients, named functions
 # and off-gcd atoms cover the arguments that keep their extract node.
 _eta_forms = st.sampled_from(sorted(series.THETA_ETA)).flatmap(
@@ -1160,17 +1172,17 @@ _dissectable = st.one_of(
 
 
 def _in_q_m(m):
-    """A product in q^m: eta_(k*m) powers, and a subs factor that is pulled."""
+    """A product in q^m: eta_(k*m) powers, and a subs factor in q^m."""
     etas = st.dictionaries(st.integers(1, 3), st.integers(-2, 2), max_size=2).map(
         lambda eta: _spelled((1, k * m, k * m, e) for k, e in eta.items() if e)
     )
-    pulled = st.builds(
+    subs = st.builds(
         lambda a, sign, k: Subs(a, sign, k * m),
         st.one_of(st.sampled_from(list(F)).map(NamedFunction), _eta_forms, st.just(LebesguePartial(3))),
         _signs,
         st.integers(1, 2),
     )
-    return st.one_of(st.just(IntLiteral(1)), st.just(IntLiteral(-3)), etas, pulled, st.builds(Mul, etas, pulled))
+    return st.one_of(st.just(IntLiteral(1)), st.just(IntLiteral(-3)), etas, subs, st.builds(Mul, etas, subs))
 
 
 _dissections = st.integers(2, 5).flatmap(
@@ -1227,6 +1239,42 @@ def test_a_non_unit_divisor_in_a_dissected_argument_raises(text):
     [stmt] = parse(text)
     message = "cannot invert series with constant term 2 (in: 2 * P(q^2; q^2))"
     assert _report(stmt, 20) == _report(stmt, 20, function_value) == message
+
+
+@pytest.mark.parametrize(
+    "text, divisor, expands",
+    [
+        # decided: the product's divisor raises in its plan
+        ("p / (2 * pd) == p within 50", "2 * pd", False),
+        # cancelled, the product on the left or on the right; a product over
+        # the divisor holds it as a dense node, so beside a dense side it is
+        # cancelled as one
+        ("p == lebesgue(3) / (2 * pd) within 50", "2 * pd", True),
+        ("lebesgue(3) / (2 * pd) == p within 50", "2 * pd", True),
+        ("lebesgue(3) * pd == p / (2 * pd) within 50", "2 * pd", True),
+        # both sides dense
+        ("lebesgue(3) / (2 * pd) == lebesgue(4) * p within 50", "2 * pd", True),
+        # inside an extract whose argument would dissect, and one whose would not
+        ("extract(po_bar / (2 * P(q^2; q^2)), 2, 1) == 2 * op * theta(TWO_TRI4) within 20", "2 * P(q^2; q^2)", True),
+        ("extract(subs(lebesgue(3), q^2) / (2 * po_bar), 2, 0) == p within 20", "2 * po_bar", True),
+        # inside subs, of a product (which raises in the plan) or not
+        ("subs(p / (2 * pd), q^2) == lebesgue(3) within 20", "2 * pd", False),
+        ("p == subs(lebesgue(3) / (2 * pd), -q^2) within 20", "2 * pd", True),
+        # under mod 2 and mod 6 a product is decided over F_p, and mod 4 is not
+        ("p / (2 * pd) == p mod 2 within 50", "2 * pd", False),
+        ("lebesgue(3) / (2 * pd) == p mod 2 within 50", "2 * pd", True),
+        ("p / (2 * pd) == p mod 4 within 50", "2 * pd", True),
+        ("p / (2 * pd) == p mod 6 within 50", "2 * pd", False),
+        ("extract(subs(lebesgue(3), q^2) / (2 * po_bar), 2, 0) == p mod 6 within 20", "2 * po_bar", True),
+    ],
+)
+def test_a_non_unit_divisor_reports_as_the_coefficient_route(text, divisor, expands):
+    # every route a non-unit divisor reaches raises its error, as a `values`
+    # source, which runs both sides, does
+    [stmt] = parse(text)
+    assert dsl.expands(stmt) is expands
+    message = f"cannot invert series with constant term 2 (in: {divisor})"
+    assert _report(stmt, stmt.order) == _report(stmt, stmt.order, function_value) == message
 
 
 def test_subs_of_a_product_is_decided(monkeypatch):
@@ -1322,9 +1370,9 @@ def test_a_cancelled_failure_reports_the_statement_detail():
     assert _report(stmt, 2000) == _report(stmt, 2000, function_value)
 
 
-def test_a_pulled_extract_builds_no_product_at_the_inner_order(monkeypatch):
-    # MERCA_GK: subs(p, q^2) and subs(p, q^4) come out of the extracts as p
-    # and subs(p, q^2), so no product reaches q^(2n)
+def test_merca_gk_lifts_its_subs_and_builds_no_product_at_the_inner_order(monkeypatch):
+    # MERCA_GK: subs(p, q^2) and subs(p, q^4) lift out of the extracts into
+    # their exponent parts, as p and subs(p, q^2), so no product reaches q^(2n)
     mul = series.TruncatedSeries.__mul__
 
     def short(self, other):
@@ -1496,9 +1544,9 @@ def test_the_mod_p_route_and_its_fallbacks(text, decided):
 
 
 def test_the_parities_and_merca_gk_make_no_kernel_pass(monkeypatch):
-    # the parities are decided over F_2; MERCA_GK's pulled subs of p lift
-    # into its exponent parts, which cancel, and it compares two theta
-    # progressions, generated term by term
+    # the parities are decided over F_2; MERCA_GK's subs of p lift out of
+    # its extracts into its exponent parts, which cancel, and it compares
+    # two theta progressions, generated term by term
     monkeypatch.setattr(series, "_mul_sparse", lambda *args, **kwargs: pytest.fail("a kernel pass"))
     suites = (TheoremId.COR_POOD_PARITY, TheoremId.COR_P_PARITY, TheoremId.COR_P2_PARITY, TheoremId.CLASSICAL_MERCA_GK)
     for tid in suites:
@@ -1522,7 +1570,7 @@ def _subs_dense(children):
         st.builds(lambda x, c, s, d: Subs(Mul(x, c), s, d), _products, children, _signs, st.integers(1, 3)),
         st.builds(Mul, children, _products),
         st.builds(Div, children, _units),
-        # inside an extract, pulled when m divides d and lifted when not
+        # inside an extract, in q^m or not
         st.integers(2, 3).flatmap(lambda m: st.builds(Extract, children, st.just(m), st.integers(0, m - 1))),
     )
 

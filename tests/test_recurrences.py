@@ -508,8 +508,8 @@ def test_verify_all_expands_each_function_once(monkeypatch):
         # read: po_bar (LEBESGUE's product side), at n, never past it.  T7,
         # T8 and the parities are decided; CKS_SQ's extract of pdo is p
         # times a theta progression (its quotient applied in place), and
-        # MERCA_GK's pulled subs of p lift into its exponent parts, which
-        # cancel
+        # MERCA_GK's subs of p lift out of its extracts into its exponent
+        # parts, which cancel
         assert expanded == [(functions.KEYS[F.PO_ODD], n)]
 
 
